@@ -1,50 +1,8 @@
 """Exact verifier for the graded match between the minimal nilpotent
 orbit closure of a simply laced Lie algebra and the cohomology of the
-minimal resolution of the matching Kleinian singularity."""
+minimal resolution of the matching Kleinian singularity.
 
-from .chevalley import (
-    BasisIndex,
-    LieAlgebra,
-    SplitCasimir,
-    adjoint_matrix,
-    build_chevalley,
-    casimir_top_eigenvalue,
-    split_casimir,
-)
-from .cli import VerificationReport, ade_types, emit_report, verify, verify_all
-from .linalgx import EchelonBasis, SparseMatrix, append_and_rank, image_basis, rank
-from .orbit_ideal import (
-    CartanPolynomial,
-    IdealDegree2,
-    cartan_pair_generators,
-    degree2_ideal,
-    projected_span,
-    quotient_hilbert,
-    restrict_to_cartan,
-)
-from .resolution import (
-    CohomologyModel,
-    DynkinTree,
-    betti_numbers,
-    dynkin_tree,
-    euler_characteristic,
-)
-from .rootsys import (
-    InvariantViolation,
-    Root,
-    RootSystem,
-    SimpleType,
-    Weight,
-    build_root_system,
-    pairing,
-    weyl_dim,
-)
-from .sln_oracle import (
-    MatrixPolynomial,
-    minor_generators,
-    oracle_quotient_dims,
-    restrict_to_diagonal,
-    square_generators,
-)
+Import from the submodules, for example ``minorbit.cli`` or
+``minorbit.rootsys``; the package itself exports nothing else."""
 
 __version__ = "0.1.0"

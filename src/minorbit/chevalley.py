@@ -26,24 +26,20 @@ monomial basis x_p x_q for p <= q, it acts column by column as
     Omega(x_p x_q) = sum_a (ad(x_a) x_p) (ad(x^a) x_q),
 
 where the Cartan part of the sum collapses to the weight pairing
-(wt(x_p), wt(x_q)) times the identity.
+(wt(x_p), wt(x_q)) times the identity.  Every entry is an integer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .linalgx import SparseMatrix, SparseVec
-from .rootsys import InvariantViolation, Root, RootSystem, root_to_weight, pairing
+from .rootsys import InvariantViolation, RootSystem, root_to_weight, pairing
 
 __all__ = [
-    "BasisIndex",
     "LieAlgebra",
     "SplitCasimir",
     "build_chevalley",
-    "adjoint_matrix",
     "split_casimir",
     "casimir_top_eigenvalue",
     "sym2_dim",
@@ -51,21 +47,6 @@ __all__ = [
     "sym2_unrank",
     "sym2_pairs",
 ]
-
-
-@dataclass(frozen=True)
-class BasisIndex:
-    """One basis element of g: kind 'e', 'f' (a root vector) or 'h' (a coroot)."""
-
-    kind: str
-    pos: int
-    root: Optional[Root] = None
-    cartan: Optional[int] = None
-
-    def __str__(self) -> str:
-        if self.kind == "h":
-            return f"H({self.cartan + 1})"
-        return f"{self.kind.upper()}{self.root.coords}"
 
 
 class LieAlgebra:
@@ -76,23 +57,19 @@ class LieAlgebra:
     nothing mutates the tables after construction.
     """
 
-    def __init__(self, rs, basis, brackets, form_on_g, weights_fw):
+    def __init__(self, rs, brackets, form_on_g, weights_fw):
         self.rs = rs
-        self.basis = basis
         self.brackets = brackets
         self.form_on_g = form_on_g
         self.weights_fw = weights_fw
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return 2 * self.npos + self.rs.rank
 
     @property
     def npos(self) -> int:
         return len(self.rs.positive_roots)
-
-    def e_index(self, r: int) -> int:
-        return r
 
     def f_index(self, r: int) -> int:
         return self.npos + r
@@ -103,18 +80,6 @@ class LieAlgebra:
     def bracket(self, i: int, j: int) -> tuple:
         """[x_i, x_j] as a tuple of (position, integer coefficient)."""
         return self.brackets.get((i, j), ())
-
-    def ad_apply(self, i: int, vec: SparseVec) -> SparseVec:
-        """[x_i, v] for a sparse vector v over basis positions."""
-        out: SparseVec = {}
-        for j, c in vec.items():
-            for k, s in self.brackets.get((i, j), ()):
-                v = out.get(k, 0) + c * s
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        return out
 
     def form(self, i: int, j: int) -> int:
         return self.form_on_g.get((i, j), 0)
@@ -155,14 +120,6 @@ def build_chevalley(rs: RootSystem) -> LieAlgebra:
 
     def eps(a: int, b: int) -> int:
         return -1 if (masks[a] & bmasks[b]).bit_count() & 1 else 1
-
-    basis = []
-    for r, root in enumerate(rs.positive_roots):
-        basis.append(BasisIndex("e", r, root=root))
-    for r, root in enumerate(rs.positive_roots):
-        basis.append(BasisIndex("f", m + r, root=root))
-    for i in range(n):
-        basis.append(BasisIndex("h", 2 * m + i, cartan=i))
 
     brackets: dict = {}
 
@@ -226,18 +183,7 @@ def build_chevalley(rs: RootSystem) -> LieAlgebra:
     for i in range(n):
         weights.append((0,) * n)
 
-    return LieAlgebra(rs, tuple(basis), brackets, form_on_g, tuple(weights))
-
-
-def adjoint_matrix(L: LieAlgebra, x: Union[BasisIndex, int]) -> SparseMatrix:
-    """Matrix of ad(x) = [x, -] over the Chevalley basis."""
-    pos = x.pos if isinstance(x, BasisIndex) else x
-    nn = L.dim
-    mat = SparseMatrix(nn, nn)
-    for j in range(nn):
-        for k, s in L.bracket(pos, j):
-            mat[k, j] = s
-    return mat
+    return LieAlgebra(rs, brackets, form_on_g, tuple(weights))
 
 
 def sym2_dim(n: int) -> int:
@@ -278,19 +224,18 @@ class SplitCasimir:
         self.L = L
         self.sym_dim = sym2_dim(L.dim)
         self._matrix: Optional[SparseMatrix] = None
-        cinv = L.rs.form_inverse
+        # Per basis position, its weight and its signed root coordinates
+        # (zero on the Cartan): a weight paired with a root is a dot product.
         n = L.rs.rank
-        # Dual-weight vectors for the Cartan block of the dual basis.
-        self._dual = [
-            tuple(sum(cinv[i][j] * w[j] for j in range(n)) for i in range(n))
-            for w in L.weights_fw
-        ]
+        roots = [r.coords for r in L.rs.positive_roots]
+        signed = roots + [tuple(-x for x in u) for u in roots] + [(0,) * n] * n
+        self._weight_root = list(zip(L.weights_fw, signed))
 
-    def weight_pairing(self, p: int, q: int) -> Fraction:
+    def weight_pairing(self, p: int, q: int) -> int:
         """(wt(x_p), wt(x_q)): the scalar the Cartan part of the operator contributes."""
-        wp = self.L.weights_fw[p]
-        dq = self._dual[q]
-        return sum((wp[i] * dq[i] for i in range(len(wp))), Fraction(0))
+        wp = self._weight_root[p][0]
+        uq = self._weight_root[q][1]
+        return sum(x * y for x, y in zip(wp, uq))
 
     def column(self, p: int, q: int) -> SparseVec:
         """Image of the monomial x_p x_q, as a sparse vector over monomials."""
@@ -328,27 +273,13 @@ class SplitCasimir:
             self._matrix = mat
         return self._matrix
 
-    def apply(self, vec: SparseVec) -> SparseVec:
-        """Operator applied to a sparse vector over the monomial basis."""
-        nn = self.L.dim
-        out: dict = {}
-        for k, c in vec.items():
-            p, q = sym2_unrank(nn, k)
-            for row, v in self.column(p, q).items():
-                w = out.get(row, 0) + c * v
-                if w:
-                    out[row] = w
-                else:
-                    del out[row]
-        return out
-
 
 def split_casimir(L: LieAlgebra) -> SplitCasimir:
     """The split Casimir operator of L on its symmetric square."""
     return SplitCasimir(L)
 
 
-def casimir_top_eigenvalue(L: LieAlgebra) -> Fraction:
+def casimir_top_eigenvalue(L: LieAlgebra) -> int:
     """Scalar by which the split Casimir acts on the square of a highest-weight vector.
 
     The highest root is last in the positive-root order, so E(theta) is
@@ -362,7 +293,7 @@ def casimir_top_eigenvalue(L: LieAlgebra) -> Fraction:
         raise InvariantViolation(
             "split Casimir does not act as a scalar on the highest-weight square"
         )
-    value = Fraction(col[k])
+    value = col[k]
     if value != pairing(L.rs, L.rs.highest_root, L.rs.highest_root):
         raise InvariantViolation(
             "Casimir scalar on the highest-weight square differs from (theta, theta)"

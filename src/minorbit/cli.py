@@ -171,7 +171,7 @@ def verify(t: SimpleType, max_degree: int = 4, mode: str = "auto") -> Verificati
         expected_projected_rank=expected_rank,
         quotient_hilbert=list(qh),
         betti=list(model.betti),
-        poincare_coeffs=list(model.poincare),
+        poincare_coeffs=list(model.betti),
         hikita_match=hikita_match,
         oracle_match=oracle_match,
         mode=chosen,

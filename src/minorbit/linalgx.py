@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 __all__ = [
     "Rational",
@@ -77,61 +77,12 @@ class SparseMatrix:
     def nnz(self) -> int:
         return len(self.entries)
 
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m[i, i] = 1
-        return m
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[Rational]]) -> "SparseMatrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        m = cls(len(rows), ncols)
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                m[i, j] = v
-        return m
-
-    def to_rows(self) -> list[list[Rational]]:
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
-    def column(self, j: int) -> SparseVec:
-        return {r: v for (r, c), v in self.entries.items() if c == j}
-
     def columns(self) -> list[SparseVec]:
         """All columns as sparse vectors, including empty ones."""
         cols: list[SparseVec] = [{} for _ in range(self.ncols)]
         for (r, c), v in self.entries.items():
             cols[c][r] = v
         return cols
-
-    def transpose(self) -> "SparseMatrix":
-        m = SparseMatrix(self.ncols, self.nrows)
-        for (r, c), v in self.entries.items():
-            m.entries[(c, r)] = v
-        return m
-
-    def mul(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matrix product")
-        mine: dict[int, SparseVec] = {}
-        for (r, c), v in self.entries.items():
-            mine.setdefault(c, {})[r] = v
-        out = SparseMatrix(self.nrows, other.ncols)
-        for j, col in enumerate(other.columns()):
-            acc: SparseVec = {}
-            for k, x in col.items():
-                src = mine.get(k)
-                if src:
-                    addmul(acc, src, x)
-            for r, v in acc.items():
-                out.entries[(r, j)] = v
-        return out
 
 
 class EchelonBasis:

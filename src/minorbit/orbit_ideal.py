@@ -28,7 +28,6 @@ from .rootsys import InvariantViolation, root_to_weight, weyl_dim
 __all__ = [
     "CartanPolynomial",
     "IdealDegree2",
-    "HilbertFunction",
     "degree2_ideal",
     "restrict_to_cartan",
     "projected_span",
@@ -37,10 +36,7 @@ __all__ = [
     "quotient_hilbert",
     "hilbert_from_quadrics",
     "monomial_exponents",
-    "sym2h_exponents",
 ]
-
-HilbertFunction = list
 
 
 @dataclass
@@ -66,11 +62,6 @@ class CartanPolynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def scaled(self, k) -> "CartanPolynomial":
-        return CartanPolynomial(
-            {e: c * k for e, c in self.coeffs.items()}, self.degree, self.nvars
-        )
 
 
 @dataclass
@@ -122,21 +113,9 @@ def restrict_to_cartan(L: LieAlgebra, v: Mapping[int, object]) -> CartanPolynomi
     return CartanPolynomial(coeffs, 2, n)
 
 
-def sym2h_exponents(n: int) -> list[tuple[int, ...]]:
-    """Degree-2 exponent vectors over n variables, in the fixed pair order."""
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            exp = [0] * n
-            exp[i] += 1
-            exp[j] += 1
-            out.append(tuple(exp))
-    return out
-
-
 def span_in_sym2h(n: int, polys: Iterable[CartanPolynomial]) -> tuple[int, EchelonBasis]:
     """Span of degree-2 Cartan polynomials inside Sym^2 h."""
-    exps = sym2h_exponents(n)
+    exps = monomial_exponents(n, 2)
     pos = {e: i for i, e in enumerate(exps)}
     basis = EchelonBasis(len(exps))
     for poly in polys:
@@ -195,12 +174,14 @@ def monomial_exponents(n: int, d: int) -> list[tuple[int, ...]]:
 
 def hilbert_from_quadrics(
     n: int, quadrics: Sequence[CartanPolynomial], max_degree: int
-) -> HilbertFunction:
+) -> list[int]:
     """Hilbert function of Sym[h] modulo the ideal generated by the quadrics.
 
     In each degree d the ideal piece is spanned by the quadrics times
     all degree d-2 monomials; its rank is accumulated incrementally and
-    the loop stops early once the whole degree is filled.
+    the loop stops early once the whole degree is filled.  Once a degree
+    is wholly in the ideal, so is every higher one (Sym^(d+1) = h Sym^d),
+    and the remaining degrees are zero without being computed.
     """
     if max_degree < 2:
         raise ValueError(f"max_degree must be at least 2, got {max_degree}")
@@ -209,10 +190,11 @@ def hilbert_from_quadrics(
     for d in range(2, max_degree + 1):
         monos = monomial_exponents(n, d)
         pos = {e: i for i, e in enumerate(monos)}
+        extras = monomial_exponents(n, d - 2)
         basis = EchelonBasis(len(monos))
         full = False
         for g in gens:
-            for extra in monomial_exponents(n, d - 2):
+            for extra in extras:
                 vec = {}
                 for e, c in g.coeffs.items():
                     key = tuple(a + b for a, b in zip(e, extra))
@@ -224,15 +206,17 @@ def hilbert_from_quadrics(
             if full:
                 break
         dims.append(len(monos) - len(basis))
-    return dims
+        if dims[-1] == 0:
+            break
+    return dims + [0] * (max_degree + 1 - len(dims))
 
 
 def quotient_hilbert(
     L: LieAlgebra, projected: EchelonBasis, max_degree: int
-) -> HilbertFunction:
+) -> list[int]:
     """Graded dimensions of Sym[h] modulo the projected degree-2 ideal."""
     n = L.rs.rank
-    exps = sym2h_exponents(n)
+    exps = monomial_exponents(n, 2)
     quadrics = [
         CartanPolynomial({exps[i]: c for i, c in vec.items()}, 2, n)
         for vec in projected.vectors

@@ -37,7 +37,6 @@ class DynkinTree:
 @dataclass
 class CohomologyModel:
     betti: list
-    poincare: list
     ring_dims: list
 
 
@@ -78,7 +77,6 @@ def betti_numbers(tr: DynkinTree) -> CohomologyModel:
     n = tr.n
     return CohomologyModel(
         betti=[1, 0, n],
-        poincare=[1, 0, n],
         ring_dims=[1, n, 0, 0, 0],
     )
 

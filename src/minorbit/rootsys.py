@@ -4,8 +4,8 @@ Roots are integer vectors in simple-root coordinates and weights are
 integer vectors in fundamental-weight coordinates.  The invariant form
 is normalized so that every root has squared length 2; under that
 normalization the Gram matrix of the simple roots is the Cartan matrix,
-so root-root pairings are integers and weight-weight pairings are
-rationals obtained from the inverse Cartan matrix.
+and every pairing the verifier needs (root with root, root with
+weight) is an integer.
 
 Simple roots are numbered as in Bourbaki.  Positive roots are ordered
 by height and then lexicographically, which fixes every downstream
@@ -15,7 +15,6 @@ basis order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Union
 
 __all__ = [
@@ -116,9 +115,6 @@ class Root:
     def height(self) -> int:
         return sum(self.coords)
 
-    def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.coords))
-
 
 @dataclass(frozen=True)
 class Weight:
@@ -130,9 +126,6 @@ class Weight:
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coords)
 
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
     def scaled(self, k: int) -> "Weight":
         return Weight(tuple(k * c for c in self.coords))
 
@@ -141,18 +134,14 @@ class Weight:
 class RootSystem:
     """Root data for one ADE type, immutable after construction.
 
-    ``form`` is the Gram matrix of the simple roots (equal to the Cartan
-    matrix in the simply laced normalization) and ``form_inverse`` is
-    the Gram matrix of the fundamental weights.
+    ``cartan_matrix`` doubles as the Gram matrix of the simple roots in
+    the simply laced normalization.
     """
 
     simple_type: SimpleType
     cartan_matrix: tuple[tuple[int, ...], ...]
     positive_roots: tuple[Root, ...]
     highest_root: Root
-    rho: Weight
-    form: tuple[tuple[int, ...], ...]
-    form_inverse: tuple[tuple[Fraction, ...], ...]
     root_index: dict = field(repr=False, compare=False)
 
     @property
@@ -162,25 +151,6 @@ class RootSystem:
     @property
     def dim_g(self) -> int:
         return self.rank + 2 * len(self.positive_roots)
-
-
-def _invert(mat: tuple[tuple[int, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a small integer matrix by Gauss-Jordan."""
-    n = len(mat)
-    a = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(mat)
-    ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
 
 
 def build_root_system(t: SimpleType) -> RootSystem:
@@ -252,9 +222,6 @@ def build_root_system(t: SimpleType) -> RootSystem:
         cartan_matrix=c,
         positive_roots=roots,
         highest_root=roots[-1],
-        rho=Weight((1,) * n),
-        form=c,
-        form_inverse=_invert(c),
         root_index={u: i for i, u in enumerate(ordered)},
     )
 
@@ -266,28 +233,21 @@ def root_to_weight(rs: RootSystem, r: Root) -> Weight:
     return Weight(tuple(sum(c[i][j] * r.coords[j] for j in range(n)) for i in range(n)))
 
 
-def pairing(rs: RootSystem, a: Union[Root, Weight], b: Union[Root, Weight]) -> Fraction:
+def pairing(rs: RootSystem, a: Union[Root, Weight], b: Union[Root, Weight]) -> int:
     """Normalized invariant form (a, b), with (alpha, alpha) = 2 on roots.
 
-    Accepts any mix of Root and Weight.  A root paired with a weight is
-    just the dot product of their coordinate vectors, since the two
-    bases are dual up to the Cartan matrix.
+    Takes two roots, or a root and a weight in either order.  A root
+    paired with a weight is just the dot product of their coordinate
+    vectors, since the two bases are dual up to the Cartan matrix.
     """
     n = rs.rank
     if len(a.coords) != n or len(b.coords) != n:
         raise ValueError(f"coordinate length must be {n}")
-    ra, rb = isinstance(a, Root), isinstance(b, Root)
-    if ra and rb:
-        c = rs.form
-        return Fraction(
-            sum(a.coords[i] * c[i][j] * b.coords[j] for i in range(n) for j in range(n))
-        )
-    if ra != rb:
-        return Fraction(sum(x * y for x, y in zip(a.coords, b.coords)))
-    ci = rs.form_inverse
-    return sum(
-        a.coords[i] * ci[i][j] * b.coords[j] for i in range(n) for j in range(n)
-    ) + Fraction(0)
+    if isinstance(a, Weight) and isinstance(b, Weight):
+        raise ValueError("pairing needs at least one root")
+    if isinstance(a, Root) and isinstance(b, Root):
+        a = root_to_weight(rs, a)
+    return sum(x * y for x, y in zip(a.coords, b.coords))
 
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:

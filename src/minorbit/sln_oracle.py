@@ -18,8 +18,8 @@ from typing import Iterable, Mapping
 from .orbit_ideal import (
     CartanPolynomial,
     hilbert_from_quadrics,
+    monomial_exponents,
     span_in_sym2h,
-    sym2h_exponents,
 )
 
 __all__ = [
@@ -166,7 +166,7 @@ def oracle_quotient_dims(n: int, max_degree: int) -> list:
     gens = minor_generators(n) + square_generators(n)
     restricted = restrict_to_diagonal(gens, n)
     _, span = span_in_sym2h(n - 1, [g for g in restricted if not g.is_zero()])
-    exps = sym2h_exponents(n - 1)
+    exps = monomial_exponents(n - 1, 2)
     quadrics = [
         CartanPolynomial({exps[i]: c for i, c in vec.items()}, 2, n - 1)
         for vec in span.vectors

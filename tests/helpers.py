@@ -13,6 +13,7 @@ from functools import lru_cache
 from math import gcd
 
 from minorbit.chevalley import LieAlgebra, SplitCasimir, build_chevalley, split_casimir
+from minorbit.linalgx import SparseMatrix, addmul
 from minorbit.rootsys import RootSystem, SimpleType, build_root_system
 
 
@@ -29,6 +30,42 @@ def algebra_of(family: str, rank: int) -> LieAlgebra:
 @lru_cache(maxsize=None)
 def casimir_of(family: str, rank: int) -> SplitCasimir:
     return split_casimir(algebra_of(family, rank))
+
+
+# -- reference matrix operations --------------------------------------------
+
+def to_rows(m: SparseMatrix) -> list[list]:
+    rows = [[0] * m.ncols for _ in range(m.nrows)]
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+    return rows
+
+
+def transpose(m: SparseMatrix) -> SparseMatrix:
+    return SparseMatrix(m.ncols, m.nrows, {(c, r): v for (r, c), v in m.entries.items()})
+
+
+def mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch in matrix product")
+    a_cols = a.columns()
+    out = SparseMatrix(a.nrows, b.ncols)
+    for j, col in enumerate(b.columns()):
+        acc: dict = {}
+        for k, x in col.items():
+            addmul(acc, a_cols[k], x)
+        for r, v in acc.items():
+            out.entries[(r, j)] = v
+    return out
+
+
+def adjoint_matrix(L: LieAlgebra, x: int) -> SparseMatrix:
+    """Matrix of ad(x) = [x, -] over the Chevalley basis."""
+    mat = SparseMatrix(L.dim, L.dim)
+    for j in range(L.dim):
+        for k, s in L.bracket(x, j):
+            mat[k, j] = s
+    return mat
 
 
 # -- dense rank oracle -------------------------------------------------------

@@ -1,10 +1,14 @@
 """Verification driver, report serialization and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from minorbit import cli
+from minorbit import cli, orbit_ideal, sln_oracle
 from minorbit.cli import (
     VerificationReport,
     ade_types,
@@ -160,3 +164,31 @@ def test_main_invariant_violation_exits_three(monkeypatch, capsys):
 def test_main_rejects_bad_degree(capsys):
     code = main(["--family", "A", "--rank", "1", "--max-degree", "1"])
     assert code == 2
+
+
+def test_large_max_degree_stops_at_the_first_zero_degree(monkeypatch):
+    asked = []
+    real = orbit_ideal.monomial_exponents
+
+    def counted(n, d):
+        asked.append(d)
+        return real(n, d)
+
+    monkeypatch.setattr(orbit_ideal, "monomial_exponents", counted)
+    monkeypatch.setattr(sln_oracle, "monomial_exponents", counted)
+    r = verify(SimpleType("A", 3), max_degree=30)
+    assert r.quotient_hilbert == [1, 3] + [0] * 29
+    assert r.oracle_match is True
+    assert asked and max(asked) == 2
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "minorbit.cli",
+         "--family", "A", "--rank", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""

@@ -14,7 +14,7 @@ from minorbit.linalgx import (
     rank,
 )
 
-from helpers import algebra_of, casimir_of, dense_rank
+from helpers import algebra_of, casimir_of, dense_rank, to_rows, transpose
 
 
 def shifted_casimir(family, rk):
@@ -54,7 +54,7 @@ def test_matrix_basic_invariants():
 
 def test_rank_trivial():
     assert rank(SparseMatrix(4, 7)) == 0
-    assert rank(SparseMatrix.identity(5)) == 5
+    assert rank(SparseMatrix(5, 5, {(i, i): 1 for i in range(5)})) == 5
 
 
 def test_rank_a2_shifted_casimir():
@@ -62,11 +62,11 @@ def test_rank_a2_shifted_casimir():
     m = shifted_casimir("A", 2)
     assert m.nrows == 36
     assert rank(m) == 9
-    assert dense_rank(m.to_rows()) == 9
+    assert dense_rank(to_rows(m)) == 9
 
 
 def test_image_basis_identity_and_repeated_column():
-    basis = image_basis(SparseMatrix.identity(4))
+    basis = image_basis(SparseMatrix(4, 4, {(i, i): 1 for i in range(4)}))
     assert basis.pivots == [0, 1, 2, 3]
     assert basis.vectors == [{0: 1}, {1: 1}, {2: 1}, {3: 1}]
 
@@ -142,7 +142,7 @@ def test_rank_equals_rank_of_transpose():
     rng = random.Random(99)
     for _ in range(30):
         m = random_sparse(rng, max_side=60)
-        assert rank(m) == rank(m.transpose())
+        assert rank(m) == rank(transpose(m))
 
 
 def test_image_basis_is_canonical_under_column_shuffle():

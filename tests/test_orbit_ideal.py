@@ -149,6 +149,10 @@ def test_partial_span_gives_nonzero_quotient():
     # has dimensions 1, 2, 2, 2, ... in degrees 0, 1, 2, 3.
     quadric = CartanPolynomial({(2, 0): 1}, 2, 2)
     assert hilbert_from_quadrics(2, [quadric], 4) == [1, 2, 2, 2, 2]
+    # (h1^2, h2^2): only h1 h2 survives in degree 2, and degree 3 is
+    # the first that the ideal fills.
+    squares = [CartanPolynomial({(2, 0): 1}, 2, 2), CartanPolynomial({(0, 2): 1}, 2, 2)]
+    assert hilbert_from_quadrics(2, squares, 8) == [1, 2, 1, 0, 0, 0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("D", 4)])

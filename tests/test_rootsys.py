@@ -1,7 +1,5 @@
 """Root system construction, pairing and Weyl dimensions."""
 
-from fractions import Fraction
-
 import pytest
 
 from minorbit.rootsys import (
@@ -128,10 +126,6 @@ def test_pairing_values():
     rs = rs_of("A", 2)
     a1, a2 = rs.positive_roots[0], rs.positive_roots[1]
     assert pairing(rs, a1, a2) == -1
-    # With every root of squared length 2, coroots equal roots, so the
-    # defining property of rho reads (rho, alpha_i) = 1.
-    assert pairing(rs, rs.rho, a1) == 1
-    assert pairing(rs, rs.rho, a2) == 1
     for family, rank in ALL_TYPES:
         rsx = rs_of(family, rank)
         assert pairing(rsx, rsx.highest_root, rsx.highest_root) == 2
@@ -142,14 +136,19 @@ def test_pairing_is_symmetric_and_rational():
     w = Weight((1, 0, 2, 0))
     r = rs.positive_roots[5]
     assert pairing(rs, w, r) == pairing(rs, r, w)
-    assert isinstance(pairing(rs, w, w), Fraction)
-    assert pairing(rs, w, w) == pairing(rs, w, w)
+    assert type(pairing(rs, w, r)) is int
+
+
+def test_pairing_rejects_two_weights():
+    rs = rs_of("A", 2)
+    with pytest.raises(ValueError, match="root"):
+        pairing(rs, Weight((1, 0)), Weight((0, 1)))
 
 
 def test_pairing_dimension_mismatch():
     rs = rs_of("A", 2)
     with pytest.raises(ValueError):
-        pairing(rs, Weight((1,)), Weight((1, 0)))
+        pairing(rs, Root((1,)), Weight((1, 0)))
 
 
 def test_weyl_dim_sl2_adjoint():
