@@ -230,6 +230,13 @@ class SplitCasimir:
         roots = [r.coords for r in L.rs.positive_roots]
         signed = roots + [tuple(-x for x in u) for u in roots] + [(0,) * n] * n
         self._weight_root = list(zip(L.weights_fw, signed))
+        # Bracket index, built once: _ad[p] maps each root vector x with
+        # [x, x_p] != 0 to that bracket.  The root part of column (p, q)
+        # sums [x, x_p] [y, x_q] over the x with y = _dual[x] found in both,
+        # so empty brackets are never visited.
+        m = L.npos
+        self._dual = list(range(m, 2 * m)) + list(range(m))
+        self._ad = [{x: u for x in range(2 * m) if (u := L.bracket(x, p))} for p in range(L.dim)]
 
     def weight_pairing(self, p: int, q: int) -> int:
         """(wt(x_p), wt(x_q)): the scalar the Cartan part of the operator contributes."""
@@ -239,22 +246,18 @@ class SplitCasimir:
 
     def column(self, p: int, q: int) -> SparseVec:
         """Image of the monomial x_p x_q, as a sparse vector over monomials."""
-        L = self.L
-        nn = L.dim
-        m = L.npos
+        nn = self.L.dim
         out: dict = {}
-        for r in range(m):
-            for x, y in ((r, m + r), (m + r, r)):
-                u = L.bracket(x, p)
-                if not u:
-                    continue
-                v = L.bracket(y, q)
-                if not v:
-                    continue
-                for i, ci in u:
-                    for j, cj in v:
-                        k = sym2_index(nn, i, j)
-                        out[k] = out.get(k, 0) + ci * cj
+        adq = self._ad[q]
+        dual = self._dual
+        for x, u in self._ad[p].items():
+            v = adq.get(dual[x])
+            if v is None:
+                continue
+            for i, ci in u:
+                for j, cj in v:
+                    k = sym2_index(nn, i, j)
+                    out[k] = out.get(k, 0) + ci * cj
         w = self.weight_pairing(p, q)
         if w:
             k = sym2_index(nn, p, q)

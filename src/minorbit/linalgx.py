@@ -1,17 +1,25 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra with fraction-free integer elimination.
 
-Vectors are dicts mapping coordinate index to a nonzero rational
-(int or Fraction), matrices store a coordinate map of nonzero entries,
-and rank and image computations push columns one at a time into a
-reduced echelon basis.  There is no floating point anywhere in this
-module.
+Vectors are dicts mapping coordinate index to a nonzero number,
+matrices store a coordinate map of nonzero entries, and rank and image
+computations push columns one at a time into a reduced echelon basis.
+
+The basis is kept over the integers.  A vector entering the kernel is
+cleared of denominators once, by the lcm of the denominators of its
+``Fraction`` entries; from there on every operation is integer
+arithmetic.  Each stored vector is primitive (its entries have gcd 1)
+with a positive pivot entry, so the basis is the canonical reduced
+echelon basis of its span, each vector scaled from monic to primitive
+integers.  There is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Mapping, Union
+from math import gcd, lcm
+from operator import itemgetter
+from typing import Iterable, Mapping, Union
 
 __all__ = [
     "Rational",
@@ -20,6 +28,7 @@ __all__ = [
     "EchelonBasis",
     "addmul",
     "append_and_rank",
+    "direct_sum",
     "rank",
     "image_basis",
 ]
@@ -37,6 +46,27 @@ def addmul(target: SparseVec, src: Mapping[int, Rational], scale: Rational) -> N
             target[i] = v
         else:
             target.pop(i, None)
+
+
+def _integral(v: Mapping[int, Rational]) -> SparseVec:
+    """v times the lcm of its denominators: an integer vector with no zero entries."""
+    den = 1
+    for x in v.values():
+        if x.denominator != 1:
+            den = lcm(den, x.denominator)
+    if den == 1:
+        return {i: x.numerator for i, x in v.items() if x}
+    return {i: x.numerator * (den // x.denominator) for i, x in v.items() if x}
+
+
+def _primitive(w: SparseVec) -> SparseVec:
+    """Nonzero integer w divided by its content, signed so its lowest coordinate is positive."""
+    g = gcd(*w.values())
+    if w[min(w)] < 0:
+        g = -g
+    if g == 1:
+        return w
+    return {i: x // g for i, x in w.items()}
 
 
 class SparseMatrix:
@@ -86,9 +116,10 @@ class SparseMatrix:
 
 
 class EchelonBasis:
-    """Reduced echelon basis of a subspace of Q^dim.
+    """Reduced echelon basis of a subspace of Q^dim, stored over the integers.
 
-    Pivot columns are strictly increasing, every pivot entry is 1, and
+    Pivot columns are strictly increasing, each vector's pivot is its
+    lowest coordinate and is positive, each vector is primitive, and
     each pivot coordinate is zero in every other basis vector, so the
     basis is the canonical reduced form of the subspace it spans.
     """
@@ -99,22 +130,37 @@ class EchelonBasis:
         self.dim = dim
         self.vectors: list[SparseVec] = []
         self.pivots: list[int] = []
+        self._by_pivot: dict = {}
 
     def __len__(self) -> int:
         return len(self.vectors)
 
     def reduce(self, v: Mapping[int, Rational]) -> SparseVec:
-        """Remainder of v after eliminating every pivot coordinate."""
-        w = {i: x for i, x in v.items() if x}
-        for pivot, vec in zip(self.pivots, self.vectors):
-            c = w.get(pivot)
-            if c:
-                addmul(w, vec, -c)
-        return w
+        """Remainder of v after eliminating every pivot coordinate, as a primitive integer vector.
+
+        The basis is reduced, so clearing one pivot coordinate of v
+        leaves every other pivot coordinate unchanged: all of them are
+        cleared in one pass, after scaling v by the smallest integer
+        that makes every elimination step integral.
+        """
+        w = _integral(v)
+        by_pivot = self._by_pivot
+        hits = [(p, x) for p, x in w.items() if p in by_pivot]
+        if hits:
+            scale = 1
+            for p, x in hits:
+                b = by_pivot[p][p]
+                scale = lcm(scale, b // gcd(b, x))
+            if scale != 1:
+                w = {i: scale * x for i, x in w.items()}
+            for p, x in hits:
+                vec = by_pivot[p]
+                addmul(w, vec, -(scale * x // vec[p]))
+        return _primitive(w) if w else w
 
 
 def append_and_rank(basis: EchelonBasis, v: Mapping[int, Rational]) -> tuple[EchelonBasis, bool]:
-    """Reduce v against the basis; insert the normalized remainder if nonzero.
+    """Reduce v against the basis; insert the primitive remainder if nonzero.
 
     Mutates and returns the same basis object, together with a flag
     saying whether the span grew.
@@ -126,16 +172,42 @@ def append_and_rank(basis: EchelonBasis, v: Mapping[int, Rational]) -> tuple[Ech
     if not w:
         return basis, False
     pivot = min(w)
-    inv = Fraction(1) / Fraction(w[pivot])
-    w = {i: x * inv for i, x in w.items()}
-    for vec in basis.vectors:
+    a = w[pivot]
+    at = bisect_left(basis.pivots, pivot)
+    # Only a vector with a lower pivot can hold the new pivot coordinate.
+    for k in range(at):
+        vec = basis.vectors[k]
         c = vec.get(pivot)
         if c:
-            addmul(vec, w, -c)
-    at = bisect_left(basis.pivots, pivot)
+            g = gcd(a, c)
+            vec = {i: (a // g) * x for i, x in vec.items()}
+            addmul(vec, w, -(c // g))
+            vec = _primitive(vec)
+            basis.vectors[k] = vec
+            basis._by_pivot[basis.pivots[k]] = vec
     basis.pivots.insert(at, pivot)
     basis.vectors.insert(at, w)
+    basis._by_pivot[pivot] = w
     return basis, True
+
+
+def direct_sum(dim: int, parts: Iterable[EchelonBasis]) -> EchelonBasis:
+    """One basis from echelon bases of subspaces with pairwise disjoint supports.
+
+    No coordinate is shared, so the union is already reduced and the
+    merge is a sort by pivot.
+    """
+    out = EchelonBasis(dim)
+    pairs = sorted(
+        (pair for part in parts for pair in zip(part.pivots, part.vectors)),
+        key=itemgetter(0),
+    )
+    out.pivots = [p for p, _ in pairs]
+    out.vectors = [vec for _, vec in pairs]
+    out._by_pivot = dict(pairs)
+    if len(out._by_pivot) != len(pairs):
+        raise ValueError("bases to merge share a pivot coordinate")
+    return out
 
 
 def image_basis(m: SparseMatrix) -> EchelonBasis:

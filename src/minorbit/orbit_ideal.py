@@ -4,8 +4,9 @@ The degree-2 component of the orbit ideal is the image of (Omega - c)
 on the symmetric square of g, where Omega is the split Casimir and c
 its scalar on the square of a highest-weight vector: the operator acts
 by distinct scalars on the irreducible summands, the top summand is the
-kernel of the shift, and everything else is the ideal.  The dimension
-of the image is checked against the Weyl dimension formula at every
+kernel of the shift, and everything else is the ideal.  The image is
+taken one torus-weight block at a time, in integer arithmetic, and its
+dimension is checked against the Weyl dimension formula at every
 construction.
 
 Restriction to the Cartan subalgebra sends E and F coordinates to zero
@@ -17,21 +18,23 @@ compares against the resolution cohomology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Mapping, Sequence
+from operator import add
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .chevalley import LieAlgebra, SplitCasimir, sym2_dim, sym2_index, sym2_unrank
-from .linalgx import EchelonBasis, SparseMatrix, append_and_rank, image_basis
+from .chevalley import LieAlgebra, SplitCasimir, sym2_dim, sym2_index, sym2_pairs, sym2_unrank
+from .linalgx import EchelonBasis, SparseMatrix, append_and_rank, direct_sum, image_basis
 from .rootsys import InvariantViolation, root_to_weight, weyl_dim
 
 __all__ = [
     "CartanPolynomial",
     "IdealDegree2",
+    "weight_blocks",
     "degree2_ideal",
     "restrict_to_cartan",
     "projected_span",
     "span_in_sym2h",
+    "echelon_quadrics",
     "cartan_pair_generators",
     "quotient_hilbert",
     "hilbert_from_quadrics",
@@ -41,7 +44,10 @@ __all__ = [
 
 @dataclass
 class CartanPolynomial:
-    """Homogeneous polynomial on the Cartan subalgebra, as an exponent-vector map."""
+    """Homogeneous polynomial on the Cartan subalgebra, as an exponent-vector map.
+
+    Coefficients are kept as given, integers or fractions; zeros are dropped.
+    """
 
     coeffs: dict
     degree: int
@@ -50,7 +56,6 @@ class CartanPolynomial:
     def __post_init__(self) -> None:
         clean: dict = {}
         for exp, c in self.coeffs.items():
-            c = Fraction(c)
             if not c:
                 continue
             if len(exp) != self.nvars:
@@ -75,17 +80,63 @@ class IdealDegree2:
         return len(self.basis)
 
 
+def weight_blocks(L: LieAlgebra, Omega: SplitCasimir, c) -> Iterator[SparseMatrix]:
+    """Yield (Omega - c) on Sym^2 g one torus-weight block at a time.
+
+    The monomial x_p x_q has weight wt(x_p) + wt(x_q), and Omega commutes
+    with the torus, so the image of a monomial only involves monomials
+    of the same weight.  A block holds the columns of one weight, in
+    monomial order, over the global row indices, with c subtracted on
+    the diagonal as each column enters it.  Every entry is checked to
+    lie in its column's block: an entry outside is a construction bug,
+    reported fatally, and the check is what makes the rank of
+    (Omega - c) exactly the sum of the block ranks.
+    """
+    mat = Omega.matrix()
+    nn = L.dim
+    weights = L.weights_fw
+    block_of: dict = {}
+    block: list[int] = []
+    members: list[list[int]] = []
+    for k, (p, q) in enumerate(sym2_pairs(nn)):
+        b = block_of.setdefault(tuple(map(add, weights[p], weights[q])), len(members))
+        if b == len(members):
+            members.append([])
+        block.append(b)
+        members[b].append(k)
+    cols = mat.columns()
+    for b, ks in enumerate(members):
+        m = SparseMatrix(mat.nrows, len(ks))
+        for j, k in enumerate(ks):
+            col = cols[k]
+            for r, v in col.items():
+                if block[r] != b:
+                    p, q = sym2_unrank(nn, k)
+                    r1, r2 = sym2_unrank(nn, r)
+                    raise InvariantViolation(
+                        f"ideal stage: {L.rs.simple_type}: the image of monomial x_{p} x_{q} "
+                        f"has an entry on x_{r1} x_{r2}, outside its weight block"
+                    )
+                m.entries[r, j] = v
+            v = col.get(k, 0) - c
+            if v:
+                m.entries[k, j] = v
+            else:
+                m.entries.pop((k, j), None)
+        yield m
+
+
 def degree2_ideal(L: LieAlgebra, Omega: SplitCasimir, c) -> IdealDegree2:
     """Image basis of (Omega - c) on Sym^2 g, with its dimension verified.
 
-    A mismatch against dim Sym^2 g minus the Weyl dimension of the
-    doubled highest weight is a construction bug, reported fatally.
+    The image is taken block by block over the torus weights and the
+    block bases, whose supports are disjoint, are merged into the
+    canonical basis of the whole image.  A mismatch against dim Sym^2 g
+    minus the Weyl dimension of the doubled highest weight is a
+    construction bug, reported fatally.
     """
-    mat = Omega.matrix()
-    shifted = SparseMatrix(mat.nrows, mat.ncols, mat.entries)
-    for d in range(mat.ncols):
-        shifted[d, d] = mat[d, d] - c
-    basis = image_basis(shifted)
+    blocks = weight_blocks(L, Omega, c)
+    basis = direct_sum(sym2_dim(L.dim), [image_basis(m) for m in blocks])
     rs = L.rs
     theta2 = root_to_weight(rs, rs.highest_root).scaled(2)
     expected = sym2_dim(L.dim) - weyl_dim(rs, theta2)
@@ -98,18 +149,22 @@ def degree2_ideal(L: LieAlgebra, Omega: SplitCasimir, c) -> IdealDegree2:
 
 
 def restrict_to_cartan(L: LieAlgebra, v: Mapping[int, object]) -> CartanPolynomial:
-    """Project a Sym^2 g vector to Sym^2 h: root-vector coordinates die."""
+    """Project a Sym^2 g vector to Sym^2 h: root-vector coordinates die.
+
+    The Cartan positions come last, so the monomials H(i) H(j) are
+    exactly the indices from that of H(1)^2 on, laid out as Sym^2 h.
+    """
     n = L.rs.rank
     base = 2 * L.npos
+    first = sym2_index(L.dim, base, base)
     coeffs: dict = {}
     for k, c in v.items():
-        p, q = sym2_unrank(L.dim, k)
-        if p >= base and q >= base:
+        if k >= first:
+            i, j = sym2_unrank(n, k - first)
             exp = [0] * n
-            exp[p - base] += 1
-            exp[q - base] += 1
-            key = tuple(exp)
-            coeffs[key] = coeffs.get(key, 0) + c
+            exp[i] += 1
+            exp[j] += 1
+            coeffs[tuple(exp)] = c
     return CartanPolynomial(coeffs, 2, n)
 
 
@@ -124,6 +179,15 @@ def span_in_sym2h(n: int, polys: Iterable[CartanPolynomial]) -> tuple[int, Echel
         vec = {pos[e]: c for e, c in poly.coeffs.items()}
         append_and_rank(basis, vec)
     return len(basis), basis
+
+
+def echelon_quadrics(n: int, basis: EchelonBasis) -> list[CartanPolynomial]:
+    """The vectors of a basis built by span_in_sym2h, as quadrics in n variables."""
+    exps = monomial_exponents(n, 2)
+    return [
+        CartanPolynomial({exps[i]: c for i, c in vec.items()}, 2, n)
+        for vec in basis.vectors
+    ]
 
 
 def projected_span(L: LieAlgebra, I2: IdealDegree2) -> tuple[int, EchelonBasis]:
@@ -216,9 +280,4 @@ def quotient_hilbert(
 ) -> list[int]:
     """Graded dimensions of Sym[h] modulo the projected degree-2 ideal."""
     n = L.rs.rank
-    exps = monomial_exponents(n, 2)
-    quadrics = [
-        CartanPolynomial({exps[i]: c for i, c in vec.items()}, 2, n)
-        for vec in projected.vectors
-    ]
-    return hilbert_from_quadrics(n, quadrics, max_degree)
+    return hilbert_from_quadrics(n, echelon_quadrics(n, projected), max_degree)

@@ -17,8 +17,9 @@ from typing import Iterable, Mapping
 
 from .orbit_ideal import (
     CartanPolynomial,
+    echelon_quadrics,
     hilbert_from_quadrics,
-    monomial_exponents,
+    monomial_exponents,  # noqa: F401  patched here by the degree-bound test
     span_in_sym2h,
 )
 
@@ -166,9 +167,4 @@ def oracle_quotient_dims(n: int, max_degree: int) -> list:
     gens = minor_generators(n) + square_generators(n)
     restricted = restrict_to_diagonal(gens, n)
     _, span = span_in_sym2h(n - 1, [g for g in restricted if not g.is_zero()])
-    exps = monomial_exponents(n - 1, 2)
-    quadrics = [
-        CartanPolynomial({exps[i]: c for i, c in vec.items()}, 2, n - 1)
-        for vec in span.vectors
-    ]
-    return hilbert_from_quadrics(n - 1, quadrics, max_degree)
+    return hilbert_from_quadrics(n - 1, echelon_quadrics(n - 1, span), max_degree)

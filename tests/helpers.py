@@ -12,7 +12,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from minorbit.chevalley import LieAlgebra, SplitCasimir, build_chevalley, split_casimir
+from minorbit.chevalley import (
+    LieAlgebra,
+    SplitCasimir,
+    build_chevalley,
+    split_casimir,
+    sym2_index,
+)
 from minorbit.linalgx import SparseMatrix, addmul
 from minorbit.rootsys import RootSystem, SimpleType, build_root_system
 
@@ -66,6 +72,65 @@ def adjoint_matrix(L: LieAlgebra, x: int) -> SparseMatrix:
         for k, s in L.bracket(x, j):
             mat[k, j] = s
     return mat
+
+
+def shifted_casimir(family: str, rank: int, c: int = 2) -> SparseMatrix:
+    """The matrix of Omega - c on Sym^2 g, built entry by entry."""
+    mat = casimir_of(family, rank).matrix()
+    out = SparseMatrix(mat.nrows, mat.ncols, mat.entries)
+    for d in range(mat.ncols):
+        out[d, d] = mat[d, d] - c
+    return out
+
+
+def all_pairs_column(Omega: SplitCasimir, p: int, q: int) -> dict:
+    """Omega(x_p x_q) summed over every dual pair (E(r), F(r)), empty brackets included."""
+    L = Omega.L
+    nn = L.dim
+    m = L.npos
+    out: dict = {}
+    for r in range(m):
+        for x, y in ((r, m + r), (m + r, r)):
+            for i, ci in L.bracket(x, p):
+                for j, cj in L.bracket(y, q):
+                    k = sym2_index(nn, i, j)
+                    out[k] = out.get(k, 0) + ci * cj
+    w = Omega.weight_pairing(p, q)
+    if w:
+        k = sym2_index(nn, p, q)
+        out[k] = out.get(k, 0) + w
+    return {k: v for k, v in out.items() if v}
+
+
+# -- rational echelon reference ----------------------------------------------
+
+def fraction_echelon(columns) -> tuple[list[int], list[dict]]:
+    """Monic reduced echelon basis of the span of the columns, in Fraction arithmetic.
+
+    Each vector is reduced against the basis, scaled so its lowest
+    coordinate is 1 and eliminated from every earlier vector.
+    """
+    pivots: list[int] = []
+    vectors: list[dict] = []
+    for col in columns:
+        w = {i: Fraction(x) for i, x in col.items() if x}
+        for pivot, vec in zip(pivots, vectors):
+            c = w.get(pivot)
+            if c:
+                addmul(w, vec, -c)
+        if not w:
+            continue
+        pivot = min(w)
+        inv = 1 / w[pivot]
+        w = {i: x * inv for i, x in w.items()}
+        for vec in vectors:
+            c = vec.get(pivot)
+            if c:
+                addmul(vec, w, -c)
+        at = sum(1 for p in pivots if p < pivot)
+        pivots.insert(at, pivot)
+        vectors.insert(at, w)
+    return pivots, vectors
 
 
 # -- dense rank oracle -------------------------------------------------------

@@ -16,7 +16,7 @@ from minorbit.chevalley import (
 from minorbit.linalgx import SparseMatrix
 from minorbit.rootsys import InvariantViolation, pairing
 
-from helpers import adjoint_matrix, algebra_of, casimir_of, mul, transpose
+from helpers import adjoint_matrix, algebra_of, all_pairs_column, casimir_of, mul, transpose
 
 SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("D", 4)]
 
@@ -165,6 +165,14 @@ def test_casimir_a1_columns():
     assert Om.column(e, e) == {sym2_index(3, e, e): 2}
     col_ef = Om.column(e, f)
     assert col_ef == {sym2_index(3, e, f): -2, sym2_index(3, h, h): -1}
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4), ("E", 6)])
+def test_column_matches_the_all_pairs_sum(family, rank):
+    L = algebra_of(family, rank)
+    Om = casimir_of(family, rank)
+    for p, q in sym2_pairs(L.dim):
+        assert Om.column(p, q) == all_pairs_column(Om, p, q), (p, q)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3)])

@@ -2,19 +2,29 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minorbit.chevalley import casimir_top_eigenvalue, sym2_index
 from minorbit.linalgx import (
     EchelonBasis,
     SparseMatrix,
     append_and_rank,
+    direct_sum,
     image_basis,
     rank,
 )
 
-from helpers import algebra_of, casimir_of, dense_rank, to_rows, transpose
+from helpers import (
+    algebra_of,
+    casimir_of,
+    dense_rank,
+    fraction_echelon,
+    to_rows,
+    transpose,
+)
 
 
 def shifted_casimir(family, rk):
@@ -80,14 +90,14 @@ def test_image_basis_identity_and_repeated_column():
 
 
 def test_image_basis_a1_shifted_casimir():
-    # The single generator, normalized: e.f + (1/4) h.h, proportional
-    # to 2 h.h + 8 e.f.
+    # The single generator as a primitive integer vector: 4 e.f + h.h,
+    # proportional to 2 h.h + 8 e.f.
     m = shifted_casimir("A", 1)
     basis = image_basis(m)
     ef = sym2_index(3, 0, 1)
     hh = sym2_index(3, 2, 2)
     assert len(basis) == 1
-    assert basis.vectors[0] == {ef: Fraction(1), hh: Fraction(1, 4)}
+    assert basis.vectors[0] == {ef: 4, hh: 1}
 
 
 def test_append_and_rank_cases():
@@ -127,7 +137,8 @@ def test_echelon_invariants_on_random_matrices():
         assert basis.pivots == sorted(basis.pivots)
         assert len(set(basis.pivots)) == len(basis.pivots)
         for i, vec in enumerate(basis.vectors):
-            assert vec[basis.pivots[i]] == 1
+            assert vec[basis.pivots[i]] > 0
+            assert gcd(*vec.values()) == 1
             assert min(vec) == basis.pivots[i]
             for j, other in enumerate(basis.vectors):
                 if i != j:
@@ -166,3 +177,53 @@ def test_all_arithmetic_stays_rational():
     for vec in image_basis(m).vectors:
         for v in vec.values():
             assert isinstance(v, (int, Fraction))
+
+
+VALUES = [1, -1, 2, -2, 3, 6, -9, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+
+
+@st.composite
+def sparse_matrices(draw):
+    nrows = draw(st.integers(1, 30))
+    ncols = draw(st.integers(1, 30))
+    entries = draw(st.dictionaries(
+        st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)),
+        st.sampled_from(VALUES),
+        max_size=3 * ncols,
+    ))
+    return SparseMatrix(nrows, ncols, entries)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sparse_matrices())
+def test_integer_basis_is_the_monic_fraction_basis_rescaled(m):
+    basis = image_basis(m)
+    pivots, vectors = fraction_echelon(m.columns())
+    assert basis.pivots == pivots
+    for pivot, vec in zip(basis.pivots, basis.vectors):
+        assert all(type(x) is int for x in vec.values())
+        assert vec[pivot] > 0 and gcd(*vec.values()) == 1
+    monic = [
+        {i: Fraction(x, vec[pivot]) for i, x in vec.items()}
+        for pivot, vec in zip(basis.pivots, basis.vectors)
+    ]
+    assert monic == vectors
+
+
+def test_fraction_input_is_cleared_to_integers_on_entry():
+    basis = EchelonBasis(4)
+    append_and_rank(basis, {0: Fraction(1, 2), 3: Fraction(-1, 3)})
+    assert basis.vectors == [{0: 3, 3: -2}]
+    assert basis.reduce({0: Fraction(3, 4), 2: Fraction(1, 6), 3: Fraction(-1, 2)}) == {2: 1}
+
+
+def test_direct_sum_sorts_disjoint_bases_by_pivot():
+    a = image_basis(SparseMatrix(6, 2, {(1, 0): 2, (4, 0): 2, (3, 1): -1}))
+    b = image_basis(SparseMatrix(6, 1, {(0, 0): 1, (2, 0): -3}))
+    merged = direct_sum(6, [a, b])
+    assert merged.pivots == [0, 1, 3]
+    assert merged.vectors == [{0: 1, 2: -3}, {1: 1, 4: 1}, {3: 1}]
+    _, grew = append_and_rank(merged, {1: 5, 4: 5, 0: 1, 2: -3})
+    assert not grew
+    with pytest.raises(ValueError):
+        direct_sum(6, [a, a])

@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from minorbit.chevalley import casimir_top_eigenvalue, sym2_dim, sym2_index
+from minorbit.chevalley import (
+    LieAlgebra,
+    casimir_top_eigenvalue,
+    split_casimir,
+    sym2_dim,
+    sym2_index,
+    sym2_pairs,
+)
+from minorbit.linalgx import image_basis
 from minorbit.orbit_ideal import (
     CartanPolynomial,
     cartan_pair_generators,
@@ -14,9 +22,11 @@ from minorbit.orbit_ideal import (
     quotient_hilbert,
     restrict_to_cartan,
     span_in_sym2h,
+    weight_blocks,
 )
+from minorbit.rootsys import InvariantViolation
 
-from helpers import algebra_of, casimir_of
+from helpers import algebra_of, casimir_of, dense_rank, shifted_casimir, to_rows
 
 
 def pipeline(family, rank):
@@ -43,7 +53,7 @@ def test_a1_ideal_single_generator():
     assert ideal.dim == 1
     ef = sym2_index(3, 0, 1)
     hh = sym2_index(3, 2, 2)
-    assert ideal.basis.vectors[0] == {ef: Fraction(1), hh: Fraction(1, 4)}
+    assert ideal.basis.vectors[0] == {ef: 4, hh: 1}
 
 
 @pytest.mark.parametrize("family,rank,expected", [
@@ -184,3 +194,63 @@ def test_sl2_generator_matches_classical_quadric():
     poly = restrict_to_cartan(L, vec)
     assert list(poly.coeffs) == [(2,)]
     assert poly.coeffs[(2,)] != 0
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("D", 4)])
+def test_block_ranks_sum_to_the_dense_rank(family, rank):
+    L, Om, c = pipeline(family, rank)
+    blocks = list(weight_blocks(L, Om, c))
+    assert sum(m.ncols for m in blocks) == sym2_dim(L.dim)
+    block_ranks = sum(len(image_basis(m)) for m in blocks)
+    assert block_ranks == dense_rank(to_rows(shifted_casimir(family, rank, c)))
+    assert block_ranks == degree2_ideal(L, Om, c).dim
+
+
+def test_off_weight_entry_fires_the_block_check():
+    L, _, c = pipeline("A", 2)
+    Om = split_casimir(L)  # a private operator: the cached one stays intact
+    e1e1 = sym2_index(L.dim, 0, 0)
+    h1h1 = sym2_index(L.dim, L.h_index(0), L.h_index(0))
+    Om.matrix().entries[(h1h1, e1e1)] = 1
+    with pytest.raises(InvariantViolation, match=(
+        "ideal stage: A2: the image of monomial x_0 x_0 has an entry on x_6 x_6"
+    )):
+        degree2_ideal(L, Om, c)
+
+
+def _negate_first_ee_constant(L):
+    """A copy of L with one E-E structure constant negated in both orientations."""
+    a, b = next((i, j) for i, j in L.brackets if i < j < L.npos)
+    brackets = dict(L.brackets)
+    for key in ((a, b), (b, a)):
+        brackets[key] = tuple((k, -s) for k, s in brackets[key])
+    return LieAlgebra(L.rs, brackets, L.form_on_g, L.weights_fw)
+
+
+@pytest.mark.parametrize("family,rank,got,expected", [
+    ("A", 3, 46, 36),
+    ("D", 5, 291, 265),
+    ("E", 6, 693, 651),
+])
+def test_negated_structure_constant_fails_the_dimension_check(family, rank, got, expected):
+    bad = _negate_first_ee_constant(algebra_of(family, rank))
+    c = casimir_top_eigenvalue(bad)
+    with pytest.raises(InvariantViolation, match=(
+        f"{family}{rank}: degree-2 ideal has dimension {got}, expected {expected}"
+    )):
+        degree2_ideal(bad, split_casimir(bad), c)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("D", 4)])
+def test_restrict_to_cartan_keeps_exactly_the_cartan_monomials(family, rank):
+    L = algebra_of(family, rank)
+    base = 2 * L.npos
+    for k, (p, q) in enumerate(sym2_pairs(L.dim)):
+        poly = restrict_to_cartan(L, {k: 3})
+        if p >= base:
+            exp = [0] * rank
+            exp[p - base] += 1
+            exp[q - base] += 1
+            assert poly.coeffs == {tuple(exp): 3}
+        else:
+            assert poly.is_zero()
