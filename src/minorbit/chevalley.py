@@ -31,6 +31,7 @@ where the Cartan part of the sum collapses to the weight pairing
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Optional
 
 from .linalgx import SparseMatrix, SparseVec
@@ -216,8 +217,8 @@ class SplitCasimir:
     """Split Casimir acting on the symmetric square, assembled on demand.
 
     ``column(p, q)`` gives the image of the monomial x_p x_q without
-    materializing the whole operator; ``matrix()`` assembles and caches
-    the full sparse matrix on the monomial basis.
+    materializing the whole operator; ``matrix()`` assembles every
+    column once and caches the operator as those columns.
     """
 
     def __init__(self, L: LieAlgebra):
@@ -231,49 +232,46 @@ class SplitCasimir:
         signed = roots + [tuple(-x for x in u) for u in roots] + [(0,) * n] * n
         self._weight_root = list(zip(L.weights_fw, signed))
         # Bracket index, built once: _ad[p] maps each root vector x with
-        # [x, x_p] != 0 to that bracket.  The root part of column (p, q)
-        # sums [x, x_p] [y, x_q] over the x with y = _dual[x] found in both,
-        # so empty brackets are never visited.
+        # [x, x_p] != 0 to that bracket, and _co[q] maps x to [dual(x), x_q].
+        # The root part of column (p, q) sums [x, x_p] [dual(x), x_q] over
+        # the x keyed in both, so empty brackets are never visited.
         m = L.npos
-        self._dual = list(range(m, 2 * m)) + list(range(m))
-        self._ad = [{x: u for x in range(2 * m) if (u := L.bracket(x, p))} for p in range(L.dim)]
+        nn = L.dim
+        dual = list(range(m, 2 * m)) + list(range(m))
+        self._ad = [{x: u for x in range(2 * m) if (u := L.bracket(x, p))} for p in range(nn)]
+        self._co = [{dual[x]: u for x, u in ad.items()} for ad in self._ad]
+        # sym2_index(nn, i, j) == _offset[i] + j for i <= j.
+        self._offset = [i * (2 * nn - i - 1) // 2 for i in range(nn)]
 
     def weight_pairing(self, p: int, q: int) -> int:
         """(wt(x_p), wt(x_q)): the scalar the Cartan part of the operator contributes."""
         wp = self._weight_root[p][0]
         uq = self._weight_root[q][1]
-        return sum(x * y for x, y in zip(wp, uq))
+        return sum(map(mul, wp, uq))
 
     def column(self, p: int, q: int) -> SparseVec:
         """Image of the monomial x_p x_q, as a sparse vector over monomials."""
-        nn = self.L.dim
         out: dict = {}
-        adq = self._ad[q]
-        dual = self._dual
-        for x, u in self._ad[p].items():
-            v = adq.get(dual[x])
-            if v is None:
-                continue
-            for i, ci in u:
+        adp = self._ad[p]
+        coq = self._co[q]
+        offset = self._offset
+        for x in adp.keys() & coq.keys():
+            v = coq[x]
+            for i, ci in adp[x]:
                 for j, cj in v:
-                    k = sym2_index(nn, i, j)
+                    k = offset[i] + j if i <= j else offset[j] + i
                     out[k] = out.get(k, 0) + ci * cj
         w = self.weight_pairing(p, q)
         if w:
-            k = sym2_index(nn, p, q)
+            k = offset[p] + q if p <= q else offset[q] + p
             out[k] = out.get(k, 0) + w
         return {k: v for k, v in out.items() if v}
 
     def matrix(self) -> SparseMatrix:
-        """Full operator matrix on the monomial basis, cached after first assembly."""
+        """Full operator on the monomial basis, as its columns, cached after first assembly."""
         if self._matrix is None:
-            nn = self.L.dim
-            mat = SparseMatrix(self.sym_dim, self.sym_dim)
-            for p, q in sym2_pairs(nn):
-                col = sym2_index(nn, p, q)
-                for row, v in self.column(p, q).items():
-                    mat.entries[(row, col)] = v
-            self._matrix = mat
+            cols = [self.column(p, q) for p, q in sym2_pairs(self.L.dim)]
+            self._matrix = SparseMatrix.from_columns(self.sym_dim, cols)
         return self._matrix
 
 
@@ -282,15 +280,16 @@ def split_casimir(L: LieAlgebra) -> SplitCasimir:
     return SplitCasimir(L)
 
 
-def casimir_top_eigenvalue(L: LieAlgebra) -> int:
+def casimir_top_eigenvalue(Omega: SplitCasimir) -> int:
     """Scalar by which the split Casimir acts on the square of a highest-weight vector.
 
     The highest root is last in the positive-root order, so E(theta) is
     basis position npos - 1.  The image must be exactly a multiple of
     the same monomial; anything else means the construction is broken.
     """
+    L = Omega.L
     p = L.npos - 1
-    col = split_casimir(L).column(p, p)
+    col = Omega.column(p, p)
     k = sym2_index(L.dim, p, p)
     if set(col) != {k}:
         raise InvariantViolation(

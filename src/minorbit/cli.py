@@ -112,7 +112,7 @@ def verify(t: SimpleType, max_degree: int = 4, mode: str = "auto") -> Verificati
     L = build_chevalley(rs)
     mark("chevalley")
     Omega = split_casimir(L)
-    c = casimir_top_eigenvalue(L)
+    c = casimir_top_eigenvalue(Omega)
     mark("casimir")
 
     n = t.rank

@@ -1,8 +1,8 @@
 """Exact sparse linear algebra with fraction-free integer elimination.
 
 Vectors are dicts mapping coordinate index to a nonzero number,
-matrices store a coordinate map of nonzero entries, and rank and image
-computations push columns one at a time into a reduced echelon basis.
+matrices store their sparse columns, and rank and image computations
+push columns one at a time into a reduced echelon basis.
 
 The basis is kept over the integers.  A vector entering the kernel is
 cleared of denominators once, by the lcm of the denominators of its
@@ -70,49 +70,63 @@ def _primitive(w: SparseVec) -> SparseVec:
 
 
 class SparseMatrix:
-    """An nrows x ncols matrix holding only its nonzero rational entries."""
+    """An nrows x ncols matrix stored as its sparse columns, nonzero rational entries only."""
 
     def __init__(self, nrows: int, ncols: int, entries: Mapping | None = None):
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.nrows = nrows
-        self.ncols = ncols
-        self.entries: dict = {}
+        self._cols: list[SparseVec] = [{} for _ in range(ncols)]
         if entries:
             for (r, c), v in entries.items():
                 self[r, c] = v
 
-    def __getitem__(self, rc: tuple[int, int]) -> Rational:
-        return self.entries.get(rc, 0)
+    @classmethod
+    def from_columns(cls, nrows: int, cols: list[SparseVec]) -> SparseMatrix:
+        """The matrix whose columns are cols, held by reference and not copied.
 
-    def __setitem__(self, rc: tuple[int, int], value: Rational) -> None:
+        Each column must be a sparse vector over range(nrows) with no zero
+        entries.  That is not checked here, as it costs a pass over every
+        entry; append_and_rank checks the coordinates of every column it
+        eliminates.
+        """
+        m = cls(nrows, 0)
+        m._cols = cols
+        return m
+
+    def _column(self, rc: tuple[int, int]) -> tuple[int, SparseVec]:
         r, c = rc
         if not (0 <= r < self.nrows and 0 <= c < self.ncols):
             raise ValueError(f"index {rc} out of range for {self.nrows}x{self.ncols}")
+        return r, self._cols[c]
+
+    def __getitem__(self, rc: tuple[int, int]) -> Rational:
+        r, col = self._column(rc)
+        return col.get(r, 0)
+
+    def __setitem__(self, rc: tuple[int, int], value: Rational) -> None:
+        r, col = self._column(rc)
         if value:
-            self.entries[rc] = value
+            col[r] = value
         else:
-            self.entries.pop(rc, None)
+            col.pop(r, None)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return (
-            self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.entries == other.entries
-        )
+        return self.nrows == other.nrows and self._cols == other._cols
+
+    @property
+    def ncols(self) -> int:
+        return len(self._cols)
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self._cols))
 
     def columns(self) -> list[SparseVec]:
-        """All columns as sparse vectors, including empty ones."""
-        cols: list[SparseVec] = [{} for _ in range(self.ncols)]
-        for (r, c), v in self.entries.items():
-            cols[c][r] = v
-        return cols
+        """The stored columns, empty ones included: not copies, so writing to one writes the matrix."""
+        return self._cols
 
 
 class EchelonBasis:
@@ -165,9 +179,11 @@ def append_and_rank(basis: EchelonBasis, v: Mapping[int, Rational]) -> tuple[Ech
     Mutates and returns the same basis object, together with a flag
     saying whether the span grew.
     """
-    for i in v:
-        if not (0 <= i < basis.dim):
-            raise ValueError(f"coordinate {i} out of range for dimension {basis.dim}")
+    if v:
+        lo, hi = min(v), max(v)
+        if lo < 0 or hi >= basis.dim:
+            bad = lo if lo < 0 else hi
+            raise ValueError(f"coordinate {bad} out of range for dimension {basis.dim}")
     w = basis.reduce(v)
     if not w:
         return basis, False

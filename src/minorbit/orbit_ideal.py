@@ -86,44 +86,41 @@ def weight_blocks(L: LieAlgebra, Omega: SplitCasimir, c) -> Iterator[SparseMatri
     The monomial x_p x_q has weight wt(x_p) + wt(x_q), and Omega commutes
     with the torus, so the image of a monomial only involves monomials
     of the same weight.  A block holds the columns of one weight, in
-    monomial order, over the global row indices, with c subtracted on
-    the diagonal as each column enters it.  Every entry is checked to
-    lie in its column's block: an entry outside is a construction bug,
-    reported fatally, and the check is what makes the rank of
-    (Omega - c) exactly the sum of the block ranks.
+    monomial order, over the global row indices, each a copy of the
+    operator's column with c subtracted on the diagonal: the cached
+    operator is never written.  Every column is checked to lie in its
+    block: an entry outside is a construction bug, reported fatally,
+    and the check is what makes the rank of (Omega - c) exactly the sum
+    of the block ranks.
     """
     mat = Omega.matrix()
+    cols = mat.columns()
     nn = L.dim
     weights = L.weights_fw
-    block_of: dict = {}
-    block: list[int] = []
-    members: list[list[int]] = []
+    members: dict = {}
     for k, (p, q) in enumerate(sym2_pairs(nn)):
-        b = block_of.setdefault(tuple(map(add, weights[p], weights[q])), len(members))
-        if b == len(members):
-            members.append([])
-        block.append(b)
-        members[b].append(k)
-    cols = mat.columns()
-    for b, ks in enumerate(members):
-        m = SparseMatrix(mat.nrows, len(ks))
-        for j, k in enumerate(ks):
+        members.setdefault(tuple(map(add, weights[p], weights[q])), []).append(k)
+    for ks in members.values():
+        rows = set(ks)
+        block = []
+        for k in ks:
             col = cols[k]
-            for r, v in col.items():
-                if block[r] != b:
-                    p, q = sym2_unrank(nn, k)
-                    r1, r2 = sym2_unrank(nn, r)
-                    raise InvariantViolation(
-                        f"ideal stage: {L.rs.simple_type}: the image of monomial x_{p} x_{q} "
-                        f"has an entry on x_{r1} x_{r2}, outside its weight block"
-                    )
-                m.entries[r, j] = v
+            if not col.keys() <= rows:
+                r = next(r for r in col if r not in rows)
+                p, q = sym2_unrank(nn, k)
+                r1, r2 = sym2_unrank(nn, r)
+                raise InvariantViolation(
+                    f"ideal stage: {L.rs.simple_type}: the image of monomial x_{p} x_{q} "
+                    f"has an entry on x_{r1} x_{r2}, outside its weight block"
+                )
+            col = dict(col)
             v = col.get(k, 0) - c
             if v:
-                m.entries[k, j] = v
+                col[k] = v
             else:
-                m.entries.pop((k, j), None)
-        yield m
+                col.pop(k, None)
+            block.append(col)
+        yield SparseMatrix.from_columns(mat.nrows, block)
 
 
 def degree2_ideal(L: LieAlgebra, Omega: SplitCasimir, c) -> IdealDegree2:
@@ -191,12 +188,17 @@ def echelon_quadrics(n: int, basis: EchelonBasis) -> list[CartanPolynomial]:
 
 
 def projected_span(L: LieAlgebra, I2: IdealDegree2) -> tuple[int, EchelonBasis]:
-    """Restrict every ideal basis vector to the Cartan and span inside Sym^2 h.
+    """Restrict the ideal basis vectors to the Cartan and span inside Sym^2 h.
 
-    The expected rank is rank(rank+1)/2; falling short is a verification
-    failure for the caller to report, not an error here.
+    The Cartan monomials H(i) H(j) carry the highest indices, so only a
+    vector whose highest coordinate reaches that of H(1)^2 restricts to
+    a nonzero quadric; the others are skipped.  The expected rank is
+    rank(rank+1)/2; falling short is a verification failure for the
+    caller to report, not an error here.
     """
-    polys = [restrict_to_cartan(L, vec) for vec in I2.basis.vectors]
+    base = 2 * L.npos
+    first = sym2_index(L.dim, base, base)
+    polys = [restrict_to_cartan(L, vec) for vec in I2.basis.vectors if max(vec) >= first]
     return span_in_sym2h(L.rs.rank, polys)
 
 

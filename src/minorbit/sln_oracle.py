@@ -19,7 +19,6 @@ from .orbit_ideal import (
     CartanPolynomial,
     echelon_quadrics,
     hilbert_from_quadrics,
-    monomial_exponents,  # noqa: F401  patched here by the degree-bound test
     span_in_sym2h,
 )
 

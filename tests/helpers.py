@@ -42,27 +42,29 @@ def casimir_of(family: str, rank: int) -> SplitCasimir:
 
 def to_rows(m: SparseMatrix) -> list[list]:
     rows = [[0] * m.ncols for _ in range(m.nrows)]
-    for (r, c), v in m.entries.items():
-        rows[r][c] = v
+    for c, col in enumerate(m.columns()):
+        for r, v in col.items():
+            rows[r][c] = v
     return rows
 
 
 def transpose(m: SparseMatrix) -> SparseMatrix:
-    return SparseMatrix(m.ncols, m.nrows, {(c, r): v for (r, c), v in m.entries.items()})
+    return SparseMatrix(
+        m.ncols, m.nrows, {(c, r): v for c, col in enumerate(m.columns()) for r, v in col.items()}
+    )
 
 
 def mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     if a.ncols != b.nrows:
         raise ValueError("shape mismatch in matrix product")
     a_cols = a.columns()
-    out = SparseMatrix(a.nrows, b.ncols)
-    for j, col in enumerate(b.columns()):
+    out = []
+    for col in b.columns():
         acc: dict = {}
         for k, x in col.items():
             addmul(acc, a_cols[k], x)
-        for r, v in acc.items():
-            out.entries[(r, j)] = v
-    return out
+        out.append(acc)
+    return SparseMatrix.from_columns(a.nrows, out)
 
 
 def adjoint_matrix(L: LieAlgebra, x: int) -> SparseMatrix:
@@ -77,7 +79,7 @@ def adjoint_matrix(L: LieAlgebra, x: int) -> SparseMatrix:
 def shifted_casimir(family: str, rank: int, c: int = 2) -> SparseMatrix:
     """The matrix of Omega - c on Sym^2 g, built entry by entry."""
     mat = casimir_of(family, rank).matrix()
-    out = SparseMatrix(mat.nrows, mat.ncols, mat.entries)
+    out = SparseMatrix.from_columns(mat.nrows, [dict(col) for col in mat.columns()])
     for d in range(mat.ncols):
         out[d, d] = mat[d, d] - c
     return out

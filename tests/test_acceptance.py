@@ -57,10 +57,9 @@ def _invariance_residual(L, x, y, z):
 
 
 def _shifted(family, rank_):
-    L = algebra_of(family, rank_)
-    c = casimir_top_eigenvalue(L)
+    c = casimir_top_eigenvalue(casimir_of(family, rank_))
     mat = casimir_of(family, rank_).matrix()
-    out = SparseMatrix(mat.nrows, mat.ncols, mat.entries)
+    out = SparseMatrix.from_columns(mat.nrows, [dict(col) for col in mat.columns()])
     for d in range(mat.ncols):
         out[d, d] = mat[d, d] - c
     return out
@@ -123,14 +122,14 @@ def test_criterion_3_projected_span_fills_sym2h():
     for family, rk in EXHAUSTIVE_TYPES:
         L = algebra_of(family, rk)
         Om = casimir_of(family, rk)
-        c = casimir_top_eigenvalue(L)
+        c = casimir_top_eigenvalue(Om)
         ideal = degree2_ideal(L, Om, c)
         got, _ = projected_span(L, ideal)
         assert got == rk * (rk + 1) // 2, (family, rk, got)
     for family, rk in SAMPLED_TYPES:
         L = algebra_of(family, rk)
         Om = casimir_of(family, rk)
-        c = casimir_top_eigenvalue(L)
+        c = casimir_top_eigenvalue(Om)
         gens = cartan_pair_generators(L, Om, c)
         got, _ = span_in_sym2h(rk, gens)
         assert got == rk * (rk + 1) // 2, (family, rk, got)
@@ -138,7 +137,7 @@ def test_criterion_3_projected_span_fills_sym2h():
     for family, rk in ALL_TYPES:
         L = algebra_of(family, rk)
         Om = casimir_of(family, rk)
-        c = casimir_top_eigenvalue(L)
+        c = casimir_top_eigenvalue(Om)
         gens = cartan_pair_generators(L, Om, c)
         idx = 0
         for i in range(rk):
@@ -183,7 +182,7 @@ def test_criterion_5_matrix_model_oracle_agreement():
     for n in (2, 3, 4, 5):
         L = algebra_of("A", n - 1)
         Om = casimir_of("A", n - 1)
-        c = casimir_top_eigenvalue(L)
+        c = casimir_top_eigenvalue(Om)
         ideal = degree2_ideal(L, Om, c)
         _, span = projected_span(L, ideal)
         abstract = quotient_hilbert(L, span, 4)
@@ -199,7 +198,7 @@ def test_criterion_6_sl2_anchor():
     and matches h^2 + ef after rescaling f by 4."""
     L = algebra_of("A", 1)
     Om = casimir_of("A", 1)
-    c = casimir_top_eigenvalue(L)
+    c = casimir_top_eigenvalue(Om)
     ideal = degree2_ideal(L, Om, c)
     assert ideal.dim == 1
     vec = ideal.basis.vectors[0]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from minorbit import cli, orbit_ideal, sln_oracle
+from minorbit import cli, orbit_ideal
 from minorbit.cli import (
     VerificationReport,
     ade_types,
@@ -175,7 +175,6 @@ def test_large_max_degree_stops_at_the_first_zero_degree(monkeypatch):
         return real(n, d)
 
     monkeypatch.setattr(orbit_ideal, "monomial_exponents", counted)
-    monkeypatch.setattr(sln_oracle, "monomial_exponents", counted)
     r = verify(SimpleType("A", 3), max_degree=30)
     assert r.quotient_hilbert == [1, 3] + [0] * 29
     assert r.oracle_match is True

@@ -18,7 +18,6 @@ from minorbit.linalgx import (
 )
 
 from helpers import (
-    algebra_of,
     casimir_of,
     dense_rank,
     fraction_echelon,
@@ -28,10 +27,9 @@ from helpers import (
 
 
 def shifted_casimir(family, rk):
-    L = algebra_of(family, rk)
-    c = casimir_top_eigenvalue(L)
+    c = casimir_top_eigenvalue(casimir_of(family, rk))
     mat = casimir_of(family, rk).matrix()
-    out = SparseMatrix(mat.nrows, mat.ncols, mat.entries)
+    out = SparseMatrix.from_columns(mat.nrows, [dict(col) for col in mat.columns()])
     for d in range(mat.ncols):
         out[d, d] = mat[d, d] - c
     return out
@@ -60,6 +58,32 @@ def test_matrix_basic_invariants():
         m[3, 0] = 1
     with pytest.raises(ValueError):
         SparseMatrix(2, 2, {(0, 5): 1})
+
+
+def test_sparse_matrix_stores_its_columns():
+    m = SparseMatrix(3, 2, {(0, 0): 4, (2, 0): -1, (1, 1): Fraction(1, 2)})
+    cols = [{0: 4, 2: -1}, {1: Fraction(1, 2)}]
+    assert m.columns() == cols
+    assert m.nnz == 3
+    same = SparseMatrix.from_columns(3, cols)
+    assert same == m
+    assert same.ncols == 2 and same[2, 0] == -1 and same[2, 1] == 0
+    # The columns are held, not copied: a write shows in the list passed in.
+    same[1, 0] = 7
+    assert cols[0] == {0: 4, 1: 7, 2: -1}
+    assert same != m and same.nnz == 4
+    assert SparseMatrix(4, 2, {(0, 0): 4, (2, 0): -1, (1, 1): Fraction(1, 2)}) != m
+    for r, c in ((3, 0), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError):
+            m[r, c] = 1
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_append_and_rank_rejects_out_of_range_coordinates(bad):
+    basis = EchelonBasis(5)
+    with pytest.raises(ValueError, match=f"coordinate {bad} out of range for dimension 5"):
+        append_and_rank(basis, {2: 1, bad: 3})
+    assert len(basis) == 0
 
 
 def test_rank_trivial():

@@ -32,7 +32,7 @@ from helpers import algebra_of, casimir_of, dense_rank, shifted_casimir, to_rows
 def pipeline(family, rank):
     L = algebra_of(family, rank)
     Om = casimir_of(family, rank)
-    c = casimir_top_eigenvalue(L)
+    c = casimir_top_eigenvalue(Om)
     return L, Om, c
 
 
@@ -211,11 +211,29 @@ def test_off_weight_entry_fires_the_block_check():
     Om = split_casimir(L)  # a private operator: the cached one stays intact
     e1e1 = sym2_index(L.dim, 0, 0)
     h1h1 = sym2_index(L.dim, L.h_index(0), L.h_index(0))
-    Om.matrix().entries[(h1h1, e1e1)] = 1
+    Om.matrix()[h1h1, e1e1] = 1
     with pytest.raises(InvariantViolation, match=(
         "ideal stage: A2: the image of monomial x_0 x_0 has an entry on x_6 x_6"
     )):
         degree2_ideal(L, Om, c)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("D", 4)])
+def test_degree2_ideal_leaves_the_cached_operator_intact(family, rank):
+    L = algebra_of(family, rank)
+    Om = split_casimir(L)
+    degree2_ideal(L, Om, casimir_top_eigenvalue(Om))
+    assert Om.matrix().columns() == split_casimir(L).matrix().columns()
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4), ("E", 6)])
+def test_projected_span_equals_the_span_of_every_restriction(family, rank):
+    L, Om, c = pipeline(family, rank)
+    ideal = degree2_ideal(L, Om, c)
+    _, skipped = projected_span(L, ideal)
+    _, every = span_in_sym2h(rank, [restrict_to_cartan(L, vec) for vec in ideal.basis.vectors])
+    assert skipped.pivots == every.pivots
+    assert skipped.vectors == every.vectors
 
 
 def _negate_first_ee_constant(L):
@@ -234,11 +252,12 @@ def _negate_first_ee_constant(L):
 ])
 def test_negated_structure_constant_fails_the_dimension_check(family, rank, got, expected):
     bad = _negate_first_ee_constant(algebra_of(family, rank))
-    c = casimir_top_eigenvalue(bad)
+    Om = split_casimir(bad)
+    c = casimir_top_eigenvalue(Om)
     with pytest.raises(InvariantViolation, match=(
         f"{family}{rank}: degree-2 ideal has dimension {got}, expected {expected}"
     )):
-        degree2_ideal(bad, split_casimir(bad), c)
+        degree2_ideal(bad, Om, c)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("D", 4)])

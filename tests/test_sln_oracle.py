@@ -118,7 +118,7 @@ def test_generators_vanish_at_highest_weight_matrix(n):
 def test_oracle_agrees_with_abstract_route(n):
     L = algebra_of("A", n - 1)
     Om = casimir_of("A", n - 1)
-    c = casimir_top_eigenvalue(L)
+    c = casimir_top_eigenvalue(Om)
     ideal = degree2_ideal(L, Om, c)
     _, span = projected_span(L, ideal)
     abstract = quotient_hilbert(L, span, 4)
