@@ -70,20 +70,25 @@ def _primitive(w: SparseVec) -> SparseVec:
 
 
 class SparseMatrix:
-    """An nrows x ncols matrix stored as its sparse columns, nonzero rational entries only."""
+    """An nrows x ncols matrix stored as its sparse columns, nonzero rational entries only.
+
+    The columns are held in a tuple, so their number and order are fixed
+    once the matrix is built; the column dicts themselves are shared
+    with every caller of columns() and from_columns().
+    """
 
     def __init__(self, nrows: int, ncols: int, entries: Mapping | None = None):
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.nrows = nrows
-        self._cols: list[SparseVec] = [{} for _ in range(ncols)]
+        self._cols: tuple[SparseVec, ...] = tuple({} for _ in range(ncols))
         if entries:
             for (r, c), v in entries.items():
                 self[r, c] = v
 
     @classmethod
-    def from_columns(cls, nrows: int, cols: list[SparseVec]) -> SparseMatrix:
-        """The matrix whose columns are cols, held by reference and not copied.
+    def from_columns(cls, nrows: int, cols: Iterable[SparseVec]) -> SparseMatrix:
+        """The matrix whose columns are cols: the dicts are held by reference, not copied.
 
         Each column must be a sparse vector over range(nrows) with no zero
         entries.  That is not checked here, as it costs a pass over every
@@ -91,7 +96,7 @@ class SparseMatrix:
         eliminates.
         """
         m = cls(nrows, 0)
-        m._cols = cols
+        m._cols = tuple(cols)
         return m
 
     def _column(self, rc: tuple[int, int]) -> tuple[int, SparseVec]:
@@ -124,7 +129,7 @@ class SparseMatrix:
     def nnz(self) -> int:
         return sum(map(len, self._cols))
 
-    def columns(self) -> list[SparseVec]:
+    def columns(self) -> tuple[SparseVec, ...]:
         """The stored columns, empty ones included: not copies, so writing to one writes the matrix."""
         return self._cols
 

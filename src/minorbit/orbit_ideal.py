@@ -145,6 +145,12 @@ def degree2_ideal(L: LieAlgebra, Omega: SplitCasimir, c) -> IdealDegree2:
     return IdealDegree2(basis)
 
 
+def _cartan_start(L: LieAlgebra) -> int:
+    """Index of the monomial H(1)^2, the first of the Cartan monomials in Sym^2 g."""
+    base = 2 * L.npos
+    return sym2_index(L.dim, base, base)
+
+
 def restrict_to_cartan(L: LieAlgebra, v: Mapping[int, object]) -> CartanPolynomial:
     """Project a Sym^2 g vector to Sym^2 h: root-vector coordinates die.
 
@@ -152,8 +158,7 @@ def restrict_to_cartan(L: LieAlgebra, v: Mapping[int, object]) -> CartanPolynomi
     exactly the indices from that of H(1)^2 on, laid out as Sym^2 h.
     """
     n = L.rs.rank
-    base = 2 * L.npos
-    first = sym2_index(L.dim, base, base)
+    first = _cartan_start(L)
     coeffs: dict = {}
     for k, c in v.items():
         if k >= first:
@@ -196,8 +201,7 @@ def projected_span(L: LieAlgebra, I2: IdealDegree2) -> tuple[int, EchelonBasis]:
     rank(rank+1)/2; falling short is a verification failure for the
     caller to report, not an error here.
     """
-    base = 2 * L.npos
-    first = sym2_index(L.dim, base, base)
+    first = _cartan_start(L)
     polys = [restrict_to_cartan(L, vec) for vec in I2.basis.vectors if max(vec) >= first]
     return span_in_sym2h(L.rs.rank, polys)
 

@@ -25,7 +25,7 @@ from minorbit.resolution import betti_numbers, dynkin_tree, euler_characteristic
 from minorbit.rootsys import SimpleType, root_to_weight, weyl_dim
 from minorbit.sln_oracle import minor_generators, oracle_quotient_dims, square_generators
 
-from helpers import algebra_of, casimir_of, dense_rank, to_rows, transpose
+from helpers import algebra_of, casimir_of, dense_rank, shifted_casimir, to_rows, transpose
 
 EXHAUSTIVE_TYPES = (
     [("A", r) for r in range(1, 7)] + [("D", r) for r in range(4, 7)] + [("E", 6)]
@@ -57,12 +57,7 @@ def _invariance_residual(L, x, y, z):
 
 
 def _shifted(family, rank_):
-    c = casimir_top_eigenvalue(casimir_of(family, rank_))
-    mat = casimir_of(family, rank_).matrix()
-    out = SparseMatrix.from_columns(mat.nrows, [dict(col) for col in mat.columns()])
-    for d in range(mat.ncols):
-        out[d, d] = mat[d, d] - c
-    return out
+    return shifted_casimir(family, rank_, casimir_top_eigenvalue(casimir_of(family, rank_)))
 
 
 def test_criterion_1_structure_constant_suite():
