@@ -293,11 +293,13 @@ def casimir_top_eigenvalue(Omega: SplitCasimir) -> int:
     k = sym2_index(L.dim, p, p)
     if set(col) != {k}:
         raise InvariantViolation(
-            "split Casimir does not act as a scalar on the highest-weight square"
+            f"casimir stage: {L.rs.simple_type}: split Casimir does not act as a scalar "
+            "on the highest-weight square"
         )
     value = col[k]
     if value != pairing(L.rs, L.rs.highest_root, L.rs.highest_root):
         raise InvariantViolation(
-            "Casimir scalar on the highest-weight square differs from (theta, theta)"
+            f"casimir stage: {L.rs.simple_type}: Casimir scalar {value} on the "
+            "highest-weight square differs from (theta, theta)"
         )
     return value

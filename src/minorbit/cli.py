@@ -1,11 +1,12 @@
 """Batch verifier and report emission.
 
 For each requested ADE type this runs the full pipeline: root system,
-Chevalley basis, split Casimir, quadratic ideal (full image or the
-Cartan-pair generators, depending on mode), Cartan restriction,
-quotient Hilbert function, and the resolution cohomology model, plus
-the matrix-model oracle for family A.  Verification failures are data
-in the report; only construction bugs raise.
+Chevalley basis, split Casimir, quadratic ideal (the full image, with
+its dimension checked against the Weyl formula), Cartan restriction,
+quotient Hilbert function and the resolution cohomology, plus, for
+family A, the oracle built from 2x2 minors and the matrix square.
+Verification failures are data in the report; only construction bugs
+raise.
 """
 
 from __future__ import annotations
@@ -18,14 +19,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .chevalley import build_chevalley, casimir_top_eigenvalue, split_casimir, sym2_dim
-from .orbit_ideal import (
-    CartanPolynomial,
-    cartan_pair_generators,
-    degree2_ideal,
-    projected_span,
-    quotient_hilbert,
-    span_in_sym2h,
-)
+from .orbit_ideal import degree2_ideal, projected_span, quotient_hilbert
 from .resolution import betti_numbers, dynkin_tree, euler_characteristic
 from .rootsys import (
     InvariantViolation,
@@ -45,7 +39,6 @@ __all__ = [
     "main",
 ]
 
-MODES = ("full", "cartan-pairs", "auto")
 FORMATS = ("text", "json")
 
 
@@ -56,23 +49,17 @@ class VerificationReport:
     dim_g: int
     dim_sym2: int
     dim_v2theta: int
-    ideal2_dim: Optional[int]
+    ideal2_dim: int
     projected_rank: int
     expected_projected_rank: int
     quotient_hilbert: list
     betti: list
-    poincare_coeffs: list
     hikita_match: bool
     oracle_match: Optional[bool]
-    mode: str
     timings_ms: dict
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VerificationReport":
-        return cls(**d)
 
     @property
     def passed(self) -> bool:
@@ -85,18 +72,15 @@ def _pad(xs: list, length: int) -> list:
     return list(xs) + [0] * (length - len(xs))
 
 
-def verify(t: SimpleType, max_degree: int = 4, mode: str = "auto") -> VerificationReport:
+def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
     """Run every check for one type and assemble the report.
 
-    Mode auto picks the full operator image up to rank 6 and the
-    Cartan-pair generators beyond, where the symmetric square is too
-    large to assemble profitably.
+    The degree-2 ideal is always the full image of (Omega - c) on the
+    symmetric square, with its dimension checked against the Weyl
+    formula, so a broken construction raises for every rank.
     """
     if max_degree < 2:
         raise ValueError(f"max_degree must be at least 2, got {max_degree}")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    chosen = mode if mode != "auto" else ("full" if t.rank <= 6 else "cartan-pairs")
 
     timings: dict = {}
     last = time.perf_counter()
@@ -120,38 +104,19 @@ def verify(t: SimpleType, max_degree: int = 4, mode: str = "auto") -> Verificati
     dim_v2theta = weyl_dim(rs, theta2)
     expected_rank = n * (n + 1) // 2
 
-    if chosen == "full":
-        ideal = degree2_ideal(L, Omega, c)
-        ideal2_dim: Optional[int] = ideal.dim
-        mark("ideal")
-        projected_rank, span = projected_span(L, ideal)
-        mark("projection")
-    else:
-        gens = cartan_pair_generators(L, Omega, c)
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        for (i, j), g in zip(pairs, gens):
-            exp = [0] * n
-            exp[i] += 1
-            exp[j] += 1
-            want = CartanPolynomial({tuple(exp): -c}, 2, n)
-            if g != want:
-                raise InvariantViolation(
-                    f"cartan-pairs stage: generator for pair ({i + 1}, {j + 1}) "
-                    f"is not -c h_i h_j"
-                )
-        ideal2_dim = None
-        mark("ideal")
-        projected_rank, span = span_in_sym2h(n, gens)
-        mark("projection")
+    ideal = degree2_ideal(L, Omega, c)
+    mark("ideal")
+    projected_rank, span = projected_span(L, ideal)
+    mark("projection")
 
     qh = quotient_hilbert(L, span, max_degree)
     mark("quotient")
 
     tree = dynkin_tree(t)
-    model = betti_numbers(tree)
-    if euler_characteristic(tree) != model.betti[0] - model.betti[1] + model.betti[2]:
-        raise InvariantViolation("resolution stage: Euler characteristic mismatch")
-    ring = _pad(model.ring_dims, max_degree + 1)
+    coh = betti_numbers(tree)
+    if euler_characteristic(tree) != coh.betti[0] - coh.betti[1] + coh.betti[2]:
+        raise InvariantViolation(f"resolution stage: {t}: Euler characteristic mismatch")
+    ring = _pad(coh.ring_dims, max_degree + 1)
     hikita_match = list(qh) == ring
     mark("resolution")
 
@@ -166,15 +131,13 @@ def verify(t: SimpleType, max_degree: int = 4, mode: str = "auto") -> Verificati
         dim_g=rs.dim_g,
         dim_sym2=sym2_dim(rs.dim_g),
         dim_v2theta=dim_v2theta,
-        ideal2_dim=ideal2_dim,
+        ideal2_dim=ideal.dim,
         projected_rank=projected_rank,
         expected_projected_rank=expected_rank,
         quotient_hilbert=list(qh),
-        betti=list(model.betti),
-        poincare_coeffs=list(model.betti),
+        betti=list(coh.betti),
         hikita_match=hikita_match,
         oracle_match=oracle_match,
-        mode=chosen,
         timings_ms=timings,
     )
 
@@ -189,9 +152,9 @@ def ade_types(max_rank: int) -> list[SimpleType]:
     return types
 
 
-def verify_all(max_rank: int, max_degree: int = 4, mode: str = "auto") -> list:
+def verify_all(max_rank: int, max_degree: int = 4) -> list:
     """Reports for every ADE type with rank up to max_rank."""
-    return [verify(t, max_degree, mode) for t in ade_types(max_rank)]
+    return [verify(t, max_degree) for t in ade_types(max_rank)]
 
 
 def _poincare_str(coeffs: list) -> str:
@@ -214,15 +177,14 @@ def emit_report(r: VerificationReport, format: str) -> bytes:
         raise ValueError(f"unknown report format {format!r}")
     rows = [
         f"type: {r.family}{r.rank}",
-        f"mode: {r.mode}",
         f"dim_g: {r.dim_g}",
         f"dim_sym2: {r.dim_sym2}",
         f"dim_v2theta: {r.dim_v2theta}",
-        f"ideal2_dim: {'-' if r.ideal2_dim is None else r.ideal2_dim}",
+        f"ideal2_dim: {r.ideal2_dim}",
         f"projected_rank: {r.projected_rank} (expected {r.expected_projected_rank})",
         f"quotient_hilbert: {tuple(r.quotient_hilbert)}",
         f"betti: {tuple(r.betti)}",
-        f"poincare: {_poincare_str(r.poincare_coeffs)}",
+        f"poincare: {_poincare_str(r.betti)}",
         f"hikita_match: {'PASS' if r.hikita_match else 'FAIL'}",
     ]
     if r.oracle_match is not None:
@@ -250,7 +212,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--max-degree", type=int, default=4, help="top polynomial degree to compare"
     )
-    parser.add_argument("--mode", choices=MODES, default="auto")
     parser.add_argument("--format", choices=FORMATS, default="text")
     parser.add_argument(
         "--all",
@@ -265,9 +226,9 @@ def main(argv: Optional[list] = None) -> int:
 
     try:
         if args.all is not None:
-            reports = verify_all(args.all, args.max_degree, args.mode)
+            reports = verify_all(args.all, args.max_degree)
         else:
-            reports = [verify(SimpleType(args.family, args.rank), args.max_degree, args.mode)]
+            reports = [verify(SimpleType(args.family, args.rank), args.max_degree)]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)

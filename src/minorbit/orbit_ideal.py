@@ -35,7 +35,6 @@ __all__ = [
     "projected_span",
     "span_in_sym2h",
     "echelon_quadrics",
-    "cartan_pair_generators",
     "quotient_hilbert",
     "hilbert_from_quadrics",
     "monomial_exponents",
@@ -139,7 +138,7 @@ def degree2_ideal(L: LieAlgebra, Omega: SplitCasimir, c) -> IdealDegree2:
     expected = sym2_dim(L.dim) - weyl_dim(rs, theta2)
     if len(basis) != expected:
         raise InvariantViolation(
-            f"{rs.simple_type}: degree-2 ideal has dimension {len(basis)}, "
+            f"ideal stage: {rs.simple_type}: degree-2 ideal has dimension {len(basis)}, "
             f"expected {expected}"
         )
     return IdealDegree2(basis)
@@ -204,31 +203,6 @@ def projected_span(L: LieAlgebra, I2: IdealDegree2) -> tuple[int, EchelonBasis]:
     first = _cartan_start(L)
     polys = [restrict_to_cartan(L, vec) for vec in I2.basis.vectors if max(vec) >= first]
     return span_in_sym2h(L.rs.rank, polys)
-
-
-def cartan_pair_generators(L: LieAlgebra, Omega: SplitCasimir, c) -> list[CartanPolynomial]:
-    """Cartan restriction of (Omega - c) applied to each monomial H(i) H(j), i <= j.
-
-    Only the diagonal term survives the projection, so each output is
-    -c h_i h_j; the root contributions land on E(a) F(a) monomials and
-    are killed.  This route needs one operator column per Cartan pair
-    and never assembles the full matrix.
-    """
-    n = L.rs.rank
-    nn = L.dim
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            p, q = L.h_index(i), L.h_index(j)
-            col = dict(Omega.column(p, q))
-            k = sym2_index(nn, p, q)
-            val = col.get(k, 0) - c
-            if val:
-                col[k] = val
-            else:
-                col.pop(k, None)
-            out.append(restrict_to_cartan(L, col))
-    return out
 
 
 def monomial_exponents(n: int, d: int) -> list[tuple[int, ...]]:

@@ -20,6 +20,7 @@ from minorbit.chevalley import (
     sym2_index,
 )
 from minorbit.linalgx import SparseMatrix, addmul
+from minorbit.orbit_ideal import CartanPolynomial, restrict_to_cartan
 from minorbit.rootsys import RootSystem, SimpleType, build_root_system
 
 
@@ -102,6 +103,42 @@ def all_pairs_column(Omega: SplitCasimir, p: int, q: int) -> dict:
         k = sym2_index(nn, p, q)
         out[k] = out.get(k, 0) + w
     return {k: v for k, v in out.items() if v}
+
+
+# -- the paper's argument and corrupted constructions ------------------------
+
+def cartan_pair_generators(L: LieAlgebra, Omega: SplitCasimir, c) -> list[CartanPolynomial]:
+    """Cartan restriction of (Omega - c) applied to each monomial H(i) H(j), i <= j.
+
+    Only the diagonal term survives the projection, so each output is
+    -c h_i h_j; the root contributions land on E(a) F(a) monomials and
+    are killed.  This needs one operator column per Cartan pair and
+    never assembles the full matrix.
+    """
+    n = L.rs.rank
+    nn = L.dim
+    out = []
+    for i in range(n):
+        for j in range(i, n):
+            p, q = L.h_index(i), L.h_index(j)
+            col = dict(Omega.column(p, q))
+            k = sym2_index(nn, p, q)
+            val = col.get(k, 0) - c
+            if val:
+                col[k] = val
+            else:
+                col.pop(k, None)
+            out.append(restrict_to_cartan(L, col))
+    return out
+
+
+def negate_first_ee_constant(L: LieAlgebra) -> LieAlgebra:
+    """A copy of L with one E-E structure constant negated in both orientations."""
+    a, b = next((i, j) for i, j in L.brackets if i < j < L.npos)
+    brackets = dict(L.brackets)
+    for key in ((a, b), (b, a)):
+        brackets[key] = tuple((k, -s) for k, s in brackets[key])
+    return LieAlgebra(L.rs, brackets, L.form_on_g, L.weights_fw)
 
 
 # -- rational echelon reference ----------------------------------------------

@@ -19,11 +19,12 @@ from minorbit.cli import (
 )
 from minorbit.rootsys import InvariantViolation, SimpleType
 
+from helpers import negate_first_ee_constant
+
 
 def test_verify_a1_report_values():
-    r = verify(SimpleType("A", 1), max_degree=4, mode="auto")
+    r = verify(SimpleType("A", 1), max_degree=4)
     assert r.family == "A" and r.rank == 1
-    assert r.mode == "full"
     assert r.dim_g == 3
     assert r.dim_sym2 == 6
     assert r.dim_v2theta == 5
@@ -31,25 +32,23 @@ def test_verify_a1_report_values():
     assert r.projected_rank == 1 == r.expected_projected_rank
     assert r.quotient_hilbert == [1, 1, 0, 0, 0]
     assert r.betti == [1, 0, 1]
-    assert r.poincare_coeffs == [1, 0, 1]
     assert r.hikita_match is True
     assert r.oracle_match is True
     assert r.passed
 
 
 def test_verify_d4_full_mode():
-    r = verify(SimpleType("D", 4), max_degree=4, mode="full")
+    r = verify(SimpleType("D", 4), max_degree=4)
     assert r.projected_rank == 10
     assert r.ideal2_dim == 106
     assert r.hikita_match is True
     assert r.oracle_match is None
 
 
-def test_verify_e7_auto_selects_cartan_pairs():
-    r = verify(SimpleType("E", 7), max_degree=3, mode="auto")
-    assert r.mode == "cartan-pairs"
+def test_verify_e7_full_path():
+    r = verify(SimpleType("E", 7), max_degree=3)
     assert r.projected_rank == 28
-    assert r.ideal2_dim is None
+    assert r.ideal2_dim == 1540
     assert r.quotient_hilbert == [1, 7, 0, 0]
     assert r.hikita_match is True
 
@@ -57,14 +56,12 @@ def test_verify_e7_auto_selects_cartan_pairs():
 def test_verify_rejects_bad_arguments():
     with pytest.raises(ValueError):
         verify(SimpleType("A", 2), max_degree=1)
-    with pytest.raises(ValueError):
-        verify(SimpleType("A", 2), mode="fast")
 
 
 def test_json_report_round_trips():
     r = verify(SimpleType("A", 2))
     blob = emit_report(r, "json")
-    parsed = VerificationReport.from_dict(json.loads(blob.decode()))
+    parsed = VerificationReport(**json.loads(blob.decode()))
     assert parsed == r
 
 
@@ -152,7 +149,7 @@ def test_main_verification_failure_exits_one(monkeypatch, capsys):
 
 
 def test_main_invariant_violation_exits_three(monkeypatch, capsys):
-    def boom(t, max_degree=4, mode="auto"):
+    def boom(t, max_degree=4):
         raise InvariantViolation("forced for the test")
 
     monkeypatch.setattr(cli, "verify", boom)
@@ -161,9 +158,54 @@ def test_main_invariant_violation_exits_three(monkeypatch, capsys):
     assert "invariant" in capsys.readouterr().err
 
 
+def test_euler_mismatch_names_the_stage_and_the_type(monkeypatch):
+    monkeypatch.setattr(cli, "euler_characteristic", lambda tree: 0)
+    with pytest.raises(InvariantViolation, match="^resolution stage: A1: "):
+        verify(SimpleType("A", 1))
+
+
 def test_main_rejects_bad_degree(capsys):
     code = main(["--family", "A", "--rank", "1", "--max-degree", "1"])
     assert code == 2
+
+
+def test_main_rejects_the_removed_mode_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--family", "A", "--rank", "1", "--mode", "full"])
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
+
+
+def _flip_ee_sign(monkeypatch):
+    real = cli.build_chevalley
+    monkeypatch.setattr(cli, "build_chevalley", lambda rs: negate_first_ee_constant(real(rs)))
+
+
+def _shift_c_by_one(monkeypatch):
+    real = cli.casimir_top_eigenvalue
+    monkeypatch.setattr(cli, "casimir_top_eigenvalue", lambda Omega: real(Omega) + 1)
+
+
+@pytest.mark.parametrize("corrupt,family,rank,got,expected", [
+    (_flip_ee_sign, "A", 8, 1326, 1296),
+    (_flip_ee_sign, "D", 7, 1148, 1106),
+    (_flip_ee_sign, "E", 7, 1606, 1540),
+    (_shift_c_by_one, "A", 8, 3240, 1296),
+    (_shift_c_by_one, "D", 7, 4186, 1106),
+    (_shift_c_by_one, "E", 7, 8911, 1540),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_broken_construction_exits_three_at_rank_seven_and_up(
+    monkeypatch, capsys, corrupt, family, rank, got, expected
+):
+    # No stage before the ideal notices either corruption; its dimension check must.
+    corrupt(monkeypatch)
+    code = main(["--family", family, "--rank", str(rank)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert (
+        f"ideal stage: {family}{rank}: degree-2 ideal has dimension {got}, "
+        f"expected {expected}"
+    ) in err
 
 
 def test_large_max_degree_stops_at_the_first_zero_degree(monkeypatch):

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from minorbit.chevalley import (
-    LieAlgebra,
     casimir_top_eigenvalue,
     split_casimir,
     sym2_dim,
@@ -15,7 +14,6 @@ from minorbit.chevalley import (
 from minorbit.linalgx import image_basis
 from minorbit.orbit_ideal import (
     CartanPolynomial,
-    cartan_pair_generators,
     degree2_ideal,
     hilbert_from_quadrics,
     projected_span,
@@ -26,7 +24,15 @@ from minorbit.orbit_ideal import (
 )
 from minorbit.rootsys import InvariantViolation
 
-from helpers import algebra_of, casimir_of, dense_rank, shifted_casimir, to_rows
+from helpers import (
+    algebra_of,
+    cartan_pair_generators,
+    casimir_of,
+    dense_rank,
+    negate_first_ee_constant,
+    shifted_casimir,
+    to_rows,
+)
 
 
 def pipeline(family, rank):
@@ -236,22 +242,13 @@ def test_projected_span_equals_the_span_of_every_restriction(family, rank):
     assert skipped.vectors == every.vectors
 
 
-def _negate_first_ee_constant(L):
-    """A copy of L with one E-E structure constant negated in both orientations."""
-    a, b = next((i, j) for i, j in L.brackets if i < j < L.npos)
-    brackets = dict(L.brackets)
-    for key in ((a, b), (b, a)):
-        brackets[key] = tuple((k, -s) for k, s in brackets[key])
-    return LieAlgebra(L.rs, brackets, L.form_on_g, L.weights_fw)
-
-
 @pytest.mark.parametrize("family,rank,got,expected", [
     ("A", 3, 46, 36),
     ("D", 5, 291, 265),
     ("E", 6, 693, 651),
 ])
 def test_negated_structure_constant_fails_the_dimension_check(family, rank, got, expected):
-    bad = _negate_first_ee_constant(algebra_of(family, rank))
+    bad = negate_first_ee_constant(algebra_of(family, rank))
     Om = split_casimir(bad)
     c = casimir_top_eigenvalue(Om)
     with pytest.raises(InvariantViolation, match=(
