@@ -21,13 +21,7 @@ from typing import Optional
 from .chevalley import build_chevalley, casimir_top_eigenvalue, split_casimir, sym2_dim
 from .orbit_ideal import degree2_ideal, projected_span, quotient_hilbert
 from .resolution import betti_numbers, dynkin_tree, euler_characteristic
-from .rootsys import (
-    InvariantViolation,
-    SimpleType,
-    build_root_system,
-    root_to_weight,
-    weyl_dim,
-)
+from .rootsys import InvariantViolation, SimpleType, build_root_system
 from .sln_oracle import oracle_quotient_dims
 
 __all__ = [
@@ -100,8 +94,6 @@ def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
     mark("casimir")
 
     n = t.rank
-    theta2 = root_to_weight(rs, rs.highest_root).scaled(2)
-    dim_v2theta = weyl_dim(rs, theta2)
     expected_rank = n * (n + 1) // 2
 
     ideal = degree2_ideal(L, Omega, c)
@@ -130,7 +122,7 @@ def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
         rank=t.rank,
         dim_g=rs.dim_g,
         dim_sym2=sym2_dim(rs.dim_g),
-        dim_v2theta=dim_v2theta,
+        dim_v2theta=ideal.dim_v2theta,
         ideal2_dim=ideal.dim,
         projected_rank=projected_rank,
         expected_projected_rank=expected_rank,

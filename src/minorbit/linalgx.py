@@ -1,42 +1,38 @@
 """Exact sparse linear algebra with fraction-free integer elimination.
 
-Vectors are dicts mapping coordinate index to a nonzero number,
+Vectors are dicts mapping coordinate index to a nonzero integer,
 matrices store their sparse columns, and rank and image computations
 push columns one at a time into a reduced echelon basis.
 
-The basis is kept over the integers.  A vector entering the kernel is
-cleared of denominators once, by the lcm of the denominators of its
-``Fraction`` entries; from there on every operation is integer
-arithmetic.  Each stored vector is primitive (its entries have gcd 1)
-with a positive pivot entry, so the basis is the canonical reduced
-echelon basis of its span, each vector scaled from monic to primitive
+Every vector is an integer vector, and every operation is integer
+arithmetic: the kernel takes int entries only, and anything else, a
+``Fraction`` included, raises ``TypeError`` in ``math.gcd``.  Each
+stored vector is primitive (its entries have gcd 1) with a positive
+pivot entry, so the basis is the canonical reduced echelon basis of its
+span over the rationals, each vector scaled from monic to primitive
 integers.  There is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 __all__ = [
-    "Rational",
     "SparseVec",
     "SparseMatrix",
     "EchelonBasis",
     "addmul",
     "append_and_rank",
     "direct_sum",
-    "rank",
     "image_basis",
 ]
 
-Rational = Union[int, Fraction]
 SparseVec = dict
 
-def addmul(target: SparseVec, src: Mapping[int, Rational], scale: Rational) -> None:
+def addmul(target: SparseVec, src: Mapping[int, int], scale: int) -> None:
     """target += scale * src in place, dropping entries that cancel."""
     if not scale:
         return
@@ -46,17 +42,6 @@ def addmul(target: SparseVec, src: Mapping[int, Rational], scale: Rational) -> N
             target[i] = v
         else:
             target.pop(i, None)
-
-
-def _integral(v: Mapping[int, Rational]) -> SparseVec:
-    """v times the lcm of its denominators: an integer vector with no zero entries."""
-    den = 1
-    for x in v.values():
-        if x.denominator != 1:
-            den = lcm(den, x.denominator)
-    if den == 1:
-        return {i: x.numerator for i, x in v.items() if x}
-    return {i: x.numerator * (den // x.denominator) for i, x in v.items() if x}
 
 
 def _primitive(w: SparseVec) -> SparseVec:
@@ -70,7 +55,7 @@ def _primitive(w: SparseVec) -> SparseVec:
 
 
 class SparseMatrix:
-    """An nrows x ncols matrix stored as its sparse columns, nonzero rational entries only.
+    """An nrows x ncols matrix stored as its sparse columns, nonzero integer entries only.
 
     The columns are held in a tuple, so their number and order are fixed
     once the matrix is built; the column dicts themselves are shared
@@ -105,11 +90,11 @@ class SparseMatrix:
             raise ValueError(f"index {rc} out of range for {self.nrows}x{self.ncols}")
         return r, self._cols[c]
 
-    def __getitem__(self, rc: tuple[int, int]) -> Rational:
+    def __getitem__(self, rc: tuple[int, int]) -> int:
         r, col = self._column(rc)
         return col.get(r, 0)
 
-    def __setitem__(self, rc: tuple[int, int], value: Rational) -> None:
+    def __setitem__(self, rc: tuple[int, int], value: int) -> None:
         r, col = self._column(rc)
         if value:
             col[r] = value
@@ -154,7 +139,7 @@ class EchelonBasis:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def reduce(self, v: Mapping[int, Rational]) -> SparseVec:
+    def reduce(self, v: Mapping[int, int]) -> SparseVec:
         """Remainder of v after eliminating every pivot coordinate, as a primitive integer vector.
 
         The basis is reduced, so clearing one pivot coordinate of v
@@ -162,7 +147,7 @@ class EchelonBasis:
         cleared in one pass, after scaling v by the smallest integer
         that makes every elimination step integral.
         """
-        w = _integral(v)
+        w = {i: x for i, x in v.items() if x}
         by_pivot = self._by_pivot
         hits = [(p, x) for p, x in w.items() if p in by_pivot]
         if hits:
@@ -178,7 +163,7 @@ class EchelonBasis:
         return _primitive(w) if w else w
 
 
-def append_and_rank(basis: EchelonBasis, v: Mapping[int, Rational]) -> tuple[EchelonBasis, bool]:
+def append_and_rank(basis: EchelonBasis, v: Mapping[int, int]) -> tuple[EchelonBasis, bool]:
     """Reduce v against the basis; insert the primitive remainder if nonzero.
 
     Mutates and returns the same basis object, together with a flag
@@ -238,7 +223,3 @@ def image_basis(m: SparseMatrix) -> EchelonBasis:
         append_and_rank(basis, col)
     return basis
 
-
-def rank(m: SparseMatrix) -> int:
-    """Exact rank of m over the rationals."""
-    return len(image_basis(m))

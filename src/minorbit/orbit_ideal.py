@@ -12,7 +12,10 @@ construction.
 Restriction to the Cartan subalgebra sends E and F coordinates to zero
 and H(i) to the polynomial variable h_i; quotienting Sym[h] by the span
 of the restricted quadrics yields the graded dimensions the verifier
-compares against the resolution cohomology.
+compares against the resolution cohomology.  A quadric on the Cartan is
+an integer vector over the monomials h_i h_j, indexed as
+sym2_index(rank, i, j): the Cartan monomials of Sym^2 g come last in
+exactly that order, so restriction is a shift of the index.
 """
 
 from __future__ import annotations
@@ -20,21 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .chevalley import LieAlgebra, SplitCasimir, sym2_dim, sym2_index, sym2_pairs, sym2_unrank
-from .linalgx import EchelonBasis, SparseMatrix, append_and_rank, direct_sum, image_basis
+from .linalgx import EchelonBasis, SparseMatrix, SparseVec, append_and_rank, direct_sum, image_basis
 from .rootsys import InvariantViolation, root_to_weight, weyl_dim
 
 __all__ = [
-    "CartanPolynomial",
     "IdealDegree2",
     "weight_blocks",
     "degree2_ideal",
-    "restrict_to_cartan",
     "projected_span",
-    "span_in_sym2h",
-    "echelon_quadrics",
     "quotient_hilbert",
     "hilbert_from_quadrics",
     "monomial_exponents",
@@ -42,37 +41,15 @@ __all__ = [
 
 
 @dataclass
-class CartanPolynomial:
-    """Homogeneous polynomial on the Cartan subalgebra, as an exponent-vector map.
+class IdealDegree2:
+    """Echelon basis of the degree-2 ideal component inside Sym^2 g.
 
-    Coefficients are kept as given, integers or fractions; zeros are dropped.
+    dim_v2theta is the Weyl dimension of V(2 theta), the kernel of the
+    shift, which the ideal dimension was checked against.
     """
 
-    coeffs: dict
-    degree: int
-    nvars: int
-
-    def __post_init__(self) -> None:
-        clean: dict = {}
-        for exp, c in self.coeffs.items():
-            if not c:
-                continue
-            if len(exp) != self.nvars:
-                raise ValueError(f"exponent vector {exp} has wrong length")
-            if sum(exp) != self.degree:
-                raise ValueError(f"monomial {exp} is not of degree {self.degree}")
-            clean[tuple(exp)] = c
-        self.coeffs = clean
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-
-@dataclass
-class IdealDegree2:
-    """Echelon basis of the degree-2 ideal component inside Sym^2 g."""
-
     basis: EchelonBasis
+    dim_v2theta: int
 
     @property
     def dim(self) -> int:
@@ -135,13 +112,14 @@ def degree2_ideal(L: LieAlgebra, Omega: SplitCasimir, c) -> IdealDegree2:
     basis = direct_sum(sym2_dim(L.dim), [image_basis(m) for m in blocks])
     rs = L.rs
     theta2 = root_to_weight(rs, rs.highest_root).scaled(2)
-    expected = sym2_dim(L.dim) - weyl_dim(rs, theta2)
+    dim_v2theta = weyl_dim(rs, theta2)
+    expected = sym2_dim(L.dim) - dim_v2theta
     if len(basis) != expected:
         raise InvariantViolation(
             f"ideal stage: {rs.simple_type}: degree-2 ideal has dimension {len(basis)}, "
             f"expected {expected}"
         )
-    return IdealDegree2(basis)
+    return IdealDegree2(basis, dim_v2theta)
 
 
 def _cartan_start(L: LieAlgebra) -> int:
@@ -150,59 +128,23 @@ def _cartan_start(L: LieAlgebra) -> int:
     return sym2_index(L.dim, base, base)
 
 
-def restrict_to_cartan(L: LieAlgebra, v: Mapping[int, object]) -> CartanPolynomial:
-    """Project a Sym^2 g vector to Sym^2 h: root-vector coordinates die.
-
-    The Cartan positions come last, so the monomials H(i) H(j) are
-    exactly the indices from that of H(1)^2 on, laid out as Sym^2 h.
-    """
-    n = L.rs.rank
-    first = _cartan_start(L)
-    coeffs: dict = {}
-    for k, c in v.items():
-        if k >= first:
-            i, j = sym2_unrank(n, k - first)
-            exp = [0] * n
-            exp[i] += 1
-            exp[j] += 1
-            coeffs[tuple(exp)] = c
-    return CartanPolynomial(coeffs, 2, n)
-
-
-def span_in_sym2h(n: int, polys: Iterable[CartanPolynomial]) -> tuple[int, EchelonBasis]:
-    """Span of degree-2 Cartan polynomials inside Sym^2 h."""
-    exps = monomial_exponents(n, 2)
-    pos = {e: i for i, e in enumerate(exps)}
-    basis = EchelonBasis(len(exps))
-    for poly in polys:
-        if poly.degree != 2 or poly.nvars != n:
-            raise ValueError("polynomials must be quadratic in the Cartan variables")
-        vec = {pos[e]: c for e, c in poly.coeffs.items()}
-        append_and_rank(basis, vec)
-    return len(basis), basis
-
-
-def echelon_quadrics(n: int, basis: EchelonBasis) -> list[CartanPolynomial]:
-    """The vectors of a basis built by span_in_sym2h, as quadrics in n variables."""
-    exps = monomial_exponents(n, 2)
-    return [
-        CartanPolynomial({exps[i]: c for i, c in vec.items()}, 2, n)
-        for vec in basis.vectors
-    ]
-
-
 def projected_span(L: LieAlgebra, I2: IdealDegree2) -> tuple[int, EchelonBasis]:
     """Restrict the ideal basis vectors to the Cartan and span inside Sym^2 h.
 
-    The Cartan monomials H(i) H(j) carry the highest indices, so only a
-    vector whose highest coordinate reaches that of H(1)^2 restricts to
-    a nonzero quadric; the others are skipped.  The expected rank is
-    rank(rank+1)/2; falling short is a verification failure for the
-    caller to report, not an error here.
+    The Cartan positions come last, so the monomials H(i) H(j) are the
+    indices from that of H(1)^2 on, laid out as Sym^2 h: restriction
+    drops the lower indices and shifts the rest.  Only a vector whose
+    highest coordinate reaches H(1)^2 restricts to a nonzero quadric;
+    the others are skipped.  The expected rank is rank(rank+1)/2;
+    falling short is a verification failure for the caller to report,
+    not an error here.
     """
     first = _cartan_start(L)
-    polys = [restrict_to_cartan(L, vec) for vec in I2.basis.vectors if max(vec) >= first]
-    return span_in_sym2h(L.rs.rank, polys)
+    basis = EchelonBasis(sym2_dim(L.rs.rank))
+    for vec in I2.basis.vectors:
+        if max(vec) >= first:
+            append_and_rank(basis, {k - first: c for k, c in vec.items() if k >= first})
+    return len(basis), basis
 
 
 def monomial_exponents(n: int, d: int) -> list[tuple[int, ...]]:
@@ -217,9 +159,12 @@ def monomial_exponents(n: int, d: int) -> list[tuple[int, ...]]:
 
 
 def hilbert_from_quadrics(
-    n: int, quadrics: Sequence[CartanPolynomial], max_degree: int
+    n: int, quadrics: Sequence[SparseVec], max_degree: int
 ) -> list[int]:
     """Hilbert function of Sym[h] modulo the ideal generated by the quadrics.
+
+    Each quadric is an integer vector over Sym^2 h in the order of
+    monomial_exponents(n, 2), which is the sym2_index(n, i, j) order.
 
     In each degree d the ideal piece is spanned by the quadrics times
     all degree d-2 monomials; its rank is accumulated incrementally and
@@ -230,7 +175,8 @@ def hilbert_from_quadrics(
     if max_degree < 2:
         raise ValueError(f"max_degree must be at least 2, got {max_degree}")
     dims = [1, n]
-    gens = [g for g in quadrics if not g.is_zero()]
+    exps = monomial_exponents(n, 2)
+    gens = [[(exps[k], c) for k, c in g.items()] for g in quadrics if g]
     for d in range(2, max_degree + 1):
         monos = monomial_exponents(n, d)
         pos = {e: i for i, e in enumerate(monos)}
@@ -240,7 +186,7 @@ def hilbert_from_quadrics(
         for g in gens:
             for extra in extras:
                 vec = {}
-                for e, c in g.coeffs.items():
+                for e, c in g:
                     key = tuple(a + b for a, b in zip(e, extra))
                     vec[pos[key]] = c
                 append_and_rank(basis, vec)
@@ -259,5 +205,4 @@ def quotient_hilbert(
     L: LieAlgebra, projected: EchelonBasis, max_degree: int
 ) -> list[int]:
     """Graded dimensions of Sym[h] modulo the projected degree-2 ideal."""
-    n = L.rs.rank
-    return hilbert_from_quadrics(n, echelon_quadrics(n, projected), max_degree)
+    return hilbert_from_quadrics(L.rs.rank, projected.vectors, max_degree)

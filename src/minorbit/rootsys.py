@@ -160,14 +160,18 @@ def build_root_system(t: SimpleType) -> RootSystem:
     adding simple roots, keeping a candidate u + alpha_i exactly when
     the alpha_i-string through u continues upward (p - <u, alpha_i^vee>
     positive, with p counted by walking down through known roots).
+    Enumeration stops once more roots are known than type t has, so a
+    diagram whose root system is infinite fails the count check instead
+    of running forever.
     """
     c = cartan_matrix(t)
     n = t.rank
+    count = positive_root_count(t)
     simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     known = set(simple)
     layers = [sorted(simple)]
     layer = layers[0]
-    while layer:
+    while layer and len(known) <= count:
         nxt = []
         for u in layer:
             for i in range(n):
@@ -193,28 +197,28 @@ def build_root_system(t: SimpleType) -> RootSystem:
             layers.append(layer)
 
     ordered = [v for lay in layers for v in lay]
-    count = positive_root_count(t)
+    stage = f"root_system stage: {t}:"
     if len(ordered) != count:
         raise InvariantViolation(
-            f"{t}: enumerated {len(ordered)} positive roots, expected {count}"
+            f"{stage} enumerated {len(ordered)} positive roots, expected {count}"
         )
     if 2 * count + n != dim_of_type(t):
-        raise InvariantViolation(f"{t}: root count does not match dim g")
+        raise InvariantViolation(f"{stage} root count does not match dim g")
 
     for u in ordered:
         norm = sum(u[i] * c[i][j] * u[j] for i in range(n) for j in range(n))
         if norm != 2:
-            raise InvariantViolation(f"{t}: root {u} has squared length {norm}, not 2")
+            raise InvariantViolation(f"{stage} root {u} has squared length {norm}, not 2")
 
     theta = ordered[-1]
     if len(ordered) > 1 and sum(ordered[-2]) == sum(theta):
-        raise InvariantViolation(f"{t}: highest root is not unique by height")
+        raise InvariantViolation(f"{stage} highest root is not unique by height")
     fw = tuple(sum(c[i][j] * theta[j] for j in range(n)) for i in range(n))
     if any(x < 0 for x in fw):
-        raise InvariantViolation(f"{t}: highest root is not dominant")
+        raise InvariantViolation(f"{stage} highest root is not dominant")
     for u in ordered:
         if any(a < b for a, b in zip(theta, u)):
-            raise InvariantViolation(f"{t}: {u} is not below the highest root")
+            raise InvariantViolation(f"{stage} {u} is not below the highest root")
 
     roots = tuple(Root(u) for u in ordered)
     return RootSystem(
@@ -268,5 +272,8 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
         num *= sum(s * u for s, u in zip(shifted, beta.coords))
         den *= beta.height
     if num % den:
-        raise InvariantViolation("Weyl dimension product is not an integer")
+        raise InvariantViolation(
+            f"ideal stage: {rs.simple_type}: Weyl dimension product for weight "
+            f"{lam.coords} is not an integer"
+        )
     return num // den

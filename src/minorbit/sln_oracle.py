@@ -4,23 +4,20 @@ An n x n matrix lies in the minimal nilpotent orbit closure exactly
 when it has rank at most 1 and squares to zero, so the orbit ideal
 contains every 2 x 2 minor together with every entry of the matrix
 square.  Restricting those generators to diagonal traceless matrices
-gives quadrics in the diagonal coordinates; the quotient they cut out
-is computed here independently of the Casimir construction and must
-agree with the abstract type A_(n-1) answer.
+gives quadrics in the diagonal coordinates, as integer vectors over
+Sym^2 of the traceless coordinates in the same order as the abstract
+route; the quotient they cut out is computed here independently of the
+Casimir construction and must agree with the abstract type A_(n-1)
+answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .orbit_ideal import (
-    CartanPolynomial,
-    echelon_quadrics,
-    hilbert_from_quadrics,
-    span_in_sym2h,
-)
+from .linalgx import EchelonBasis, SparseVec, append_and_rank
+from .orbit_ideal import hilbert_from_quadrics, monomial_exponents
 
 __all__ = [
     "MatrixPolynomial",
@@ -30,15 +27,14 @@ __all__ = [
     "oracle_quotient_dims",
 ]
 
-Var = tuple
-
 
 @dataclass
 class MatrixPolynomial:
     """Polynomial in the entries a[i][j] of an n x n matrix.
 
     Monomials are sorted tuples of variable pairs (i, j); all
-    generators produced in this module are homogeneous quadrics.
+    generators produced in this module are homogeneous quadrics with
+    integer coefficients.
     """
 
     n: int
@@ -48,7 +44,6 @@ class MatrixPolynomial:
         clean: dict = {}
         degree = None
         for mono, c in self.coeffs.items():
-            c = Fraction(c)
             if not c:
                 continue
             mono = tuple(sorted(mono))
@@ -61,18 +56,6 @@ class MatrixPolynomial:
                 raise ValueError("polynomial is not homogeneous")
             clean[mono] = clean.get(mono, 0) + c
         self.coeffs = {m: c for m, c in clean.items() if c}
-
-    def evaluate(self, values: Mapping[Var, object]) -> Fraction:
-        """Value at a point, with unspecified entries treated as zero."""
-        total = Fraction(0)
-        for mono, c in self.coeffs.items():
-            prod = Fraction(c)
-            for var in mono:
-                prod *= Fraction(values.get(var, 0))
-                if not prod:
-                    break
-            total += prod
-        return total
 
 
 def _check_n(n: int) -> None:
@@ -114,17 +97,17 @@ def square_generators(n: int) -> list[MatrixPolynomial]:
     return out
 
 
-def restrict_to_diagonal(
-    polys: Iterable[MatrixPolynomial], n: int
-) -> list[CartanPolynomial]:
+def restrict_to_diagonal(polys: Iterable[MatrixPolynomial], n: int) -> list[SparseVec]:
     """Set off-diagonal entries to zero, then eliminate the last diagonal entry.
 
     Traceless coordinates are the first n-1 diagonal entries, with
     a_(n-1)(n-1) replaced by minus their sum, so the result is a list of
-    quadrics in n-1 variables (possibly zero).
+    quadrics in n-1 variables (possibly zero), each an index vector over
+    monomial_exponents(n-1, 2) with no zero entries.
     """
     _check_n(n)
     nv = n - 1
+    pos = {e: k for k, e in enumerate(monomial_exponents(nv, 2))}
 
     def linear_form(i: int) -> list:
         if i < nv:
@@ -135,7 +118,7 @@ def restrict_to_diagonal(
     for poly in polys:
         if poly.n != n:
             raise ValueError("polynomial size does not match n")
-        coeffs: dict = {}
+        vec: dict = {}
         for mono, c in poly.coeffs.items():
             if len(mono) != 2:
                 raise ValueError("only quadrics can be restricted here")
@@ -147,9 +130,9 @@ def restrict_to_diagonal(
                     exp = [0] * nv
                     exp[v1] += 1
                     exp[v2] += 1
-                    key = tuple(exp)
-                    coeffs[key] = coeffs.get(key, 0) + c * c1 * c2
-        out.append(CartanPolynomial(coeffs, 2, nv))
+                    k = pos[tuple(exp)]
+                    vec[k] = vec.get(k, 0) + c * c1 * c2
+        out.append({k: x for k, x in vec.items() if x})
     return out
 
 
@@ -163,7 +146,9 @@ def oracle_quotient_dims(n: int, max_degree: int) -> list:
     _check_n(n)
     if max_degree < 2:
         raise ValueError(f"max_degree must be at least 2, got {max_degree}")
-    gens = minor_generators(n) + square_generators(n)
-    restricted = restrict_to_diagonal(gens, n)
-    _, span = span_in_sym2h(n - 1, [g for g in restricted if not g.is_zero()])
-    return hilbert_from_quadrics(n - 1, echelon_quadrics(n - 1, span), max_degree)
+    nv = n - 1
+    span = EchelonBasis(nv * (nv + 1) // 2)
+    for vec in restrict_to_diagonal(minor_generators(n) + square_generators(n), n):
+        if vec:
+            append_and_rank(span, vec)
+    return hilbert_from_quadrics(nv, span.vectors, max_degree)

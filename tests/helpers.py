@@ -18,10 +18,11 @@ from minorbit.chevalley import (
     build_chevalley,
     split_casimir,
     sym2_index,
+    sym2_unrank,
 )
 from minorbit.linalgx import SparseMatrix, addmul
-from minorbit.orbit_ideal import CartanPolynomial, restrict_to_cartan
 from minorbit.rootsys import RootSystem, SimpleType, build_root_system
+from minorbit.sln_oracle import MatrixPolynomial
 
 
 @lru_cache(maxsize=None)
@@ -105,9 +106,39 @@ def all_pairs_column(Omega: SplitCasimir, p: int, q: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+def evaluate(poly: MatrixPolynomial, values: dict) -> Fraction:
+    """Value of a matrix polynomial at a point, with unspecified entries treated as zero."""
+    total = Fraction(0)
+    for mono, c in poly.coeffs.items():
+        prod = Fraction(c)
+        for var in mono:
+            prod *= Fraction(values.get(var, 0))
+            if not prod:
+                break
+        total += prod
+    return total
+
+
 # -- the paper's argument and corrupted constructions ------------------------
 
-def cartan_pair_generators(L: LieAlgebra, Omega: SplitCasimir, c) -> list[CartanPolynomial]:
+def cartan_restriction(L: LieAlgebra, vec: dict) -> dict:
+    """The H(i) H(j) terms of a Sym^2 g vector, as a vector indexed by sym2_index(rank, i, j).
+
+    Each monomial is unranked and tested on its own, so this does not
+    rest on the Cartan monomials coming last, as the index shift in
+    projected_span does.
+    """
+    n = L.rs.rank
+    base = 2 * L.npos
+    out = {}
+    for k, x in vec.items():
+        p, q = sym2_unrank(L.dim, k)
+        if p >= base and q >= base:
+            out[sym2_index(n, p - base, q - base)] = x
+    return out
+
+
+def cartan_pair_generators(L: LieAlgebra, Omega: SplitCasimir, c) -> list[dict]:
     """Cartan restriction of (Omega - c) applied to each monomial H(i) H(j), i <= j.
 
     Only the diagonal term survives the projection, so each output is
@@ -128,7 +159,7 @@ def cartan_pair_generators(L: LieAlgebra, Omega: SplitCasimir, c) -> list[Cartan
                 col[k] = val
             else:
                 col.pop(k, None)
-            out.append(restrict_to_cartan(L, col))
+            out.append(cartan_restriction(L, col))
     return out
 
 

@@ -11,14 +11,8 @@ from itertools import combinations
 
 from minorbit.chevalley import casimir_top_eigenvalue, sym2_dim, sym2_index
 from minorbit.cli import verify
-from minorbit.linalgx import EchelonBasis, SparseMatrix, append_and_rank, image_basis, rank
-from minorbit.orbit_ideal import (
-    CartanPolynomial,
-    degree2_ideal,
-    projected_span,
-    quotient_hilbert,
-    restrict_to_cartan,
-)
+from minorbit.linalgx import EchelonBasis, SparseMatrix, append_and_rank, image_basis
+from minorbit.orbit_ideal import degree2_ideal, projected_span, quotient_hilbert
 from minorbit.resolution import betti_numbers, dynkin_tree, euler_characteristic
 from minorbit.rootsys import SimpleType, root_to_weight, weyl_dim
 from minorbit.sln_oracle import minor_generators, oracle_quotient_dims, square_generators
@@ -26,8 +20,10 @@ from minorbit.sln_oracle import minor_generators, oracle_quotient_dims, square_g
 from helpers import (
     algebra_of,
     cartan_pair_generators,
+    cartan_restriction,
     casimir_of,
     dense_rank,
+    evaluate,
     shifted_casimir,
     to_rows,
     transpose,
@@ -109,7 +105,7 @@ def test_criterion_2_kernel_dimension_matches_weyl_formula():
         theta2 = root_to_weight(rs, rs.highest_root).scaled(2)
         assert weyl_dim(rs, theta2) == dim_top
         shifted = _shifted(family, rk)
-        got = rank(shifted)
+        got = len(image_basis(shifted))
         assert got == dim_sym2 - dim_top, (family, rk, got)
         if family in ("A", "D"):
             assert dense_rank(to_rows(shifted)) == got, (family, rk)
@@ -134,14 +130,8 @@ def test_criterion_3_projected_span_fills_sym2h():
         Om = casimir_of(family, rk)
         c = casimir_top_eigenvalue(Om)
         gens = cartan_pair_generators(L, Om, c)
-        idx = 0
-        for i in range(rk):
-            for j in range(i, rk):
-                exp = [0] * rk
-                exp[i] += 1
-                exp[j] += 1
-                assert gens[idx] == CartanPolynomial({tuple(exp): -c}, 2, rk)
-                idx += 1
+        expected = [{sym2_index(rk, i, j): -c} for i in range(rk) for j in range(i, rk)]
+        assert gens == expected, (family, rk)
     print("ACCEPTANCE 3 projected span and Cartan-pair generators: PASS")
 
 
@@ -186,7 +176,7 @@ def test_criterion_5_matrix_model_oracle_agreement():
         assert oracle_quotient_dims(n, 4) == abstract, n
         point = {(0, n - 1): 1}
         for g in minor_generators(n) + square_generators(n):
-            assert g.evaluate(point) == 0, n
+            assert evaluate(g, point) == 0, n
     print("ACCEPTANCE 5 matrix-model oracle equivalence: PASS")
 
 
@@ -199,8 +189,8 @@ def test_criterion_6_sl2_anchor():
     ideal = degree2_ideal(L, Om, c)
     assert ideal.dim == 1
     vec = ideal.basis.vectors[0]
-    poly = restrict_to_cartan(L, vec)
-    assert list(poly.coeffs) == [(2,)] and poly.coeffs[(2,)] != 0
+    poly = cartan_restriction(L, vec)
+    assert list(poly) == [0] and poly[0] != 0
     c_hh = vec.get(sym2_index(3, 2, 2), 0)
     c_ef = vec.get(sym2_index(3, 0, 1), 0)
     assert c_hh != 0 and c_ef != 0
@@ -211,10 +201,8 @@ def test_criterion_6_sl2_anchor():
 def test_criterion_7_linear_algebra_suite():
     """rank equals rank of the transpose and echelon re-reduction gives
     zero on 100 randomized sparse matrices up to 200 x 200."""
-    from fractions import Fraction
-
     rng = random.Random(424242)
-    values = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-2, 3)]
+    values = [1, -1, 2, -2, 3, 5, -6]
     for _ in range(100):
         nrows = rng.randint(1, 200)
         ncols = rng.randint(1, 200)
@@ -222,7 +210,7 @@ def test_criterion_7_linear_algebra_suite():
         for _ in range(rng.randint(0, 3 * ncols)):
             m[rng.randrange(nrows), rng.randrange(ncols)] = rng.choice(values)
         basis = image_basis(m)
-        assert rank(transpose(m)) == len(basis)
+        assert len(image_basis(transpose(m))) == len(basis)
         for col in m.columns():
             assert basis.reduce(col) == {}
         check = EchelonBasis(m.nrows)

@@ -2,13 +2,14 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from minorbit import cli, orbit_ideal
+from minorbit import cli, orbit_ideal, rootsys
 from minorbit.cli import (
     VerificationReport,
     ade_types,
@@ -206,6 +207,65 @@ def test_broken_construction_exits_three_at_rank_seven_and_up(
         f"ideal stage: {family}{rank}: degree-2 ideal has dimension {got}, "
         f"expected {expected}"
     ) in err
+
+
+MOVE_E8_EDGE = """
+import sys
+from minorbit import cli, rootsys
+real = rootsys.dynkin_edges
+rootsys.dynkin_edges = lambda t: tuple((1, 4) if e == (1, 3) else e for e in real(t))
+sys.exit(cli.main(["--family", "E", "--rank", "8"]))
+"""
+
+
+def test_moved_e8_edge_exits_three_instead_of_hanging():
+    # Edge (1, 3) moved to (1, 4) turns E8 into the affine diagram of E7,
+    # whose root system is infinite: enumeration must stop at the count.
+    # A child process with a timeout turns a hang into a failure.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", MOVE_E8_EDGE],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 3
+    assert re.match(
+        r"^internal invariant violation: root_system stage: E8: "
+        r"enumerated 126 positive roots, expected 120$",
+        proc.stderr,
+    )
+
+
+@pytest.mark.parametrize("family,rank,got,expected", [
+    ("A", 5, 11, 15),
+    ("D", 6, 21, 30),
+    ("E", 8, 43, 120),
+])
+def test_dropped_first_edge_exits_three(monkeypatch, capsys, family, rank, got, expected):
+    real = rootsys.dynkin_edges
+    monkeypatch.setattr(rootsys, "dynkin_edges", lambda t: real(t)[1:])
+    code = main(["--family", family, "--rank", str(rank)])
+    assert code == 3
+    assert re.match(
+        f"^internal invariant violation: root_system stage: {family}{rank}: "
+        f"enumerated {got} positive roots, expected {expected}$",
+        capsys.readouterr().err,
+    )
+
+
+def test_verify_computes_the_weyl_dimension_once(monkeypatch):
+    calls = []
+    real = orbit_ideal.weyl_dim
+
+    def counted(rs, lam):
+        calls.append(lam)
+        return real(rs, lam)
+
+    monkeypatch.setattr(orbit_ideal, "weyl_dim", counted)
+    r = verify(SimpleType("A", 2))
+    assert len(calls) == 1
+    assert r.dim_v2theta == 27 and r.ideal2_dim == 36 - 27
+    assert not hasattr(cli, "weyl_dim")
 
 
 def test_large_max_degree_stops_at_the_first_zero_degree(monkeypatch):

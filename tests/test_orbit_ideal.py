@@ -1,7 +1,5 @@
 """Degree-2 ideal, Cartan restriction and quotient Hilbert functions."""
 
-from fractions import Fraction
-
 import pytest
 
 from minorbit.chevalley import (
@@ -11,15 +9,15 @@ from minorbit.chevalley import (
     sym2_index,
     sym2_pairs,
 )
-from minorbit.linalgx import image_basis
+from minorbit.linalgx import SparseMatrix, image_basis
 from minorbit.orbit_ideal import (
-    CartanPolynomial,
+    IdealDegree2,
+    _cartan_start,
     degree2_ideal,
     hilbert_from_quadrics,
+    monomial_exponents,
     projected_span,
     quotient_hilbert,
-    restrict_to_cartan,
-    span_in_sym2h,
     weight_blocks,
 )
 from minorbit.rootsys import InvariantViolation
@@ -27,6 +25,7 @@ from minorbit.rootsys import InvariantViolation
 from helpers import (
     algebra_of,
     cartan_pair_generators,
+    cartan_restriction,
     casimir_of,
     dense_rank,
     negate_first_ee_constant,
@@ -42,15 +41,13 @@ def pipeline(family, rank):
     return L, Om, c
 
 
-def test_cartan_polynomial_validation():
-    with pytest.raises(ValueError):
-        CartanPolynomial({(1, 0): 1}, 2, 2)
-    with pytest.raises(ValueError):
-        CartanPolynomial({(1, 1, 0): 1}, 2, 2)
-    p = CartanPolynomial({(2, 0): 0, (1, 1): 3}, 2, 2)
-    assert p.coeffs == {(1, 1): Fraction(3)}
-    assert not p.is_zero()
-    assert CartanPolynomial({}, 2, 2).is_zero()
+def span_of(dim, vectors):
+    return image_basis(SparseMatrix.from_columns(dim, vectors))
+
+
+def hand_built_ideal(L, *vectors):
+    """An ideal basis spanned by the given Sym^2 g vectors; projected_span reads only the basis."""
+    return IdealDegree2(span_of(sym2_dim(L.dim), vectors), dim_v2theta=0)
 
 
 def test_a1_ideal_single_generator():
@@ -71,25 +68,33 @@ def test_ideal_dimensions(family, rank, expected):
     L, Om, c = pipeline(family, rank)
     ideal = degree2_ideal(L, Om, c)
     assert ideal.dim == expected
-    assert ideal.dim == sym2_dim(L.dim) - (
-        {"A": {1: 5, 2: 27}, "D": {4: 300}}[family][rank]
-    )
+    assert ideal.dim_v2theta == {"A": {1: 5, 2: 27}, "D": {4: 300}}[family][rank]
+    assert ideal.dim == sym2_dim(L.dim) - ideal.dim_v2theta
 
 
 def test_restrict_to_cartan_a1():
     L, _, _ = pipeline("A", 1)
     ef = sym2_index(3, 0, 1)
     hh = sym2_index(3, 2, 2)
-    assert restrict_to_cartan(L, {ef: 1}).is_zero()
-    gen = restrict_to_cartan(L, {hh: 2, ef: 8})
-    assert gen.coeffs == {(2,): Fraction(2)}
+    got, span = projected_span(L, hand_built_ideal(L, {ef: 1}))
+    assert got == 0 and span.vectors == []
+    got, span = projected_span(L, hand_built_ideal(L, {hh: 2, ef: 8}))
+    assert got == 1 and span.vectors == [{0: 1}]
 
 
 def test_restrict_to_cartan_a2_mixed_monomial():
+    # Root-vector terms die; h1^2, h1 h2 and h2^2 land on Sym^2 h
+    # indices 0, 1 and 2 with their coefficients.
     L, _, _ = pipeline("A", 2)
-    h1h2 = sym2_index(L.dim, L.h_index(0), L.h_index(1))
-    poly = restrict_to_cartan(L, {h1h2: 1})
-    assert poly.coeffs == {(1, 1): Fraction(1)}
+    h1, h2 = L.h_index(0), L.h_index(1)
+    vec = {
+        sym2_index(L.dim, 0, 0): 7,
+        sym2_index(L.dim, h1, h1): 2,
+        sym2_index(L.dim, h1, h2): 4,
+        sym2_index(L.dim, h2, h2): -3,
+    }
+    got, span = projected_span(L, hand_built_ideal(L, vec))
+    assert got == 1 and span.vectors == [{0: 2, 1: 4, 2: -3}]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("D", 4)])
@@ -106,20 +111,13 @@ def test_cartan_pair_generators_exact_values(family, rank):
     gens = cartan_pair_generators(L, Om, c)
     n = rank
     assert len(gens) == n * (n + 1) // 2
-    expected = []
-    for i in range(n):
-        for j in range(i, n):
-            exp = [0] * n
-            exp[i] += 1
-            exp[j] += 1
-            expected.append(CartanPolynomial({tuple(exp): -c}, 2, n))
-    assert gens == expected
+    assert gens == [{sym2_index(n, i, j): -c} for i in range(n) for j in range(i, n)]
 
 
 def test_cartan_pair_a1_value():
     L, Om, c = pipeline("A", 1)
     gens = cartan_pair_generators(L, Om, c)
-    assert gens == [CartanPolynomial({(2,): -2}, 2, 1)]
+    assert gens == [{0: -2}]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("D", 4)])
@@ -128,7 +126,7 @@ def test_pair_generators_span_equals_projected_span(family, rank):
     L, Om, c = pipeline(family, rank)
     ideal = degree2_ideal(L, Om, c)
     _, via_ideal = projected_span(L, ideal)
-    _, via_pairs = span_in_sym2h(rank, cartan_pair_generators(L, Om, c))
+    via_pairs = span_of(sym2_dim(rank), cartan_pair_generators(L, Om, c))
     assert via_ideal.pivots == via_pairs.pivots
     assert via_ideal.vectors == via_pairs.vectors
 
@@ -163,11 +161,11 @@ def test_quotient_hilbert_rejects_small_degree():
 def test_partial_span_gives_nonzero_quotient():
     # One quadric in two variables: the quotient of Sym[h] by (h1^2)
     # has dimensions 1, 2, 2, 2, ... in degrees 0, 1, 2, 3.
-    quadric = CartanPolynomial({(2, 0): 1}, 2, 2)
-    assert hilbert_from_quadrics(2, [quadric], 4) == [1, 2, 2, 2, 2]
+    h1h1, h2h2 = sym2_index(2, 0, 0), sym2_index(2, 1, 1)
+    assert hilbert_from_quadrics(2, [{h1h1: 1}], 4) == [1, 2, 2, 2, 2]
     # (h1^2, h2^2): only h1 h2 survives in degree 2, and degree 3 is
     # the first that the ideal fills.
-    squares = [CartanPolynomial({(2, 0): 1}, 2, 2), CartanPolynomial({(0, 2): 1}, 2, 2)]
+    squares = [{h1h1: 1}, {h2h2: 1}]
     assert hilbert_from_quadrics(2, squares, 8) == [1, 2, 1, 0, 0, 0, 0, 0, 0]
 
 
@@ -197,9 +195,9 @@ def test_sl2_generator_matches_classical_quadric():
     rescaled = {"hh": classical["hh"], "ef": 4 * classical["ef"]}
     assert c_hh * rescaled["ef"] == c_ef * rescaled["hh"]
     # And the restriction to the Cartan is a nonzero multiple of h^2.
-    poly = restrict_to_cartan(L, vec)
-    assert list(poly.coeffs) == [(2,)]
-    assert poly.coeffs[(2,)] != 0
+    poly = cartan_restriction(L, vec)
+    assert list(poly) == [0]
+    assert poly[0] != 0
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("D", 4)])
@@ -237,7 +235,7 @@ def test_projected_span_equals_the_span_of_every_restriction(family, rank):
     L, Om, c = pipeline(family, rank)
     ideal = degree2_ideal(L, Om, c)
     _, skipped = projected_span(L, ideal)
-    _, every = span_in_sym2h(rank, [restrict_to_cartan(L, vec) for vec in ideal.basis.vectors])
+    every = span_of(sym2_dim(rank), [cartan_restriction(L, vec) for vec in ideal.basis.vectors])
     assert skipped.pivots == every.pivots
     assert skipped.vectors == every.vectors
 
@@ -257,16 +255,23 @@ def test_negated_structure_constant_fails_the_dimension_check(family, rank, got,
         degree2_ideal(bad, Om, c)
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("D", 4)])
+@pytest.mark.parametrize("family,rank", (
+    [("A", r) for r in range(1, 7)] + [("D", r) for r in (4, 5, 6)] + [("E", 6)]
+))
 def test_restrict_to_cartan_keeps_exactly_the_cartan_monomials(family, rank):
+    # The layout the index shift in projected_span rests on: the monomials
+    # with both factors Cartan are exactly the indices from H(1)^2 on,
+    # in the order of Sym^2 h, which is also the order of the exponent
+    # tuples hilbert_from_quadrics reads the quadrics in.
     L = algebra_of(family, rank)
     base = 2 * L.npos
+    start = _cartan_start(L)
+    exps = monomial_exponents(rank, 2)
     for k, (p, q) in enumerate(sym2_pairs(L.dim)):
-        poly = restrict_to_cartan(L, {k: 3})
-        if p >= base:
+        assert (k >= start) == (p >= base and q >= base), (k, p, q)
+        if k >= start:
+            assert k - start == sym2_index(rank, p - base, q - base)
             exp = [0] * rank
             exp[p - base] += 1
             exp[q - base] += 1
-            assert poly.coeffs == {tuple(exp): 3}
-        else:
-            assert poly.is_zero()
+            assert exps[k - start] == tuple(exp)

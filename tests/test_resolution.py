@@ -2,8 +2,9 @@
 
 import pytest
 
+from minorbit import resolution
 from minorbit.resolution import betti_numbers, dynkin_tree, euler_characteristic
-from minorbit.rootsys import SimpleType, cartan_matrix
+from minorbit.rootsys import InvariantViolation, SimpleType, cartan_matrix
 
 ALL_TYPES = (
     [("A", r) for r in range(1, 9)]
@@ -78,3 +79,12 @@ def test_euler_matches_betti_alternating_sum(family, rank):
     model = betti_numbers(tr)
     assert euler_characteristic(tr) == model.betti[0] - model.betti[1] + model.betti[2]
     assert euler_characteristic(tr) == rank + 1
+
+
+def test_dropped_edge_fails_the_tree_check(monkeypatch):
+    real = resolution.dynkin_edges
+    monkeypatch.setattr(resolution, "dynkin_edges", lambda t: real(t)[1:])
+    with pytest.raises(InvariantViolation, match=(
+        "^resolution stage: E6: diagram has 4 edges, expected 5$"
+    )):
+        dynkin_tree(SimpleType("E", 6))

@@ -1,8 +1,11 @@
 """Root system construction, pairing and Weyl dimensions."""
 
+import dataclasses
+
 import pytest
 
 from minorbit.rootsys import (
+    InvariantViolation,
     Root,
     SimpleType,
     Weight,
@@ -183,6 +186,16 @@ def test_weyl_dim_rejects_non_dominant():
     rs = rs_of("A", 2)
     with pytest.raises(ValueError, match="dominant"):
         weyl_dim(rs, Weight((-1, 1)))
+
+
+def test_weyl_dim_names_the_type_and_the_weight():
+    # With the highest root dropped, the D4 product for 2 theta is not integral.
+    rs = rs_of("D", 4)
+    bad = dataclasses.replace(rs, positive_roots=rs.positive_roots[:-1])
+    with pytest.raises(InvariantViolation, match=(
+        r"^ideal stage: D4: Weyl dimension product for weight \(0, 2, 0, 0\) is not an integer"
+    )):
+        weyl_dim(bad, Weight((0, 2, 0, 0)))
 
 
 def test_weyl_dim_small_weights_are_integers():
