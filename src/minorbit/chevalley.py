@@ -218,7 +218,8 @@ class SplitCasimir:
 
     ``column(p, q)`` gives the image of the monomial x_p x_q without
     materializing the whole operator; ``matrix()`` assembles every
-    column once and caches the operator as those columns.
+    column once, packing each into a ``SparseMatrix`` as it is built, so
+    the operator never exists as one dict per column, and caches it.
     """
 
     def __init__(self, L: LieAlgebra):
@@ -265,13 +266,16 @@ class SplitCasimir:
         if w:
             k = offset[p] + q if p <= q else offset[q] + p
             out[k] = out.get(k, 0) + w
-        return {k: v for k, v in out.items() if v}
+        if 0 in out.values():
+            out = {k: v for k, v in out.items() if v}
+        return out
 
     def matrix(self) -> SparseMatrix:
-        """Full operator on the monomial basis, as its columns, cached after first assembly."""
+        """Full operator on the monomial basis, packed as it is assembled, then cached."""
         if self._matrix is None:
-            cols = [self.column(p, q) for p, q in sym2_pairs(self.L.dim)]
-            self._matrix = SparseMatrix.from_columns(self.sym_dim, cols)
+            self._matrix = SparseMatrix.from_columns(
+                self.sym_dim, (self.column(p, q) for p, q in sym2_pairs(self.L.dim))
+            )
         return self._matrix
 
 

@@ -1,8 +1,10 @@
 """Exact sparse linear algebra with fraction-free integer elimination.
 
-Vectors are dicts mapping coordinate index to a nonzero integer,
-matrices store their sparse columns, and rank and image computations
-push columns one at a time into a reduced echelon basis.
+Vectors are dicts mapping coordinate index to a nonzero integer.  A
+matrix packs its sparse columns into three 64-bit integer arrays
+(compressed-sparse-column form) and hands each column back as a fresh
+dict.  Rank and image computations push columns, from a matrix or any
+other iterable, one at a time into a reduced echelon basis.
 
 Every vector is an integer vector, and every operation is integer
 arithmetic: the kernel takes int entries only, and anything else, a
@@ -15,6 +17,7 @@ integers.  There is no floating point anywhere in this module.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from math import gcd, lcm
 from operator import itemgetter
@@ -55,68 +58,71 @@ def _primitive(w: SparseVec) -> SparseVec:
 
 
 class SparseMatrix:
-    """An nrows x ncols matrix stored as its sparse columns, nonzero integer entries only.
+    """An nrows x ncols integer matrix, packed in compressed-sparse-column form.
 
-    The columns are held in a tuple, so their number and order are fixed
-    once the matrix is built; the column dicts themselves are shared
-    with every caller of columns() and from_columns().
+    Three ``array("q")`` fields hold it: the entries of column j are the
+    pairs zip(_rows[a:b], _vals[a:b]) with a, b = _ptr[j], _ptr[j + 1].
+    A matrix is immutable once built, and from_columns() is its only
+    constructor.  column() and columns() hand out fresh dicts, so writing
+    into one never writes the matrix.
+
+    Every row index and entry must be an int that fits in 64 bits, and
+    that is enforced where it comes in: packing a ``Fraction``, integral
+    or not, or a float raises ``TypeError``, and an int beyond 64 bits
+    raises ``OverflowError``.
     """
 
-    def __init__(self, nrows: int, ncols: int, entries: Mapping | None = None):
-        if nrows < 0 or ncols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        self.nrows = nrows
-        self._cols: tuple[SparseVec, ...] = tuple({} for _ in range(ncols))
-        if entries:
-            for (r, c), v in entries.items():
-                self[r, c] = v
+    __slots__ = ("nrows", "_ptr", "_rows", "_vals")
 
     @classmethod
-    def from_columns(cls, nrows: int, cols: Iterable[SparseVec]) -> SparseMatrix:
-        """The matrix whose columns are cols: the dicts are held by reference, not copied.
+    def from_columns(cls, nrows: int, cols: Iterable[Mapping[int, int]]) -> SparseMatrix:
+        """The matrix whose columns are cols, each packed as it arrives.
 
-        Each column must be a sparse vector over range(nrows) with no zero
-        entries.  That is not checked here, as it costs a pass over every
-        entry; append_and_rank checks the coordinates of every column it
-        eliminates.
+        cols may be any iterable, a generator included, and is consumed
+        once.  Each column must be a sparse vector over range(nrows) with
+        no zero entries.  That is not checked here, as it costs a pass
+        over every entry; append_and_rank checks the coordinates of every
+        column it eliminates.
         """
-        m = cls(nrows, 0)
-        m._cols = tuple(cols)
+        if nrows < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        ptr, rows, vals = array("q", [0]), array("q"), array("q")
+        for col in cols:
+            rows.extend(col)
+            vals.extend(col.values())
+            ptr.append(len(rows))
+        m = cls.__new__(cls)
+        m.nrows, m._ptr, m._rows, m._vals = nrows, ptr, rows, vals
         return m
 
-    def _column(self, rc: tuple[int, int]) -> tuple[int, SparseVec]:
-        r, c = rc
-        if not (0 <= r < self.nrows and 0 <= c < self.ncols):
-            raise ValueError(f"index {rc} out of range for {self.nrows}x{self.ncols}")
-        return r, self._cols[c]
-
-    def __getitem__(self, rc: tuple[int, int]) -> int:
-        r, col = self._column(rc)
-        return col.get(r, 0)
-
-    def __setitem__(self, rc: tuple[int, int], value: int) -> None:
-        r, col = self._column(rc)
-        if value:
-            col[r] = value
-        else:
-            col.pop(r, None)
-
     def __eq__(self, other: object) -> bool:
+        """Equality as matrices: the order of the rows packed inside a column does not matter."""
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return self.nrows == other.nrows and self._cols == other._cols
+        return (
+            self.nrows == other.nrows
+            and self._ptr == other._ptr
+            and self.columns() == other.columns()
+        )
 
     @property
     def ncols(self) -> int:
-        return len(self._cols)
+        return len(self._ptr) - 1
 
     @property
     def nnz(self) -> int:
-        return sum(map(len, self._cols))
+        return len(self._vals)
+
+    def column(self, j: int) -> SparseVec:
+        """Column j as a fresh dict that the caller owns."""
+        if not 0 <= j < self.ncols:
+            raise IndexError(f"column {j} out of range for {self.ncols} columns")
+        a, b = self._ptr[j], self._ptr[j + 1]
+        return dict(zip(self._rows[a:b], self._vals[a:b]))
 
     def columns(self) -> tuple[SparseVec, ...]:
-        """The stored columns, empty ones included: not copies, so writing to one writes the matrix."""
-        return self._cols
+        """Every column, empty ones included, as fresh dicts."""
+        return tuple(map(self.column, range(self.ncols)))
 
 
 class EchelonBasis:
@@ -216,10 +222,10 @@ def direct_sum(dim: int, parts: Iterable[EchelonBasis]) -> EchelonBasis:
     return out
 
 
-def image_basis(m: SparseMatrix) -> EchelonBasis:
-    """Canonical reduced echelon basis of the column span of m."""
-    basis = EchelonBasis(m.nrows)
-    for col in m.columns():
+def image_basis(nrows: int, columns: Iterable[Mapping[int, int]]) -> EchelonBasis:
+    """Canonical reduced echelon basis of the span of columns, vectors over range(nrows)."""
+    basis = EchelonBasis(nrows)
+    for col in columns:
         append_and_rank(basis, col)
     return basis
 

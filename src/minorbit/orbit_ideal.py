@@ -26,7 +26,7 @@ from operator import add
 from typing import Iterator, Sequence
 
 from .chevalley import LieAlgebra, SplitCasimir, sym2_dim, sym2_index, sym2_pairs, sym2_unrank
-from .linalgx import EchelonBasis, SparseMatrix, SparseVec, append_and_rank, direct_sum, image_basis
+from .linalgx import EchelonBasis, SparseVec, append_and_rank, direct_sum, image_basis
 from .rootsys import InvariantViolation, root_to_weight, weyl_dim
 
 __all__ = [
@@ -56,21 +56,20 @@ class IdealDegree2:
         return len(self.basis)
 
 
-def weight_blocks(L: LieAlgebra, Omega: SplitCasimir, c) -> Iterator[SparseMatrix]:
+def weight_blocks(L: LieAlgebra, Omega: SplitCasimir, c) -> Iterator[list[SparseVec]]:
     """Yield (Omega - c) on Sym^2 g one torus-weight block at a time.
 
     The monomial x_p x_q has weight wt(x_p) + wt(x_q), and Omega commutes
     with the torus, so the image of a monomial only involves monomials
-    of the same weight.  A block holds the columns of one weight, in
-    monomial order, over the global row indices, each a copy of the
-    operator's column with c subtracted on the diagonal: the cached
-    operator is never written.  Every column is checked to lie in its
-    block: an entry outside is a construction bug, reported fatally,
-    and the check is what makes the rank of (Omega - c) exactly the sum
-    of the block ranks.
+    of the same weight.  A block is the list of columns of one weight,
+    in monomial order, over the global row indices.  Each column is a
+    fresh dict unpacked from the cached operator, so c is subtracted on
+    its diagonal in place and the operator is never written.  Every
+    column is checked to lie in its block: an entry outside is a
+    construction bug, reported fatally, and the check is what makes the
+    rank of (Omega - c) exactly the sum of the block ranks.
     """
     mat = Omega.matrix()
-    cols = mat.columns()
     nn = L.dim
     weights = L.weights_fw
     members: dict = {}
@@ -80,7 +79,7 @@ def weight_blocks(L: LieAlgebra, Omega: SplitCasimir, c) -> Iterator[SparseMatri
         rows = set(ks)
         block = []
         for k in ks:
-            col = cols[k]
+            col = mat.column(k)
             if not col.keys() <= rows:
                 r = next(r for r in col if r not in rows)
                 p, q = sym2_unrank(nn, k)
@@ -89,14 +88,13 @@ def weight_blocks(L: LieAlgebra, Omega: SplitCasimir, c) -> Iterator[SparseMatri
                     f"ideal stage: {L.rs.simple_type}: the image of monomial x_{p} x_{q} "
                     f"has an entry on x_{r1} x_{r2}, outside its weight block"
                 )
-            col = dict(col)
             v = col.get(k, 0) - c
             if v:
                 col[k] = v
             else:
                 col.pop(k, None)
             block.append(col)
-        yield SparseMatrix.from_columns(mat.nrows, block)
+        yield block
 
 
 def degree2_ideal(L: LieAlgebra, Omega: SplitCasimir, c) -> IdealDegree2:
@@ -108,12 +106,12 @@ def degree2_ideal(L: LieAlgebra, Omega: SplitCasimir, c) -> IdealDegree2:
     minus the Weyl dimension of the doubled highest weight is a
     construction bug, reported fatally.
     """
-    blocks = weight_blocks(L, Omega, c)
-    basis = direct_sum(sym2_dim(L.dim), [image_basis(m) for m in blocks])
+    nrows = sym2_dim(L.dim)
+    basis = direct_sum(nrows, [image_basis(nrows, block) for block in weight_blocks(L, Omega, c)])
     rs = L.rs
     theta2 = root_to_weight(rs, rs.highest_root).scaled(2)
     dim_v2theta = weyl_dim(rs, theta2)
-    expected = sym2_dim(L.dim) - dim_v2theta
+    expected = nrows - dim_v2theta
     if len(basis) != expected:
         raise InvariantViolation(
             f"ideal stage: {rs.simple_type}: degree-2 ideal has dimension {len(basis)}, "
@@ -178,7 +176,7 @@ def hilbert_from_quadrics(
     exps = monomial_exponents(n, 2)
     gens = [[(exps[k], c) for k, c in g.items()] for g in quadrics if g]
     for d in range(2, max_degree + 1):
-        monos = monomial_exponents(n, d)
+        monos = exps if d == 2 else monomial_exponents(n, d)
         pos = {e: i for i, e in enumerate(monos)}
         extras = monomial_exponents(n, d - 2)
         basis = EchelonBasis(len(monos))

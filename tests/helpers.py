@@ -50,8 +50,17 @@ def to_rows(m: SparseMatrix) -> list[list]:
     return rows
 
 
+def from_entries(nrows: int, ncols: int, entries: dict) -> SparseMatrix:
+    """The matrix with the given {(row, column): value} entries, zero values dropped."""
+    cols: list[dict] = [{} for _ in range(ncols)]
+    for (r, c), v in entries.items():
+        if v:
+            cols[c][r] = v
+    return SparseMatrix.from_columns(nrows, cols)
+
+
 def transpose(m: SparseMatrix) -> SparseMatrix:
-    return SparseMatrix(
+    return from_entries(
         m.ncols, m.nrows, {(c, r): v for c, col in enumerate(m.columns()) for r, v in col.items()}
     )
 
@@ -71,20 +80,20 @@ def mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
 
 def adjoint_matrix(L: LieAlgebra, x: int) -> SparseMatrix:
     """Matrix of ad(x) = [x, -] over the Chevalley basis."""
-    mat = SparseMatrix(L.dim, L.dim)
-    for j in range(L.dim):
-        for k, s in L.bracket(x, j):
-            mat[k, j] = s
-    return mat
+    return SparseMatrix.from_columns(L.dim, [dict(L.bracket(x, j)) for j in range(L.dim)])
 
 
 def shifted_casimir(family: str, rank: int, c: int = 2) -> SparseMatrix:
-    """The matrix of Omega - c on Sym^2 g, built entry by entry."""
+    """The matrix of Omega - c on Sym^2 g, built column by column."""
     mat = casimir_of(family, rank).matrix()
-    out = SparseMatrix.from_columns(mat.nrows, [dict(col) for col in mat.columns()])
-    for d in range(mat.ncols):
-        out[d, d] = mat[d, d] - c
-    return out
+    cols = mat.columns()
+    for d, col in enumerate(cols):
+        v = col.get(d, 0) - c
+        if v:
+            col[d] = v
+        else:
+            col.pop(d, None)
+    return SparseMatrix.from_columns(mat.nrows, cols)
 
 
 def all_pairs_column(Omega: SplitCasimir, p: int, q: int) -> dict:

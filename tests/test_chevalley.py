@@ -16,7 +16,15 @@ from minorbit.chevalley import (
 from minorbit.linalgx import SparseMatrix
 from minorbit.rootsys import InvariantViolation, pairing
 
-from helpers import adjoint_matrix, algebra_of, all_pairs_column, casimir_of, mul, transpose
+from helpers import (
+    adjoint_matrix,
+    algebra_of,
+    all_pairs_column,
+    casimir_of,
+    from_entries,
+    mul,
+    transpose,
+)
 
 SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("D", 4)]
 
@@ -122,9 +130,9 @@ def test_adjoint_matrix_a1():
     L = algebra_of("A", 1)
     h = L.h_index(0)
     ad_h = adjoint_matrix(L, h)
-    assert ad_h == SparseMatrix(3, 3, {(0, 0): 2, (1, 1): -2})
+    assert ad_h == SparseMatrix.from_columns(3, [{0: 2}, {1: -2}, {}])
     ad_e = adjoint_matrix(L, 0)
-    assert ad_e.columns()[L.f_index(0)] == {h: 1}
+    assert ad_e.column(L.f_index(0)) == {h: 1}
 
 
 @pytest.mark.parametrize("family,rank", SMALL_TYPES)
@@ -134,15 +142,15 @@ def test_trace_form_is_dual_coxeter_multiple(family, rank):
     L = algebra_of(family, rank)
     rs = L.rs
     hvee = 1 + rs.highest_root.height
-    ads = [adjoint_matrix(L, i) for i in range(L.dim)]
+    ads = [adjoint_matrix(L, i).columns() for i in range(L.dim)]
     for x in range(L.dim):
         ax = ads[x]
         for y in range(x, L.dim):
             ay = ads[y]
             tr = 0
-            for c, col in enumerate(ax.columns()):
+            for c, col in enumerate(ax):
                 for r, v in col.items():
-                    w = ay[c, r]
+                    w = ay[r].get(c, 0)
                     if w:
                         tr += v * w
             assert tr == 2 * hvee * L.form(x, y)
@@ -176,6 +184,16 @@ def test_column_matches_the_all_pairs_sum(family, rank):
         assert Om.column(p, q) == all_pairs_column(Om, p, q), (p, q)
 
 
+@pytest.mark.parametrize("family,rank", [("A", 2), ("D", 4), ("E", 6)])
+def test_matrix_packs_every_column_in_monomial_order(family, rank):
+    L = algebra_of(family, rank)
+    Om = casimir_of(family, rank)
+    cols = tuple(Om.column(p, q) for p, q in sym2_pairs(L.dim))
+    assert Om.matrix().columns() == cols
+    # No column keeps an entry whose sum cancelled to zero.
+    assert not any(0 in col.values() for col in cols)
+
+
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3)])
 def test_casimir_well_defined_on_monomials(family, rank):
     # The image of x_p x_q must not depend on the order of the factors.
@@ -191,9 +209,8 @@ def test_casimir_well_defined_on_monomials(family, rank):
 def _sym2_ad(L, x):
     """Derivation action of ad(x) on the monomial basis, built independently."""
     nn = L.dim
-    mat = SparseMatrix(sym2_dim(nn), sym2_dim(nn))
+    cols = []
     for p, q in sym2_pairs(nn):
-        col = sym2_index(nn, p, q)
         acc = {}
         for i, c in L.bracket(x, p):
             k = sym2_index(nn, i, q)
@@ -201,10 +218,8 @@ def _sym2_ad(L, x):
         for j, c in L.bracket(x, q):
             k = sym2_index(nn, p, j)
             acc[k] = acc.get(k, 0) + c
-        for k, v in acc.items():
-            if v:
-                mat[k, col] = v
-    return mat
+        cols.append({k: v for k, v in acc.items() if v})
+    return SparseMatrix.from_columns(sym2_dim(nn), cols)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("D", 4)])
@@ -223,13 +238,12 @@ def test_casimir_self_adjoint_for_induced_form(family, rank):
     L = algebra_of(family, rank)
     Om = casimir_of(family, rank).matrix()
     nn = L.dim
-    gram = SparseMatrix(sym2_dim(nn), sym2_dim(nn))
     pairs = sym2_pairs(nn)
-    for a, (p, q) in enumerate(pairs):
-        for b, (r, s) in enumerate(pairs):
-            v = L.form(p, r) * L.form(q, s) + L.form(p, s) * L.form(q, r)
-            if v:
-                gram[a, b] = v
+    gram = from_entries(sym2_dim(nn), sym2_dim(nn), {
+        (a, b): L.form(p, r) * L.form(q, s) + L.form(p, s) * L.form(q, r)
+        for a, (p, q) in enumerate(pairs)
+        for b, (r, s) in enumerate(pairs)
+    })
     lhs = mul(gram, Om)
     assert lhs == transpose(lhs)
 

@@ -20,6 +20,7 @@ from helpers import (
     casimir_of,
     dense_rank,
     fraction_echelon,
+    from_entries,
     shifted_casimir,
     to_rows,
     transpose,
@@ -33,47 +34,74 @@ def top_shifted_casimir(family, rk):
 def random_sparse(rng, max_side=200):
     nrows = rng.randint(1, max_side)
     ncols = rng.randint(1, max_side)
-    m = SparseMatrix(nrows, ncols)
+    entries = {}
     nnz = rng.randint(0, 3 * ncols)
     values = [1, -1, 2, -2, 3, 5, -6]
     for _ in range(nnz):
-        m[rng.randrange(nrows), rng.randrange(ncols)] = rng.choice(values)
-    return m
+        entries[rng.randrange(nrows), rng.randrange(ncols)] = rng.choice(values)
+    return from_entries(nrows, ncols, entries)
 
 
 def test_matrix_basic_invariants():
-    m = SparseMatrix(3, 3)
-    m[0, 0] = 5
-    m[0, 0] = 0
-    assert m.nnz == 0
-    m[1, 2] = -3
-    assert m[1, 2] == -3
-    assert m[0, 1] == 0
+    m = SparseMatrix.from_columns(3, [{}, {}, {1: -3}])
+    assert (m.nrows, m.ncols, m.nnz) == (3, 3, 1)
+    assert m.column(2) == {1: -3} and m.column(0) == {}
+    for j in (3, -1):
+        with pytest.raises(IndexError):
+            m.column(j)
     with pytest.raises(ValueError):
-        m[3, 0] = 1
-    with pytest.raises(ValueError):
-        SparseMatrix(2, 2, {(0, 5): 1})
+        SparseMatrix.from_columns(-1, [])
+    # There is no entry access and no coordinate-map constructor.
+    with pytest.raises(TypeError):
+        m[1, 2]
+    with pytest.raises(TypeError):
+        SparseMatrix(3, 3)
+    empty = SparseMatrix.from_columns(4, [])
+    assert (empty.ncols, empty.nnz, empty.columns()) == (0, 0, ())
 
 
 def test_sparse_matrix_stores_its_columns():
-    m = SparseMatrix(3, 2, {(0, 0): 4, (2, 0): -1, (1, 1): 5})
     cols = [{0: 4, 2: -1}, {1: 5}]
+    m = SparseMatrix.from_columns(3, iter(cols))
     assert m.columns() == tuple(cols)
     assert m.nnz == 3
-    same = SparseMatrix.from_columns(3, cols)
-    assert same == m
-    assert same.ncols == 2 and same[2, 0] == -1 and same[2, 1] == 0
-    # The columns are held, not copied: a write shows in the list passed in.
-    same[1, 0] = 7
-    assert cols[0] == {0: 4, 1: 7, 2: -1}
-    assert same != m and same.nnz == 4
-    assert SparseMatrix(4, 2, {(0, 0): 4, (2, 0): -1, (1, 1): 5}) != m
-    for r, c in ((3, 0), (0, 2), (-1, 0)):
-        with pytest.raises(ValueError):
-            m[r, c] = 1
-    # The column order is fixed: reordering the columns in place fails.
-    with pytest.raises(TypeError):
-        random.Random(0).shuffle(m.columns())
+    assert m == SparseMatrix.from_columns(3, cols)
+    # Equality is as matrices: the order of the rows inside a column is free.
+    assert m == SparseMatrix.from_columns(3, [{2: -1, 0: 4}, {1: 5}])
+    assert m != SparseMatrix.from_columns(4, cols)
+    assert m != SparseMatrix.from_columns(3, [{0: 4, 2: -1}, {1: 6}])
+    assert m != SparseMatrix.from_columns(3, [{0: 4}, {2: -1, 1: 5}])
+    assert m != SparseMatrix.from_columns(3, cols + [{}])
+    # The columns are packed, not held: a later write to the input does not show.
+    cols[0][1] = 7
+    assert m.column(0) == {0: 4, 2: -1}
+
+
+def test_writing_a_returned_column_leaves_the_matrix_intact():
+    cols = [{0: 4, 2: -1}, {}, {1: 5}]
+    m = SparseMatrix.from_columns(3, cols)
+    m.column(0)[1] = 7
+    m.column(1)[0] = 1
+    got = m.columns()
+    got[0].clear()
+    got[2][1] = 0
+    assert m == SparseMatrix.from_columns(3, cols)
+    assert m.columns() == tuple(cols)
+
+
+@pytest.mark.parametrize("bad,error", [
+    (Fraction(1, 3), TypeError),
+    (Fraction(2), TypeError),
+    (1.0, TypeError),
+    (2**63, OverflowError),
+    (-(2**63) - 1, OverflowError),
+])
+def test_from_columns_rejects_non_int64_entries(bad, error):
+    with pytest.raises(error):
+        SparseMatrix.from_columns(3, [{0: 1}, {1: bad}])
+    with pytest.raises(error):
+        SparseMatrix.from_columns(3, [{bad: 1}])
+    assert SparseMatrix.from_columns(3, [{2: 2**63 - 1, 0: -(2**63)}]).nnz == 2
 
 
 @pytest.mark.parametrize("bad", [-1, 5])
@@ -85,28 +113,24 @@ def test_append_and_rank_rejects_out_of_range_coordinates(bad):
 
 
 def test_rank_trivial():
-    assert len(image_basis(SparseMatrix(4, 7))) == 0
-    assert len(image_basis(SparseMatrix(5, 5, {(i, i): 1 for i in range(5)}))) == 5
+    assert len(image_basis(4, [{}] * 7)) == 0
+    assert len(image_basis(5, ({i: 1} for i in range(5)))) == 5
 
 
 def test_rank_a2_shifted_casimir():
     # 36 - 27 by the dimension count, and again by dense elimination.
     m = top_shifted_casimir("A", 2)
     assert m.nrows == 36
-    assert len(image_basis(m)) == 9
+    assert len(image_basis(m.nrows, m.columns())) == 9
     assert dense_rank(to_rows(m)) == 9
 
 
 def test_image_basis_identity_and_repeated_column():
-    basis = image_basis(SparseMatrix(4, 4, {(i, i): 1 for i in range(4)}))
+    basis = image_basis(4, [{i: 1} for i in range(4)])
     assert basis.pivots == [0, 1, 2, 3]
     assert basis.vectors == [{0: 1}, {1: 1}, {2: 1}, {3: 1}]
 
-    m = SparseMatrix(3, 4)
-    for j in range(4):
-        m[0, j] = 2
-        m[2, j] = -4
-    basis = image_basis(m)
+    basis = image_basis(3, [{0: 2, 2: -4}] * 4)
     assert len(basis) == 1
     assert basis.vectors == [{0: 1, 2: -2}]
 
@@ -115,7 +139,7 @@ def test_image_basis_a1_shifted_casimir():
     # The single generator as a primitive integer vector: 4 e.f + h.h,
     # proportional to 2 h.h + 8 e.f.
     m = top_shifted_casimir("A", 1)
-    basis = image_basis(m)
+    basis = image_basis(m.nrows, m.columns())
     ef = sym2_index(3, 0, 1)
     hh = sym2_index(3, 2, 2)
     assert len(basis) == 1
@@ -160,7 +184,7 @@ def test_echelon_invariants_on_random_matrices():
     rng = random.Random(2024)
     for _ in range(40):
         m = random_sparse(rng, max_side=60)
-        basis = image_basis(m)
+        basis = image_basis(m.nrows, m.columns())
         assert basis.pivots == sorted(basis.pivots)
         assert len(set(basis.pivots)) == len(basis.pivots)
         for i, vec in enumerate(basis.vectors):
@@ -180,7 +204,8 @@ def test_rank_equals_rank_of_transpose():
     rng = random.Random(99)
     for _ in range(30):
         m = random_sparse(rng, max_side=60)
-        assert len(image_basis(m)) == len(image_basis(transpose(m)))
+        t = transpose(m)
+        assert len(image_basis(m.nrows, m.columns())) == len(image_basis(t.nrows, t.columns()))
 
 
 def test_image_basis_is_canonical_under_column_shuffle():
@@ -188,12 +213,8 @@ def test_image_basis_is_canonical_under_column_shuffle():
     m = random_sparse(rng, max_side=30)
     cols = list(m.columns())
     rng.shuffle(cols)
-    shuffled = SparseMatrix(m.nrows, m.ncols)
-    for j, col in enumerate(cols):
-        for r, v in col.items():
-            shuffled[r, j] = v
-    b1 = image_basis(m)
-    b2 = image_basis(shuffled)
+    b1 = image_basis(m.nrows, m.columns())
+    b2 = image_basis(m.nrows, cols)
     assert b1.pivots == b2.pivots
     assert b1.vectors == b2.vectors
 
@@ -201,7 +222,7 @@ def test_image_basis_is_canonical_under_column_shuffle():
 def test_all_arithmetic_stays_rational():
     rng = random.Random(17)
     m = random_sparse(rng, max_side=25)
-    for vec in image_basis(m).vectors:
+    for vec in image_basis(m.nrows, m.columns()).vectors:
         for v in vec.values():
             assert type(v) is int
 
@@ -218,13 +239,13 @@ def sparse_matrices(draw):
         st.sampled_from(VALUES),
         max_size=3 * ncols,
     ))
-    return SparseMatrix(nrows, ncols, entries)
+    return from_entries(nrows, ncols, entries)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(sparse_matrices())
 def test_integer_basis_is_the_monic_fraction_basis_rescaled(m):
-    basis = image_basis(m)
+    basis = image_basis(m.nrows, m.columns())
     pivots, vectors = fraction_echelon(m.columns())
     assert basis.pivots == pivots
     for pivot, vec in zip(basis.pivots, basis.vectors):
@@ -258,8 +279,8 @@ def test_fraction_entries_raise_type_error():
 
 
 def test_direct_sum_sorts_disjoint_bases_by_pivot():
-    a = image_basis(SparseMatrix(6, 2, {(1, 0): 2, (4, 0): 2, (3, 1): -1}))
-    b = image_basis(SparseMatrix(6, 1, {(0, 0): 1, (2, 0): -3}))
+    a = image_basis(6, [{1: 2, 4: 2}, {3: -1}])
+    b = image_basis(6, [{0: 1, 2: -3}])
     merged = direct_sum(6, [a, b])
     assert merged.pivots == [0, 1, 3]
     assert merged.vectors == [{0: 1, 2: -3}, {1: 1, 4: 1}, {3: 1}]
