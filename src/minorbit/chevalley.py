@@ -31,8 +31,9 @@ where the Cartan part of the sum collapses to the weight pairing
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from operator import mul
-from typing import Optional
+from typing import Iterator, Optional
 
 from .linalgx import SparseMatrix, SparseVec
 from .rootsys import InvariantViolation, RootSystem, root_to_weight, pairing
@@ -41,7 +42,6 @@ __all__ = [
     "LieAlgebra",
     "SplitCasimir",
     "build_chevalley",
-    "split_casimir",
     "casimir_top_eigenvalue",
     "sym2_dim",
     "sym2_index",
@@ -209,8 +209,9 @@ def sym2_unrank(n: int, k: int) -> tuple[int, int]:
     return p, p + k
 
 
-def sym2_pairs(n: int) -> list[tuple[int, int]]:
-    return [(p, q) for p in range(n) for q in range(p, n)]
+def sym2_pairs(n: int) -> Iterator[tuple[int, int]]:
+    """Every pair p <= q, lazily, in sym2_index order."""
+    return combinations_with_replacement(range(n), 2)
 
 
 class SplitCasimir:
@@ -277,11 +278,6 @@ class SplitCasimir:
                 self.sym_dim, (self.column(p, q) for p, q in sym2_pairs(self.L.dim))
             )
         return self._matrix
-
-
-def split_casimir(L: LieAlgebra) -> SplitCasimir:
-    """The split Casimir operator of L on its symmetric square."""
-    return SplitCasimir(L)
 
 
 def casimir_top_eigenvalue(Omega: SplitCasimir) -> int:

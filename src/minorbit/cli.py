@@ -1,8 +1,8 @@
 """Batch verifier and report emission.
 
 For each requested ADE type this runs the full pipeline: root system,
-Chevalley basis, split Casimir, quadratic ideal (the full image, with
-its dimension checked against the Weyl formula), Cartan restriction,
+Chevalley basis, split Casimir, quadratic ideal (every weight block
+ranked, the total checked against the Weyl formula), Cartan restriction,
 quotient Hilbert function and the resolution cohomology, plus, for
 family A, the oracle built from 2x2 minors and the matrix square.
 Verification failures are data in the report; only construction bugs
@@ -18,7 +18,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .chevalley import build_chevalley, casimir_top_eigenvalue, split_casimir, sym2_dim
+from .chevalley import SplitCasimir, build_chevalley, casimir_top_eigenvalue, sym2_dim
 from .orbit_ideal import degree2_ideal, projected_span, quotient_hilbert
 from .resolution import betti_numbers, dynkin_tree, euler_characteristic
 from .rootsys import InvariantViolation, SimpleType, build_root_system
@@ -69,9 +69,9 @@ def _pad(xs: list, length: int) -> list:
 def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
     """Run every check for one type and assemble the report.
 
-    The degree-2 ideal is always the full image of (Omega - c) on the
-    symmetric square, with its dimension checked against the Weyl
-    formula, so a broken construction raises for every rank.
+    The dimension of the degree-2 ideal, the image of (Omega - c) on
+    the symmetric square, is always checked against the Weyl formula,
+    so a broken construction raises for every rank.
     """
     if max_degree < 2:
         raise ValueError(f"max_degree must be at least 2, got {max_degree}")
@@ -89,7 +89,7 @@ def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
     mark("root_system")
     L = build_chevalley(rs)
     mark("chevalley")
-    Omega = split_casimir(L)
+    Omega = SplitCasimir(L)
     c = casimir_top_eigenvalue(Omega)
     mark("casimir")
 
@@ -161,12 +161,8 @@ def _poincare_str(coeffs: list) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def emit_report(r: VerificationReport, format: str) -> bytes:
-    """Serialize one report; json round-trips, text is a fixed-width table."""
-    if format == "json":
-        return (json.dumps(r.to_dict(), indent=2) + "\n").encode()
-    if format != "text":
-        raise ValueError(f"unknown report format {format!r}")
+def emit_report(r: VerificationReport) -> bytes:
+    """One report as a fixed-width text table."""
     rows = [
         f"type: {r.family}{r.rank}",
         f"dim_g: {r.dim_g}",
@@ -237,7 +233,7 @@ def main(argv: Optional[list] = None) -> int:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         for r in reports:
-            sys.stdout.write(emit_report(r, "text").decode())
+            sys.stdout.write(emit_report(r).decode())
 
     return 0 if all(r.passed for r in reports) else 1
 

@@ -158,7 +158,7 @@ def test_trace_form_is_dual_coxeter_multiple(family, rank):
 
 def test_sym2_indexing_roundtrip():
     n = 7
-    pairs = sym2_pairs(n)
+    pairs = list(sym2_pairs(n))
     assert len(pairs) == sym2_dim(n)
     for flat, (p, q) in enumerate(pairs):
         assert sym2_index(n, p, q) == flat
@@ -238,7 +238,7 @@ def test_casimir_self_adjoint_for_induced_form(family, rank):
     L = algebra_of(family, rank)
     Om = casimir_of(family, rank).matrix()
     nn = L.dim
-    pairs = sym2_pairs(nn)
+    pairs = list(sym2_pairs(nn))
     gram = from_entries(sym2_dim(nn), sym2_dim(nn), {
         (a, b): L.form(p, r) * L.form(q, s) + L.form(p, s) * L.form(q, r)
         for a, (p, q) in enumerate(pairs)

@@ -59,24 +59,28 @@ def test_verify_rejects_bad_arguments():
         verify(SimpleType("A", 2), max_degree=1)
 
 
-def test_json_report_round_trips():
+def test_json_report_round_trips(capsys):
+    code = main(["--family", "A", "--rank", "2", "--format", "json"])
+    assert code == 0
+    parsed = VerificationReport(**json.loads(capsys.readouterr().out))
     r = verify(SimpleType("A", 2))
-    blob = emit_report(r, "json")
-    parsed = VerificationReport(**json.loads(blob.decode()))
+    assert parsed.timings_ms.keys() == r.timings_ms.keys()
+    parsed.timings_ms = r.timings_ms
     assert parsed == r
 
 
 def test_text_report_contains_pass_line():
     r = verify(SimpleType("A", 1))
-    text = emit_report(r, "text").decode()
+    text = emit_report(r).decode()
     assert "hikita_match: PASS" in text
     assert "oracle_match: PASS" in text
 
 
-def test_unknown_format_rejected():
-    r = verify(SimpleType("A", 1))
-    with pytest.raises(ValueError, match="format"):
-        emit_report(r, "yaml")
+def test_unknown_format_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--family", "A", "--rank", "1", "--format", "yaml"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_json_stable_fields_across_runs():
