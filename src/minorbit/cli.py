@@ -1,8 +1,8 @@
 """Batch verifier and report emission.
 
 For each requested ADE type this runs the full pipeline: root system,
-Chevalley basis, split Casimir, quadratic ideal (every weight block
-ranked, the total checked against the Weyl formula), Cartan restriction,
+Chevalley basis, split Casimir, quadratic ideal (the full image, with
+its dimension checked against the Weyl formula), Cartan restriction,
 quotient Hilbert function and the resolution cohomology, plus, for
 family A, the oracle built from 2x2 minors and the matrix square.
 Verification failures are data in the report; only construction bugs
@@ -69,9 +69,9 @@ def _pad(xs: list, length: int) -> list:
 def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
     """Run every check for one type and assemble the report.
 
-    The dimension of the degree-2 ideal, the image of (Omega - c) on
-    the symmetric square, is always checked against the Weyl formula,
-    so a broken construction raises for every rank.
+    The degree-2 ideal is always the full image of (Omega - c) on the
+    symmetric square, with its dimension checked against the Weyl
+    formula, so a broken construction raises for every rank.
     """
     if max_degree < 2:
         raise ValueError(f"max_degree must be at least 2, got {max_degree}")

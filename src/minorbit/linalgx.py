@@ -20,6 +20,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "EchelonBasis",
     "addmul",
     "append_and_rank",
+    "direct_sum",
     "image_basis",
 ]
 
@@ -199,6 +201,25 @@ def append_and_rank(basis: EchelonBasis, v: Mapping[int, int]) -> tuple[EchelonB
     basis.vectors.insert(at, w)
     basis._by_pivot[pivot] = w
     return basis, True
+
+
+def direct_sum(dim: int, parts: Iterable[EchelonBasis]) -> EchelonBasis:
+    """One basis from echelon bases of subspaces with pairwise disjoint supports.
+
+    No coordinate is shared, so the union is already reduced and the
+    merge is a sort by pivot.
+    """
+    out = EchelonBasis(dim)
+    pairs = sorted(
+        (pair for part in parts for pair in zip(part.pivots, part.vectors)),
+        key=itemgetter(0),
+    )
+    out.pivots = [p for p, _ in pairs]
+    out.vectors = [vec for _, vec in pairs]
+    out._by_pivot = dict(pairs)
+    if len(out._by_pivot) != len(pairs):
+        raise ValueError("bases to merge share a pivot coordinate")
+    return out
 
 
 def image_basis(nrows: int, columns: Iterable[Mapping[int, int]]) -> EchelonBasis:

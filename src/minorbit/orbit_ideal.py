@@ -5,11 +5,9 @@ on the symmetric square of g, where Omega is the split Casimir and c
 its scalar on the square of a highest-weight vector: the operator acts
 by distinct scalars on the irreducible summands, the top summand is the
 kernel of the shift, and everything else is the ideal.  The image is
-taken one torus-weight block at a time, in integer arithmetic, and the
-sum of the block ranks is checked against the Weyl dimension formula at
-every construction.  Only the zero-weight block keeps its basis: every
-H(i) H(j) has weight zero, so no other block restricts to a nonzero
-quadric on the Cartan.
+taken one torus-weight block at a time, in integer arithmetic, and its
+dimension is checked against the Weyl dimension formula at every
+construction.
 
 Restriction to the Cartan subalgebra sends E and F coordinates to zero
 and H(i) to the polynomial variable h_i; quotienting Sym[h] by the span
@@ -28,7 +26,7 @@ from operator import add
 from typing import Iterator, Sequence
 
 from .chevalley import LieAlgebra, SplitCasimir, sym2_dim, sym2_index, sym2_pairs, sym2_unrank
-from .linalgx import EchelonBasis, SparseVec, append_and_rank, image_basis
+from .linalgx import EchelonBasis, SparseVec, append_and_rank, direct_sum, image_basis
 from .rootsys import InvariantViolation, root_to_weight, weyl_dim
 
 __all__ = [
@@ -44,35 +42,32 @@ __all__ = [
 
 @dataclass
 class IdealDegree2:
-    """The degree-2 ideal component inside Sym^2 g, as far as the check reads it.
+    """Echelon basis of the degree-2 ideal component inside Sym^2 g.
 
-    basis is the echelon basis of the zero-weight part of the ideal, the
-    only part that restricts to the Cartan.  dim is the dimension of the
-    whole ideal, the sum of the block ranks, and dim_v2theta the Weyl
-    dimension of V(2 theta), the kernel of the shift, which dim was
-    checked against.
+    dim_v2theta is the Weyl dimension of V(2 theta), the kernel of the
+    shift, which the ideal dimension was checked against.
     """
 
     basis: EchelonBasis
-    dim: int
     dim_v2theta: int
 
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
-def weight_blocks(
-    L: LieAlgebra, Omega: SplitCasimir, c
-) -> Iterator[tuple[tuple[int, ...], list[SparseVec]]]:
+
+def weight_blocks(L: LieAlgebra, Omega: SplitCasimir, c) -> Iterator[list[SparseVec]]:
     """Yield (Omega - c) on Sym^2 g one torus-weight block at a time.
 
     The monomial x_p x_q has weight wt(x_p) + wt(x_q), and Omega commutes
     with the torus, so the image of a monomial only involves monomials
-    of the same weight.  A block is its weight, in fundamental-weight
-    coordinates, and the list of its columns, in monomial order, over
-    the global row indices.  Each column is a fresh dict unpacked from
-    the cached operator, so c is subtracted on its diagonal in place and
-    the operator is never written.  Every column is checked to lie in
-    its block: an entry outside is a construction bug, reported fatally,
-    and the check is what makes the rank of (Omega - c) exactly the sum
-    of the block ranks.
+    of the same weight.  A block is the list of columns of one weight,
+    in monomial order, over the global row indices.  Each column is a
+    fresh dict unpacked from the cached operator, so c is subtracted on
+    its diagonal in place and the operator is never written.  Every
+    column is checked to lie in its block: an entry outside is a
+    construction bug, reported fatally, and the check is what makes the
+    rank of (Omega - c) exactly the sum of the block ranks.
     """
     mat = Omega.matrix()
     nn = L.dim
@@ -80,7 +75,7 @@ def weight_blocks(
     members: dict = {}
     for k, (p, q) in enumerate(sym2_pairs(nn)):
         members.setdefault(tuple(map(add, weights[p], weights[q])), []).append(k)
-    for weight, ks in members.items():
+    for ks in members.values():
         rows = set(ks)
         block = []
         for k in ks:
@@ -99,35 +94,30 @@ def weight_blocks(
             else:
                 col.pop(k, None)
             block.append(col)
-        yield weight, block
+        yield block
 
 
 def degree2_ideal(L: LieAlgebra, Omega: SplitCasimir, c) -> IdealDegree2:
-    """Image of (Omega - c) on Sym^2 g, with its dimension verified.
+    """Image basis of (Omega - c) on Sym^2 g, with its dimension verified.
 
-    The image is taken block by block over the torus weights.  Every
-    block's rank counts towards the dimension, and the zero-weight
-    block keeps its basis.  A dimension other than dim Sym^2 g minus the
-    Weyl dimension of the doubled highest weight is a construction bug,
-    reported fatally.
+    The image is taken block by block over the torus weights and the
+    block bases, whose supports are disjoint, are merged into the
+    canonical basis of the whole image.  A mismatch against dim Sym^2 g
+    minus the Weyl dimension of the doubled highest weight is a
+    construction bug, reported fatally.
     """
     nrows = sym2_dim(L.dim)
-    dim = 0
-    for weight, block in weight_blocks(L, Omega, c):
-        image = image_basis(nrows, block)
-        dim += len(image)
-        if not any(weight):
-            basis = image
+    basis = direct_sum(nrows, [image_basis(nrows, block) for block in weight_blocks(L, Omega, c)])
     rs = L.rs
     theta2 = root_to_weight(rs, rs.highest_root).scaled(2)
     dim_v2theta = weyl_dim(rs, theta2)
     expected = nrows - dim_v2theta
-    if dim != expected:
+    if len(basis) != expected:
         raise InvariantViolation(
-            f"ideal stage: {rs.simple_type}: degree-2 ideal has dimension {dim}, "
+            f"ideal stage: {rs.simple_type}: degree-2 ideal has dimension {len(basis)}, "
             f"expected {expected}"
         )
-    return IdealDegree2(basis, dim, dim_v2theta)
+    return IdealDegree2(basis, dim_v2theta)
 
 
 def _cartan_start(L: LieAlgebra) -> int:
@@ -137,18 +127,21 @@ def _cartan_start(L: LieAlgebra) -> int:
 
 
 def projected_span(L: LieAlgebra, I2: IdealDegree2) -> tuple[int, EchelonBasis]:
-    """Restrict the zero-weight ideal basis to the Cartan and span inside Sym^2 h.
+    """Restrict the ideal basis vectors to the Cartan and span inside Sym^2 h.
 
     The Cartan positions come last, so the monomials H(i) H(j) are the
     indices from that of H(1)^2 on, laid out as Sym^2 h: restriction
-    drops the lower indices and shifts the rest.  The expected rank is
-    rank(rank+1)/2; falling short is a verification failure for the
-    caller to report, not an error here.
+    drops the lower indices and shifts the rest.  Only a vector whose
+    highest coordinate reaches H(1)^2 restricts to a nonzero quadric;
+    the others are skipped.  The expected rank is rank(rank+1)/2;
+    falling short is a verification failure for the caller to report,
+    not an error here.
     """
     first = _cartan_start(L)
     basis = EchelonBasis(sym2_dim(L.rs.rank))
     for vec in I2.basis.vectors:
-        append_and_rank(basis, {k - first: c for k, c in vec.items() if k >= first})
+        if max(vec) >= first:
+            append_and_rank(basis, {k - first: c for k, c in vec.items() if k >= first})
     return len(basis), basis
 
 

@@ -16,12 +16,10 @@ from minorbit.chevalley import (
     LieAlgebra,
     SplitCasimir,
     build_chevalley,
-    sym2_dim,
     sym2_index,
     sym2_unrank,
 )
-from minorbit.linalgx import SparseMatrix, addmul, image_basis
-from minorbit.orbit_ideal import weight_blocks
+from minorbit.linalgx import SparseMatrix, addmul
 from minorbit.rootsys import RootSystem, SimpleType, build_root_system
 from minorbit.sln_oracle import MatrixPolynomial
 
@@ -171,17 +169,6 @@ def cartan_pair_generators(L: LieAlgebra, Omega: SplitCasimir, c) -> list[dict]:
                 col.pop(k, None)
             out.append(cartan_restriction(L, col))
     return out
-
-
-def full_ideal_vectors(L: LieAlgebra, Omega: SplitCasimir, c) -> list[dict]:
-    """Every vector of the image basis of (Omega - c), one weight block after another.
-
-    degree2_ideal keeps only the zero-weight basis; this keeps them all.
-    """
-    nrows = sym2_dim(L.dim)
-    return [
-        vec for _, block in weight_blocks(L, Omega, c) for vec in image_basis(nrows, block).vectors
-    ]
 
 
 def negate_first_ee_constant(L: LieAlgebra) -> LieAlgebra:

@@ -12,6 +12,7 @@ from minorbit.linalgx import (
     EchelonBasis,
     SparseMatrix,
     append_and_rank,
+    direct_sum,
     image_basis,
 )
 
@@ -275,3 +276,15 @@ def test_fraction_entries_raise_type_error():
         with pytest.raises(TypeError):
             basis.reduce(v)
     assert basis.pivots == [0] and basis.vectors == [{0: 2, 3: -1}]
+
+
+def test_direct_sum_sorts_disjoint_bases_by_pivot():
+    a = image_basis(6, [{1: 2, 4: 2}, {3: -1}])
+    b = image_basis(6, [{0: 1, 2: -3}])
+    merged = direct_sum(6, [a, b])
+    assert merged.pivots == [0, 1, 3]
+    assert merged.vectors == [{0: 1, 2: -3}, {1: 1, 4: 1}, {3: 1}]
+    _, grew = append_and_rank(merged, {1: 5, 4: 5, 0: 1, 2: -3})
+    assert not grew
+    with pytest.raises(ValueError):
+        direct_sum(6, [a, a])
