@@ -31,8 +31,9 @@ where the Cartan part of the sum collapses to the weight pairing
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
-from operator import mul
+from bisect import bisect_left
+from itertools import combinations_with_replacement, islice
+from operator import itemgetter, mul
 from typing import Iterator, Optional
 
 from .linalgx import SparseMatrix, SparseVec
@@ -217,10 +218,11 @@ def sym2_pairs(n: int) -> Iterator[tuple[int, int]]:
 class SplitCasimir:
     """Split Casimir acting on the symmetric square, assembled on demand.
 
-    ``column(p, q)`` gives the image of the monomial x_p x_q without
-    materializing the whole operator; ``matrix()`` assembles every
-    column once, packing each into a ``SparseMatrix`` as it is built, so
-    the operator never exists as one dict per column, and caches it.
+    The operator is built one row of monomials at a time: ``_row(p)``
+    gives the images of x_p x_q for every q >= p, in monomial order.
+    ``column(p, q)`` reads one image off that row, and ``matrix()``
+    packs every row into a ``SparseMatrix`` as it is built, so the
+    operator never exists as one dict per column, and caches it.
     """
 
     def __init__(self, L: LieAlgebra):
@@ -234,14 +236,19 @@ class SplitCasimir:
         signed = roots + [tuple(-x for x in u) for u in roots] + [(0,) * n] * n
         self._weight_root = list(zip(L.weights_fw, signed))
         # Bracket index, built once: _ad[p] maps each root vector x with
-        # [x, x_p] != 0 to that bracket, and _co[q] maps x to [dual(x), x_q].
-        # The root part of column (p, q) sums [x, x_p] [dual(x), x_q] over
-        # the x keyed in both, so empty brackets are never visited.
+        # [x, x_p] != 0 to that bracket, and _inv[x] lists a triple
+        # (q, j, c) for every term c x_j of every nonzero [dual(x), x_q],
+        # sorted by q.  The root part of column (p, q) sums
+        # [x, x_p] [dual(x), x_q] over the x keyed in _ad[p] whose list
+        # holds q, so a row visits only nonzero products.
         m = L.npos
         nn = L.dim
         dual = list(range(m, 2 * m)) + list(range(m))
         self._ad = [{x: u for x in range(2 * m) if (u := L.bracket(x, p))} for p in range(nn)]
-        self._co = [{dual[x]: u for x, u in ad.items()} for ad in self._ad]
+        self._inv = [[] for _ in range(2 * m)]
+        for q, ad in enumerate(self._ad):
+            for x, u in ad.items():
+                self._inv[dual[x]].extend((q, j, c) for j, c in u)
         # sym2_index(nn, i, j) == _offset[i] + j for i <= j.
         self._offset = [i * (2 * nn - i - 1) // 2 for i in range(nn)]
 
@@ -251,31 +258,35 @@ class SplitCasimir:
         uq = self._weight_root[q][1]
         return sum(map(mul, wp, uq))
 
+    def _row(self, p: int) -> list[SparseVec]:
+        """Images of x_p x_q for q = p, p + 1, ..., in monomial order, as sparse vectors."""
+        offset = self._offset
+        row = [{} for _ in range(p, self.L.dim)]
+        for x, terms in self._ad[p].items():
+            inv = self._inv[x]
+            start = bisect_left(inv, p, key=itemgetter(0))
+            for i, ci in terms:
+                oi = offset[i]
+                for q, j, cj in islice(inv, start, None):
+                    out = row[q - p]
+                    k = oi + j if i <= j else offset[j] + i
+                    out[k] = out.get(k, 0) + ci * cj
+        base = offset[p]
+        for q, out in enumerate(row, p):
+            w = self.weight_pairing(p, q)
+            if w:
+                out[base + q] = out.get(base + q, 0) + w
+        return [{k: v for k, v in out.items() if v} if 0 in out.values() else out for out in row]
+
     def column(self, p: int, q: int) -> SparseVec:
         """Image of the monomial x_p x_q, as a sparse vector over monomials."""
-        out: dict = {}
-        adp = self._ad[p]
-        coq = self._co[q]
-        offset = self._offset
-        for x in adp.keys() & coq.keys():
-            v = coq[x]
-            for i, ci in adp[x]:
-                for j, cj in v:
-                    k = offset[i] + j if i <= j else offset[j] + i
-                    out[k] = out.get(k, 0) + ci * cj
-        w = self.weight_pairing(p, q)
-        if w:
-            k = offset[p] + q if p <= q else offset[q] + p
-            out[k] = out.get(k, 0) + w
-        if 0 in out.values():
-            out = {k: v for k, v in out.items() if v}
-        return out
+        return self._row(min(p, q))[abs(q - p)]
 
     def matrix(self) -> SparseMatrix:
-        """Full operator on the monomial basis, packed as it is assembled, then cached."""
+        """Full operator on the monomial basis, packed row by row as it is assembled, then cached."""
         if self._matrix is None:
             self._matrix = SparseMatrix.from_columns(
-                self.sym_dim, (self.column(p, q) for p, q in sym2_pairs(self.L.dim))
+                self.sym_dim, (col for p in range(self.L.dim) for col in self._row(p))
             )
         return self._matrix
 

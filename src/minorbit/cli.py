@@ -211,6 +211,8 @@ def main(argv: Optional[list] = None) -> int:
 
     if args.all is None and (args.family is None or args.rank is None):
         parser.error("either --all or both --family and --rank are required")
+    if args.all is not None and (args.family is not None or args.rank is not None):
+        parser.error("--all cannot be combined with --family or --rank")
 
     try:
         if args.all is not None:

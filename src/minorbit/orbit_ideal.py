@@ -20,9 +20,9 @@ exactly that order, so restriction is a shift of the index.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from operator import add
+from itertools import combinations_with_replacement, groupby
 from typing import Iterator, Sequence
 
 from .chevalley import LieAlgebra, SplitCasimir, sym2_dim, sym2_index, sym2_pairs, sym2_unrank
@@ -61,27 +61,36 @@ def weight_blocks(L: LieAlgebra, Omega: SplitCasimir, c) -> Iterator[list[Sparse
 
     The monomial x_p x_q has weight wt(x_p) + wt(x_q), and Omega commutes
     with the torus, so the image of a monomial only involves monomials
-    of the same weight.  A block is the list of columns of one weight,
-    in monomial order, over the global row indices.  Each column is a
-    fresh dict unpacked from the cached operator, so c is subtracted on
-    its diagonal in place and the operator is never written.  Every
-    column is checked to lie in its block: an entry outside is a
-    construction bug, reported fatally, and the check is what makes the
-    rank of (Omega - c) exactly the sum of the block ranks.
+    of the same weight.  A weight is encoded as one integer, its
+    coordinates read as balanced digits in base 4 top + 1, where top is
+    the largest |coordinate| of a weight of g: a coordinate of a sum of
+    two weights lies in [-2 top, 2 top], so the key of x_p x_q, which is
+    key[p] + key[q], determines its weight.  A block is the list of
+    columns of one weight, in monomial order, over the global row
+    indices.  Each column is a fresh dict read straight from the packed
+    arrays of the cached operator, so c is subtracted on its diagonal in
+    place and the operator is never written.  Every column is checked to
+    lie in its block: an entry outside is a construction bug, reported
+    fatally, and the check is what makes the rank of (Omega - c) exactly
+    the sum of the block ranks.
     """
     mat = Omega.matrix()
     nn = L.dim
     weights = L.weights_fw
-    members: dict = {}
-    for k, (p, q) in enumerate(sym2_pairs(nn)):
-        members.setdefault(tuple(map(add, weights[p], weights[q])), []).append(k)
-    for ks in members.values():
-        rows = set(ks)
+    base = 4 * max(abs(x) for w in weights for x in w) + 1
+    key = [sum(x * base**i for i, x in enumerate(w)) for w in weights]
+    keys = array("q", [key[p] + key[q] for p, q in sym2_pairs(nn)])
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ptr, rows, vals = mat._ptr, mat._rows, mat._vals
+    for _, group in groupby(order, keys.__getitem__):
+        ks = list(group)
+        members = set(ks)
         block = []
         for k in ks:
-            col = mat.column(k)
-            if not col.keys() <= rows:
-                r = next(r for r in col if r not in rows)
+            a, b = ptr[k], ptr[k + 1]
+            col = dict(zip(rows[a:b], vals[a:b]))
+            if not col.keys() <= members:
+                r = next(r for r in col if r not in members)
                 p, q = sym2_unrank(nn, k)
                 r1, r2 = sym2_unrank(nn, r)
                 raise InvariantViolation(
@@ -107,7 +116,7 @@ def degree2_ideal(L: LieAlgebra, Omega: SplitCasimir, c) -> IdealDegree2:
     construction bug, reported fatally.
     """
     nrows = sym2_dim(L.dim)
-    basis = direct_sum(nrows, [image_basis(nrows, block) for block in weight_blocks(L, Omega, c)])
+    basis = direct_sum(nrows, (image_basis(nrows, block) for block in weight_blocks(L, Omega, c)))
     rs = L.rs
     theta2 = root_to_weight(rs, rs.highest_root).scaled(2)
     dim_v2theta = weyl_dim(rs, theta2)

@@ -132,6 +132,17 @@ def test_main_usage_errors():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("extra", [
+    ["--family", "E", "--rank", "8"], ["--family", "E"], ["--rank", "8"],
+])
+def test_all_with_a_single_type_flag_is_a_usage_error(capsys, monkeypatch, extra):
+    monkeypatch.setattr(cli, "verify_all", lambda *a: pytest.fail("verified despite the usage error"))
+    with pytest.raises(SystemExit) as exc:
+        main(["--all", "2", *extra])
+    assert exc.value.code == 2
+    assert "--all cannot be combined with --family or --rank" in capsys.readouterr().err
+
+
 def test_main_invalid_rank_exits_two(capsys):
     code = main(["--family", "D", "--rank", "3"])
     assert code == 2

@@ -1,5 +1,7 @@
 """Degree-2 ideal, Cartan restriction and quotient Hilbert functions."""
 
+from operator import add
+
 import pytest
 
 from minorbit.chevalley import (
@@ -9,7 +11,8 @@ from minorbit.chevalley import (
     sym2_index,
     sym2_pairs,
 )
-from minorbit.linalgx import image_basis
+from minorbit.cli import ade_types
+from minorbit.linalgx import SparseMatrix, image_basis
 from minorbit.orbit_ideal import (
     IdealDegree2,
     _cartan_start,
@@ -206,19 +209,43 @@ def test_block_ranks_sum_to_the_dense_rank(family, rank):
     assert block_ranks == degree2_ideal(L, Om, c).dim
 
 
+class _Identity:
+    """Stands in for the Casimir: column k of its matrix is the unit vector on monomial k."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def matrix(self):
+        return SparseMatrix.from_columns(self.n, ({k: 1} for k in range(self.n)))
+
+
+@pytest.mark.parametrize("t", ade_types(8), ids=str)
+def test_weight_blocks_partition_the_monomials_by_weight_tuple(t):
+    # With the identity operator and c = 0 each yielded column is {k: 1},
+    # so a block reads back as its monomials; the integer key must group
+    # them exactly as the weight tuples do, each block in monomial order.
+    L = algebra_of(t.family, t.rank)
+    wt = L.weights_fw
+    by_tuple: dict = {}
+    for k, (p, q) in enumerate(sym2_pairs(L.dim)):
+        by_tuple.setdefault(tuple(map(add, wt[p], wt[q])), []).append(k)
+    blocks = [[min(col) for col in block] for block in weight_blocks(L, _Identity(sym2_dim(L.dim)), 0)]
+    assert sorted(blocks) == sorted(by_tuple.values())
+
+
 def test_off_weight_entry_fires_the_block_check(monkeypatch):
     L, _, c = pipeline("A", 2)
     Om = SplitCasimir(L)  # a private operator: the cached one stays intact
     h1h1 = sym2_index(L.dim, L.h_index(0), L.h_index(0))
-    column = Om.column
+    row = Om._row
 
-    def corrupted(p, q):
-        col = column(p, q)
-        if (p, q) == (0, 0):
-            col[h1h1] = 1
-        return col
+    def corrupted(p):
+        cols = row(p)
+        if p == 0:
+            cols[0][h1h1] = 1  # the image of x_0 x_0
+        return cols
 
-    monkeypatch.setattr(Om, "column", corrupted)
+    monkeypatch.setattr(Om, "_row", corrupted)
     with pytest.raises(InvariantViolation, match=(
         "ideal stage: A2: the image of monomial x_0 x_0 has an entry on x_6 x_6"
     )):
