@@ -20,7 +20,6 @@ exactly that order, so restriction is a shift of the index.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, groupby
 from typing import Iterator, Sequence
@@ -65,11 +64,12 @@ def weight_blocks(L: LieAlgebra, Omega: SplitCasimir, c) -> Iterator[list[Sparse
     coordinates read as balanced digits in base 4 top + 1, where top is
     the largest |coordinate| of a weight of g: a coordinate of a sum of
     two weights lies in [-2 top, 2 top], so the key of x_p x_q, which is
-    key[p] + key[q], determines its weight.  A block is the list of
+    key[p] + key[q], determines its weight.  The keys are Python ints,
+    so the encoding is exact at every rank.  A block is the list of
     columns of one weight, in monomial order, over the global row
-    indices.  Each column is a fresh dict read straight from the packed
-    arrays of the cached operator, so c is subtracted on its diagonal in
-    place and the operator is never written.  Every column is checked to
+    indices.  Each column is a fresh dict unpacked from the cached
+    operator, so c is subtracted on its diagonal in place and the
+    operator is never written.  Every column is checked to
     lie in its block: an entry outside is a construction bug, reported
     fatally, and the check is what makes the rank of (Omega - c) exactly
     the sum of the block ranks.
@@ -79,16 +79,14 @@ def weight_blocks(L: LieAlgebra, Omega: SplitCasimir, c) -> Iterator[list[Sparse
     weights = L.weights_fw
     base = 4 * max(abs(x) for w in weights for x in w) + 1
     key = [sum(x * base**i for i, x in enumerate(w)) for w in weights]
-    keys = array("q", [key[p] + key[q] for p, q in sym2_pairs(nn)])
+    keys = [key[p] + key[q] for p, q in sym2_pairs(nn)]
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    ptr, rows, vals = mat._ptr, mat._rows, mat._vals
     for _, group in groupby(order, keys.__getitem__):
         ks = list(group)
         members = set(ks)
         block = []
         for k in ks:
-            a, b = ptr[k], ptr[k + 1]
-            col = dict(zip(rows[a:b], vals[a:b]))
+            col = mat.column(k)
             if not col.keys() <= members:
                 r = next(r for r in col if r not in members)
                 p, q = sym2_unrank(nn, k)

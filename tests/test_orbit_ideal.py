@@ -23,7 +23,7 @@ from minorbit.orbit_ideal import (
     quotient_hilbert,
     weight_blocks,
 )
-from minorbit.rootsys import InvariantViolation
+from minorbit.rootsys import InvariantViolation, SimpleType
 
 from helpers import (
     algebra_of,
@@ -219,11 +219,12 @@ class _Identity:
         return SparseMatrix.from_columns(self.n, ({k: 1} for k in range(self.n)))
 
 
-@pytest.mark.parametrize("t", ade_types(8), ids=str)
+@pytest.mark.parametrize("t", [*ade_types(8), SimpleType("A", 21)], ids=str)
 def test_weight_blocks_partition_the_monomials_by_weight_tuple(t):
     # With the identity operator and c = 0 each yielded column is {k: 1},
     # so a block reads back as its monomials; the integer key must group
     # them exactly as the weight tuples do, each block in monomial order.
+    # At rank 21 the keys of the weight sums pass 2^63.
     L = algebra_of(t.family, t.rank)
     wt = L.weights_fw
     by_tuple: dict = {}
