@@ -15,9 +15,12 @@ the brackets are
     [e_a, e_(-a)] = -a^vee,
 
 which yields [E(a), F(a)] = a^vee and the familiar sl2 triples on the
-simple roots.  The invariant form puts form(E(a), F(a)) = 1 and
-form(H(i), H(j)) equal to the Cartan matrix, matching the root
-normalization (a, a) = 2.
+simple roots.  The invariant form that matches the root normalization
+(a, a) = 2 puts form(E(a), F(a)) = 1 and form(H(i), H(j)) equal to the
+Cartan matrix.  Nothing here stores it: the Casimir needs only its dual
+pairs (E(a), F(a)) and, on the Cartan, the weight pairing.  The test
+suite builds it as a reference and checks the bracket table and the
+Casimir against it.
 
 The split Casimir is the sum over the basis of ad(x_a) tensor ad(x^a)
 with x^a the form-dual basis.  On the symmetric square, realized with
@@ -26,7 +29,9 @@ monomial basis x_p x_q for p <= q, it acts column by column as
     Omega(x_p x_q) = sum_a (ad(x_a) x_p) (ad(x^a) x_q),
 
 where the Cartan part of the sum collapses to the weight pairing
-(wt(x_p), wt(x_q)) times the identity.  Every entry is an integer.
+(wt(x_p), wt(x_q)) times the identity.  Every entry is an integer, and
+on the square of a highest-weight vector the operator is the scalar
+(theta, theta) = 2.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from operator import itemgetter, mul
 from typing import Iterator, Optional
 
 from .linalgx import SparseMatrix, SparseVec
-from .rootsys import InvariantViolation, RootSystem, root_to_weight, pairing
+from .rootsys import InvariantViolation, RootSystem, root_to_weight
 
 __all__ = [
     "LieAlgebra",
@@ -52,17 +57,16 @@ __all__ = [
 
 
 class LieAlgebra:
-    """Bracket table, invariant form and weight data over a Chevalley basis.
+    """Bracket table and weight data over a Chevalley basis.
 
     Basis positions are laid out as all E(alpha), then all F(alpha) in
     the positive-root order, then H(1)..H(rank).  Immutable in practice:
     nothing mutates the tables after construction.
     """
 
-    def __init__(self, rs, brackets, form_on_g, weights_fw):
+    def __init__(self, rs, brackets, weights_fw):
         self.rs = rs
         self.brackets = brackets
-        self.form_on_g = form_on_g
         self.weights_fw = weights_fw
 
     @property
@@ -73,18 +77,9 @@ class LieAlgebra:
     def npos(self) -> int:
         return len(self.rs.positive_roots)
 
-    def f_index(self, r: int) -> int:
-        return self.npos + r
-
-    def h_index(self, i: int) -> int:
-        return 2 * self.npos + i
-
     def bracket(self, i: int, j: int) -> tuple:
         """[x_i, x_j] as a tuple of (position, integer coefficient)."""
         return self.brackets.get((i, j), ())
-
-    def form(self, i: int, j: int) -> int:
-        return self.form_on_g.get((i, j), 0)
 
 
 def _sign_data(rs: RootSystem) -> tuple[list[int], list[int]]:
@@ -100,8 +95,7 @@ def _sign_data(rs: RootSystem) -> tuple[list[int], list[int]]:
                 b[i][j] = 1
     masks = []
     bmasks = []
-    for root in rs.positive_roots:
-        u = root.coords
+    for u in rs.positive_roots:
         masks.append(sum((u[i] & 1) << i for i in range(n)))
         bv = 0
         for i in range(n):
@@ -112,12 +106,11 @@ def _sign_data(rs: RootSystem) -> tuple[list[int], list[int]]:
 
 
 def build_chevalley(rs: RootSystem) -> LieAlgebra:
-    """Assemble the bracket table and invariant form over the Chevalley basis."""
+    """Assemble the bracket table and the weights over the Chevalley basis."""
     n = rs.rank
     m = len(rs.positive_roots)
-    coords = [r.coords for r in rs.positive_roots]
+    coords = rs.positive_roots
     index = rs.root_index
-    c = rs.cartan_matrix
     masks, bmasks = _sign_data(rs)
 
     def eps(a: int, b: int) -> int:
@@ -159,33 +152,19 @@ def build_chevalley(rs: RootSystem) -> LieAlgebra:
                 if r is not None:
                     put(a, m + b, [(m + r, eps(a, b))])
 
-    # Cartan action on the root vectors.
+    # Cartan action on the root vectors: H(i) scales E(a) by the i-th weight coordinate of a.
+    weights = [root_to_weight(rs, u) for u in coords]
     for i in range(n):
         hi = 2 * m + i
         for a in range(m):
-            k = sum(c[i][j] * coords[a][j] for j in range(n))
+            k = weights[a][i]
             if k:
                 put(hi, a, [(a, k)])
                 put(hi, m + a, [(m + a, -k)])
 
-    form_on_g: dict = {}
-    for a in range(m):
-        form_on_g[(a, m + a)] = 1
-        form_on_g[(m + a, a)] = 1
-    for i in range(n):
-        for j in range(n):
-            if c[i][j]:
-                form_on_g[(2 * m + i, 2 * m + j)] = c[i][j]
-
-    weights = []
-    for a in range(m):
-        weights.append(root_to_weight(rs, rs.positive_roots[a]).coords)
-    for a in range(m):
-        weights.append(tuple(-x for x in weights[a]))
-    for i in range(n):
-        weights.append((0,) * n)
-
-    return LieAlgebra(rs, brackets, form_on_g, tuple(weights))
+    weights += [tuple(-x for x in w) for w in weights]
+    weights += [(0,) * n] * n
+    return LieAlgebra(rs, brackets, tuple(weights))
 
 
 def sym2_dim(n: int) -> int:
@@ -232,7 +211,7 @@ class SplitCasimir:
         # Per basis position, its weight and its signed root coordinates
         # (zero on the Cartan): a weight paired with a root is a dot product.
         n = L.rs.rank
-        roots = [r.coords for r in L.rs.positive_roots]
+        roots = list(L.rs.positive_roots)
         signed = roots + [tuple(-x for x in u) for u in roots] + [(0,) * n] * n
         self._weight_root = list(zip(L.weights_fw, signed))
         # Bracket index, built once: _ad[p] maps each root vector x with
@@ -296,7 +275,9 @@ def casimir_top_eigenvalue(Omega: SplitCasimir) -> int:
 
     The highest root is last in the positive-root order, so E(theta) is
     basis position npos - 1.  The image must be exactly a multiple of
-    the same monomial; anything else means the construction is broken.
+    the same monomial, by (theta, theta) = 2, the squared length that
+    build_root_system checks on every root; anything else means the
+    construction is broken.
     """
     L = Omega.L
     p = L.npos - 1
@@ -308,9 +289,9 @@ def casimir_top_eigenvalue(Omega: SplitCasimir) -> int:
             "on the highest-weight square"
         )
     value = col[k]
-    if value != pairing(L.rs, L.rs.highest_root, L.rs.highest_root):
+    if value != 2:
         raise InvariantViolation(
             f"casimir stage: {L.rs.simple_type}: Casimir scalar {value} on the "
-            "highest-weight square differs from (theta, theta)"
+            "highest-weight square differs from (theta, theta) = 2"
         )
     return value

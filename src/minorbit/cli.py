@@ -161,7 +161,7 @@ def _poincare_str(coeffs: list) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def emit_report(r: VerificationReport) -> bytes:
+def emit_report(r: VerificationReport) -> str:
     """One report as a fixed-width text table."""
     rows = [
         f"type: {r.family}{r.rank}",
@@ -183,7 +183,7 @@ def emit_report(r: VerificationReport) -> bytes:
     width = max(len(row) for row in rows)
     bar = "+" + "-" * (width + 2) + "+"
     lines = [bar] + [f"| {row.ljust(width)} |" for row in rows] + [bar]
-    return ("\n".join(lines) + "\n").encode()
+    return "\n".join(lines) + "\n"
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -235,7 +235,7 @@ def main(argv: Optional[list] = None) -> int:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         for r in reports:
-            sys.stdout.write(emit_report(r).decode())
+            sys.stdout.write(emit_report(r))
 
     return 0 if all(r.passed for r in reports) else 1
 

@@ -63,8 +63,8 @@ class SparseMatrix:
     Three ``array("q")`` fields hold it: the entries of column j are the
     pairs zip(_rows[a:b], _vals[a:b]) with a, b = _ptr[j], _ptr[j + 1].
     A matrix is immutable once built, and from_columns() is its only
-    constructor.  column() and columns() hand out fresh dicts, so writing
-    into one never writes the matrix.
+    constructor.  column() hands out a fresh dict, so writing into one
+    never writes the matrix.
 
     Every row index and entry must be an int that fits in 64 bits, and
     that is enforced where it comes in: packing a ``Fraction``, integral
@@ -95,16 +95,6 @@ class SparseMatrix:
         m.nrows, m._ptr, m._rows, m._vals = nrows, ptr, rows, vals
         return m
 
-    def __eq__(self, other: object) -> bool:
-        """Equality as matrices: the order of the rows packed inside a column does not matter."""
-        if not isinstance(other, SparseMatrix):
-            return NotImplemented
-        return (
-            self.nrows == other.nrows
-            and self._ptr == other._ptr
-            and self.columns() == other.columns()
-        )
-
     @property
     def ncols(self) -> int:
         return len(self._ptr) - 1
@@ -119,10 +109,6 @@ class SparseMatrix:
             raise IndexError(f"column {j} out of range for {self.ncols} columns")
         a, b = self._ptr[j], self._ptr[j + 1]
         return dict(zip(self._rows[a:b], self._vals[a:b]))
-
-    def columns(self) -> tuple[SparseVec, ...]:
-        """Every column, empty ones included, as fresh dicts."""
-        return tuple(map(self.column, range(self.ncols)))
 
 
 class EchelonBasis:

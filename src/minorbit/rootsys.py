@@ -1,11 +1,11 @@
 """ADE root systems in exact arithmetic.
 
-Roots are integer vectors in simple-root coordinates and weights are
-integer vectors in fundamental-weight coordinates.  The invariant form
-is normalized so that every root has squared length 2; under that
-normalization the Gram matrix of the simple roots is the Cartan matrix,
-and every pairing the verifier needs (root with root, root with
-weight) is an integer.
+A root is a plain int tuple, its coordinates in the simple-root basis,
+and a weight is an int tuple in the fundamental-weight basis.  The
+invariant form is normalized so that every root has squared length 2;
+under that normalization the Gram matrix of the simple roots is the
+Cartan matrix, root_to_weight is multiplication by it, and a weight
+paired with a root is the dot product of their tuples.
 
 Simple roots are numbered as in Bourbaki.  Positive roots are ordered
 by height and then lexicographically, which fixes every downstream
@@ -15,13 +15,11 @@ basis order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from operator import mul
 
 __all__ = [
     "InvariantViolation",
     "SimpleType",
-    "Root",
-    "Weight",
     "RootSystem",
     "cartan_matrix",
     "dynkin_edges",
@@ -29,7 +27,6 @@ __all__ = [
     "positive_root_count",
     "build_root_system",
     "root_to_weight",
-    "pairing",
     "weyl_dim",
 ]
 
@@ -106,31 +103,6 @@ def cartan_matrix(t: SimpleType) -> tuple[tuple[int, ...], ...]:
 
 
 @dataclass(frozen=True)
-class Root:
-    """A root, as integer coordinates in the simple-root basis."""
-
-    coords: tuple[int, ...]
-
-    @property
-    def height(self) -> int:
-        return sum(self.coords)
-
-
-@dataclass(frozen=True)
-class Weight:
-    """A weight, as integer coordinates in the fundamental-weight basis."""
-
-    coords: tuple[int, ...]
-
-    @property
-    def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.coords)
-
-    def scaled(self, k: int) -> "Weight":
-        return Weight(tuple(k * c for c in self.coords))
-
-
-@dataclass(frozen=True)
 class RootSystem:
     """Root data for one ADE type, immutable after construction.
 
@@ -140,8 +112,8 @@ class RootSystem:
 
     simple_type: SimpleType
     cartan_matrix: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[Root, ...]
-    highest_root: Root
+    positive_roots: tuple[tuple[int, ...], ...]
+    highest_root: tuple[int, ...]
     root_index: dict = field(repr=False, compare=False)
 
     @property
@@ -220,60 +192,42 @@ def build_root_system(t: SimpleType) -> RootSystem:
         if any(a < b for a, b in zip(theta, u)):
             raise InvariantViolation(f"{stage} {u} is not below the highest root")
 
-    roots = tuple(Root(u) for u in ordered)
     return RootSystem(
         simple_type=t,
         cartan_matrix=c,
-        positive_roots=roots,
-        highest_root=roots[-1],
+        positive_roots=tuple(ordered),
+        highest_root=theta,
         root_index={u: i for i, u in enumerate(ordered)},
     )
 
 
-def root_to_weight(rs: RootSystem, r: Root) -> Weight:
+def root_to_weight(rs: RootSystem, r: tuple[int, ...]) -> tuple[int, ...]:
     """Coordinates of a root in the fundamental-weight basis (Cartan matrix times coords)."""
-    c = rs.cartan_matrix
-    n = rs.rank
-    return Weight(tuple(sum(c[i][j] * r.coords[j] for j in range(n)) for i in range(n)))
+    return tuple(sum(map(mul, row, r)) for row in rs.cartan_matrix)
 
 
-def pairing(rs: RootSystem, a: Union[Root, Weight], b: Union[Root, Weight]) -> int:
-    """Normalized invariant form (a, b), with (alpha, alpha) = 2 on roots.
-
-    Takes two roots, or a root and a weight in either order.  A root
-    paired with a weight is just the dot product of their coordinate
-    vectors, since the two bases are dual up to the Cartan matrix.
-    """
-    n = rs.rank
-    if len(a.coords) != n or len(b.coords) != n:
-        raise ValueError(f"coordinate length must be {n}")
-    if isinstance(a, Weight) and isinstance(b, Weight):
-        raise ValueError("pairing needs at least one root")
-    if isinstance(a, Root) and isinstance(b, Root):
-        a = root_to_weight(rs, a)
-    return sum(x * y for x, y in zip(a.coords, b.coords))
-
-
-def weyl_dim(rs: RootSystem, lam: Weight) -> int:
+def weyl_dim(rs: RootSystem, lam: tuple[int, ...]) -> int:
     """Dimension of the irreducible representation with highest weight lam.
 
     Evaluates the product over positive roots of (lam + rho, alpha)
     divided by (rho, alpha); both factors are integer dot products in
-    our coordinates, and the quotient is checked to be exact.
+    our coordinates, and the quotient is checked to be exact.  The
+    ideal stage is the only caller, so a weight that is not dominant or
+    a product that is not an integer is reported as its failure.
     """
-    if len(lam.coords) != rs.rank:
+    if len(lam) != rs.rank:
         raise ValueError(f"weight length must be {rs.rank}")
-    if not lam.is_dominant:
-        raise ValueError(f"weight {lam.coords} is not dominant")
-    shifted = [x + 1 for x in lam.coords]
+    stage = f"ideal stage: {rs.simple_type}:"
+    if min(lam) < 0:
+        raise InvariantViolation(f"{stage} weight {lam} is not dominant")
+    shifted = [x + 1 for x in lam]
     num = 1
     den = 1
     for beta in rs.positive_roots:
-        num *= sum(s * u for s, u in zip(shifted, beta.coords))
-        den *= beta.height
+        num *= sum(map(mul, shifted, beta))
+        den *= sum(beta)
     if num % den:
         raise InvariantViolation(
-            f"ideal stage: {rs.simple_type}: Weyl dimension product for weight "
-            f"{lam.coords} is not an integer"
+            f"{stage} Weyl dimension product for weight {lam} is not an integer"
         )
     return num // den

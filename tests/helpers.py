@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import Callable
 
 from minorbit.chevalley import (
     LieAlgebra,
@@ -41,9 +42,19 @@ def casimir_of(family: str, rank: int) -> SplitCasimir:
 
 # -- reference matrix operations --------------------------------------------
 
+def columns(m: SparseMatrix) -> tuple[dict, ...]:
+    """Every column of m, empty ones included, as fresh dicts.
+
+    Two matrices with the same number of rows are equal exactly when
+    their columns() are: dict equality ignores the order of the rows
+    packed inside a column.
+    """
+    return tuple(map(m.column, range(m.ncols)))
+
+
 def to_rows(m: SparseMatrix) -> list[list]:
     rows = [[0] * m.ncols for _ in range(m.nrows)]
-    for c, col in enumerate(m.columns()):
+    for c, col in enumerate(columns(m)):
         for r, v in col.items():
             rows[r][c] = v
     return rows
@@ -60,21 +71,40 @@ def from_entries(nrows: int, ncols: int, entries: dict) -> SparseMatrix:
 
 def transpose(m: SparseMatrix) -> SparseMatrix:
     return from_entries(
-        m.ncols, m.nrows, {(c, r): v for c, col in enumerate(m.columns()) for r, v in col.items()}
+        m.ncols, m.nrows, {(c, r): v for c, col in enumerate(columns(m)) for r, v in col.items()}
     )
 
 
 def mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     if a.ncols != b.nrows:
         raise ValueError("shape mismatch in matrix product")
-    a_cols = a.columns()
+    a_cols = columns(a)
     out = []
-    for col in b.columns():
+    for col in columns(b):
         acc: dict = {}
         for k, x in col.items():
             addmul(acc, a_cols[k], x)
         out.append(acc)
     return SparseMatrix.from_columns(a.nrows, out)
+
+
+def invariant_form(L: LieAlgebra) -> Callable[[int, int], int]:
+    """The invariant form on the Chevalley basis, as a function of two basis positions.
+
+    Normalized so that every root has squared length 2: form(E(a), F(a))
+    is 1 and form(H(i), H(j)) is the Cartan matrix.  The package does
+    not build it; this is the reference the bracket table and the
+    Casimir are checked against.
+    """
+    m = L.npos
+    form = {}
+    for a in range(m):
+        form[a, m + a] = form[m + a, a] = 1
+    for i, row in enumerate(L.rs.cartan_matrix):
+        for j, x in enumerate(row):
+            if x:
+                form[2 * m + i, 2 * m + j] = x
+    return lambda i, j: form.get((i, j), 0)
 
 
 def adjoint_matrix(L: LieAlgebra, x: int) -> SparseMatrix:
@@ -85,7 +115,7 @@ def adjoint_matrix(L: LieAlgebra, x: int) -> SparseMatrix:
 def shifted_casimir(family: str, rank: int, c: int = 2) -> SparseMatrix:
     """The matrix of Omega - c on Sym^2 g, built column by column."""
     mat = casimir_of(family, rank).matrix()
-    cols = mat.columns()
+    cols = columns(mat)
     for d, col in enumerate(cols):
         v = col.get(d, 0) - c
         if v:
@@ -156,10 +186,11 @@ def cartan_pair_generators(L: LieAlgebra, Omega: SplitCasimir, c) -> list[dict]:
     """
     n = L.rs.rank
     nn = L.dim
+    base = 2 * L.npos
     out = []
     for i in range(n):
         for j in range(i, n):
-            p, q = L.h_index(i), L.h_index(j)
+            p, q = base + i, base + j
             col = dict(Omega.column(p, q))
             k = sym2_index(nn, p, q)
             val = col.get(k, 0) - c
@@ -177,7 +208,7 @@ def negate_first_ee_constant(L: LieAlgebra) -> LieAlgebra:
     brackets = dict(L.brackets)
     for key in ((a, b), (b, a)):
         brackets[key] = tuple((k, -s) for k, s in brackets[key])
-    return LieAlgebra(L.rs, brackets, L.form_on_g, L.weights_fw)
+    return LieAlgebra(L.rs, brackets, L.weights_fw)
 
 
 # -- rational echelon reference ----------------------------------------------

@@ -1,7 +1,10 @@
-"""Verification driver, report serialization and exit codes."""
+"""Verification driver, report serialization, exit codes and export lists."""
 
+import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -9,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import minorbit
 from minorbit import cli, orbit_ideal, rootsys
 from minorbit.cli import (
     VerificationReport,
@@ -71,7 +75,7 @@ def test_json_report_round_trips(capsys):
 
 def test_text_report_contains_pass_line():
     r = verify(SimpleType("A", 1))
-    text = emit_report(r).decode()
+    text = emit_report(r)
     assert "hikita_match: PASS" in text
     assert "oracle_match: PASS" in text
 
@@ -224,29 +228,37 @@ def test_broken_construction_exits_three_at_rank_seven_and_up(
     ) in err
 
 
-MOVE_E8_EDGE = """
+MOVE_EDGE = """
 import sys
 from minorbit import cli, rootsys
 real = rootsys.dynkin_edges
-rootsys.dynkin_edges = lambda t: tuple((1, 4) if e == (1, 3) else e for e in real(t))
-sys.exit(cli.main(["--family", "E", "--rank", "8"]))
+rootsys.dynkin_edges = lambda t: tuple({new} if e == {old} else e for e in real(t))
+sys.exit(cli.main(["--family", "{family}", "--rank", "{rank}"]))
 """
 
 
-def test_moved_e8_edge_exits_three_instead_of_hanging():
-    # Edge (1, 3) moved to (1, 4) turns E8 into the affine diagram of E7,
-    # whose root system is infinite: enumeration must stop at the count.
-    # A child process with a timeout turns a hang into a failure.
+@pytest.mark.parametrize("family,rank,old,new,got,expected", [
+    ("A", 5, (3, 4), (2, 4), 16, 15),
+    ("D", 6, (3, 5), (4, 5), 21, 30),
+    ("E", 8, (1, 3), (1, 4), 126, 120),
+], ids=["A5", "D6", "E8"])
+def test_moved_edge_exits_three_instead_of_hanging(family, rank, old, new, got, expected):
+    # A5 with edge (3, 4) moved to (2, 4) is the D5 diagram, with more
+    # roots than A5, and D6 with (3, 5) moved to (4, 5) is the A6 chain,
+    # with fewer.  E8 with (1, 3) moved to (1, 4) is the affine diagram
+    # of E7, whose root system is infinite: enumeration must stop at the
+    # count.  A child process with a timeout turns a hang into a failure.
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
+    script = MOVE_EDGE.format(family=family, rank=rank, old=old, new=new)
     proc = subprocess.run(
-        [sys.executable, "-c", MOVE_E8_EDGE],
+        [sys.executable, "-c", script],
         capture_output=True, text=True, env=env, timeout=30,
     )
     assert proc.returncode == 3
     assert re.match(
-        r"^internal invariant violation: root_system stage: E8: "
-        r"enumerated 126 positive roots, expected 120$",
+        f"^internal invariant violation: root_system stage: {family}{rank}: "
+        f"enumerated {got} positive roots, expected {expected}$",
         proc.stderr,
     )
 
@@ -266,6 +278,46 @@ def test_dropped_first_edge_exits_three(monkeypatch, capsys, family, rank, got, 
         f"enumerated {got} positive roots, expected {expected}$",
         capsys.readouterr().err,
     )
+
+
+def _truncated_root_system(where):
+    """build_root_system with one positive root dropped: the middle one, or the top one."""
+    real = rootsys.build_root_system
+
+    def build(t):
+        rs = real(t)
+        roots = list(rs.positive_roots)
+        del roots[len(roots) // 2 if where == "middle" else -1]
+        return dataclasses.replace(
+            rs, positive_roots=tuple(roots), highest_root=roots[-1],
+            root_index={u: i for i, u in enumerate(roots)},
+        )
+
+    return build
+
+
+@pytest.mark.parametrize("family,rank,where,message", [
+    ("A", 3, "middle", "degree-2 ideal has dimension 50, expected 49"),
+    ("D", 5, "middle", "degree-2 ideal has dimension 409, expected 484"),
+    ("A", 3, "top", "weight (2, 2, -2) is not dominant"),
+    ("D", 5, "top", "weight (2, -2, 2, 0, 0) is not dominant"),
+    ("E", 6, "top", "weight (0, -2, 0, 2, 0, 0) is not dominant"),
+], ids=["A3-middle", "D5-middle", "A3-top", "D5-top", "E6-top"])
+def test_truncated_positive_root_list_exits_three(monkeypatch, capsys, family, rank, where, message):
+    # Without the top root, twice the new last root is not dominant; that
+    # is a broken construction, not a usage error.
+    monkeypatch.setattr(cli, "build_root_system", _truncated_root_system(where))
+    code = main(["--family", family, "--rank", str(rank)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"internal invariant violation: ideal stage: {family}{rank}: {message}\n" == err
+
+
+def test_every_exported_name_resolves():
+    for info in pkgutil.iter_modules(minorbit.__path__):
+        module = importlib.import_module(f"minorbit.{info.name}")
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (info.name, missing)
 
 
 def test_verify_computes_the_weyl_dimension_once(monkeypatch):

@@ -18,6 +18,7 @@ from minorbit.linalgx import (
 
 from helpers import (
     casimir_of,
+    columns,
     dense_rank,
     fraction_echelon,
     from_entries,
@@ -57,21 +58,14 @@ def test_matrix_basic_invariants():
     with pytest.raises(TypeError):
         SparseMatrix(3, 3)
     empty = SparseMatrix.from_columns(4, [])
-    assert (empty.ncols, empty.nnz, empty.columns()) == (0, 0, ())
+    assert (empty.ncols, empty.nnz) == (0, 0)
 
 
 def test_sparse_matrix_stores_its_columns():
     cols = [{0: 4, 2: -1}, {1: 5}]
     m = SparseMatrix.from_columns(3, iter(cols))
-    assert m.columns() == tuple(cols)
-    assert m.nnz == 3
-    assert m == SparseMatrix.from_columns(3, cols)
-    # Equality is as matrices: the order of the rows inside a column is free.
-    assert m == SparseMatrix.from_columns(3, [{2: -1, 0: 4}, {1: 5}])
-    assert m != SparseMatrix.from_columns(4, cols)
-    assert m != SparseMatrix.from_columns(3, [{0: 4, 2: -1}, {1: 6}])
-    assert m != SparseMatrix.from_columns(3, [{0: 4}, {2: -1, 1: 5}])
-    assert m != SparseMatrix.from_columns(3, cols + [{}])
+    assert (m.nrows, m.ncols, m.nnz) == (3, 2, 3)
+    assert [m.column(j) for j in range(2)] == cols
     # The columns are packed, not held: a later write to the input does not show.
     cols[0][1] = 7
     assert m.column(0) == {0: 4, 2: -1}
@@ -82,11 +76,9 @@ def test_writing_a_returned_column_leaves_the_matrix_intact():
     m = SparseMatrix.from_columns(3, cols)
     m.column(0)[1] = 7
     m.column(1)[0] = 1
-    got = m.columns()
-    got[0].clear()
-    got[2][1] = 0
-    assert m == SparseMatrix.from_columns(3, cols)
-    assert m.columns() == tuple(cols)
+    got = m.column(2)
+    got.clear()
+    assert [m.column(j) for j in range(3)] == cols
 
 
 @pytest.mark.parametrize("bad,error", [
@@ -121,7 +113,7 @@ def test_rank_a2_shifted_casimir():
     # 36 - 27 by the dimension count, and again by dense elimination.
     m = top_shifted_casimir("A", 2)
     assert m.nrows == 36
-    assert len(image_basis(m.nrows, m.columns())) == 9
+    assert len(image_basis(m.nrows, columns(m))) == 9
     assert dense_rank(to_rows(m)) == 9
 
 
@@ -139,7 +131,7 @@ def test_image_basis_a1_shifted_casimir():
     # The single generator as a primitive integer vector: 4 e.f + h.h,
     # proportional to 2 h.h + 8 e.f.
     m = top_shifted_casimir("A", 1)
-    basis = image_basis(m.nrows, m.columns())
+    basis = image_basis(m.nrows, columns(m))
     ef = sym2_index(3, 0, 1)
     hh = sym2_index(3, 2, 2)
     assert len(basis) == 1
@@ -184,7 +176,7 @@ def test_echelon_invariants_on_random_matrices():
     rng = random.Random(2024)
     for _ in range(40):
         m = random_sparse(rng, max_side=60)
-        basis = image_basis(m.nrows, m.columns())
+        basis = image_basis(m.nrows, columns(m))
         assert basis.pivots == sorted(basis.pivots)
         assert len(set(basis.pivots)) == len(basis.pivots)
         for i, vec in enumerate(basis.vectors):
@@ -195,7 +187,7 @@ def test_echelon_invariants_on_random_matrices():
                 if i != j:
                     assert basis.pivots[i] not in other
         # Every original column reduces to zero against the basis.
-        for col in m.columns():
+        for col in columns(m):
             assert basis.reduce(col) == {}
         assert dense_rank(to_rows(m)) == len(basis)
 
@@ -205,15 +197,15 @@ def test_rank_equals_rank_of_transpose():
     for _ in range(30):
         m = random_sparse(rng, max_side=60)
         t = transpose(m)
-        assert len(image_basis(m.nrows, m.columns())) == len(image_basis(t.nrows, t.columns()))
+        assert len(image_basis(m.nrows, columns(m))) == len(image_basis(t.nrows, columns(t)))
 
 
 def test_image_basis_is_canonical_under_column_shuffle():
     rng = random.Random(5)
     m = random_sparse(rng, max_side=30)
-    cols = list(m.columns())
+    cols = list(columns(m))
     rng.shuffle(cols)
-    b1 = image_basis(m.nrows, m.columns())
+    b1 = image_basis(m.nrows, columns(m))
     b2 = image_basis(m.nrows, cols)
     assert b1.pivots == b2.pivots
     assert b1.vectors == b2.vectors
@@ -222,7 +214,7 @@ def test_image_basis_is_canonical_under_column_shuffle():
 def test_all_arithmetic_stays_rational():
     rng = random.Random(17)
     m = random_sparse(rng, max_side=25)
-    for vec in image_basis(m.nrows, m.columns()).vectors:
+    for vec in image_basis(m.nrows, columns(m)).vectors:
         for v in vec.values():
             assert type(v) is int
 
@@ -245,8 +237,8 @@ def sparse_matrices(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(sparse_matrices())
 def test_integer_basis_is_the_monic_fraction_basis_rescaled(m):
-    basis = image_basis(m.nrows, m.columns())
-    pivots, vectors = fraction_echelon(m.columns())
+    basis = image_basis(m.nrows, columns(m))
+    pivots, vectors = fraction_echelon(columns(m))
     assert basis.pivots == pivots
     for pivot, vec in zip(basis.pivots, basis.vectors):
         assert all(type(x) is int for x in vec.values())
