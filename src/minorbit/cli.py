@@ -60,12 +60,6 @@ class VerificationReport:
         return self.hikita_match and self.oracle_match is not False
 
 
-def _pad(xs: list, length: int) -> list:
-    if len(xs) >= length:
-        return list(xs[:length])
-    return list(xs) + [0] * (length - len(xs))
-
-
 def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
     """Run every check for one type and assemble the report.
 
@@ -105,10 +99,12 @@ def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
     mark("quotient")
 
     tree = dynkin_tree(t)
-    coh = betti_numbers(tree)
-    if euler_characteristic(tree) != coh.betti[0] - coh.betti[1] + coh.betti[2]:
+    betti = betti_numbers(tree)
+    if euler_characteristic(tree) != sum((-1) ** k * b for k, b in enumerate(betti)):
         raise InvariantViolation(f"resolution stage: {t}: Euler characteristic mismatch")
-    ring = _pad(coh.ring_dims, max_degree + 1)
+    # Cohomological degree 2d is polynomial degree d: the ring dimensions
+    # are the even Betti numbers, zero above the top one.
+    ring = (betti[::2] + [0] * max_degree)[: max_degree + 1]
     hikita_match = list(qh) == ring
     mark("resolution")
 
@@ -127,7 +123,7 @@ def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
         projected_rank=projected_rank,
         expected_projected_rank=expected_rank,
         quotient_hilbert=list(qh),
-        betti=list(coh.betti),
+        betti=betti,
         hikita_match=hikita_match,
         oracle_match=oracle_match,
         timings_ms=timings,

@@ -116,7 +116,7 @@ def degree2_ideal(L: LieAlgebra, Omega: SplitCasimir, c) -> IdealDegree2:
     nrows = sym2_dim(L.dim)
     basis = direct_sum(nrows, (image_basis(nrows, block) for block in weight_blocks(L, Omega, c)))
     rs = L.rs
-    theta2 = tuple(2 * x for x in root_to_weight(rs, rs.highest_root))
+    theta2 = tuple(2 * x for x in root_to_weight(rs, rs.positive_roots[-1]))
     dim_v2theta = weyl_dim(rs, theta2)
     expected = nrows - dim_v2theta
     if len(basis) != expected:

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 from .rootsys import InvariantViolation, SimpleType, dynkin_edges
 
-__all__ = [
-    "DynkinTree",
-    "CohomologyModel",
-    "dynkin_tree",
-    "betti_numbers",
-    "euler_characteristic",
-]
+__all__ = ["DynkinTree", "dynkin_tree", "betti_numbers", "euler_characteristic"]
 
 
 @dataclass(frozen=True)
@@ -32,12 +26,6 @@ class DynkinTree:
 
     n: int
     edges: tuple[tuple[int, int], ...]
-
-
-@dataclass
-class CohomologyModel:
-    betti: list
-    ring_dims: list
 
 
 def dynkin_tree(t: SimpleType) -> DynkinTree:
@@ -65,21 +53,15 @@ def dynkin_tree(t: SimpleType) -> DynkinTree:
     return DynkinTree(n, edges)
 
 
-def betti_numbers(tr: DynkinTree) -> CohomologyModel:
-    """Betti numbers and ring dimensions of the resolution.
+def betti_numbers(tr: DynkinTree) -> list[int]:
+    """Betti numbers [b0, b1, b2] of the resolution.
 
     b0 = 1 (connected), b1 = 0 (tree of simply connected spheres glued
     at points), b2 = n (one class per sphere), nothing above.  The
-    Poincare polynomial is 1 + n t^2.  ring_dims lists the graded
-    dimensions in the halved grading, (1, n, 0, ...), zero in every
-    degree at least 2; callers compare with zero padding beyond the
-    stored range.
+    Poincare polynomial is 1 + n t^2, so the cohomology ring, halved in
+    grading, has dimensions b0, b2 and then zero in every degree.
     """
-    n = tr.n
-    return CohomologyModel(
-        betti=[1, 0, n],
-        ring_dims=[1, n, 0, 0, 0],
-    )
+    return [1, 0, tr.n]
 
 
 def euler_characteristic(tr: DynkinTree) -> int:

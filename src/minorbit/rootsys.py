@@ -107,13 +107,13 @@ class RootSystem:
     """Root data for one ADE type, immutable after construction.
 
     ``cartan_matrix`` doubles as the Gram matrix of the simple roots in
-    the simply laced normalization.
+    the simply laced normalization.  The highest root theta is
+    ``positive_roots[-1]``, the only root of the greatest height.
     """
 
     simple_type: SimpleType
     cartan_matrix: tuple[tuple[int, ...], ...]
     positive_roots: tuple[tuple[int, ...], ...]
-    highest_root: tuple[int, ...]
     root_index: dict = field(repr=False, compare=False)
 
     @property
@@ -196,7 +196,6 @@ def build_root_system(t: SimpleType) -> RootSystem:
         simple_type=t,
         cartan_matrix=c,
         positive_roots=tuple(ordered),
-        highest_root=theta,
         root_index={u: i for i, u in enumerate(ordered)},
     )
 

@@ -22,7 +22,6 @@ from minorbit.chevalley import (
 )
 from minorbit.linalgx import SparseMatrix, addmul
 from minorbit.rootsys import RootSystem, SimpleType, build_root_system
-from minorbit.sln_oracle import MatrixPolynomial
 
 
 @lru_cache(maxsize=None)
@@ -144,10 +143,10 @@ def all_pairs_column(Omega: SplitCasimir, p: int, q: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def evaluate(poly: MatrixPolynomial, values: dict) -> Fraction:
-    """Value of a matrix polynomial at a point, with unspecified entries treated as zero."""
+def evaluate(poly: dict, values: dict) -> Fraction:
+    """Value of a polynomial in matrix entries at a point, with unspecified entries treated as zero."""
     total = Fraction(0)
-    for mono, c in poly.coeffs.items():
+    for mono, c in poly.items():
         prod = Fraction(c)
         for var in mono:
             prod *= Fraction(values.get(var, 0))

@@ -6,8 +6,10 @@ from the Weyl formula, closed-form counts, and independent dense
 elimination, never from the code paths under test.
 """
 
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 from minorbit.chevalley import casimir_top_eigenvalue, sym2_dim, sym2_index
 from minorbit.cli import verify
@@ -15,7 +17,7 @@ from minorbit.linalgx import EchelonBasis, append_and_rank, image_basis
 from minorbit.orbit_ideal import degree2_ideal, projected_span, quotient_hilbert
 from minorbit.resolution import betti_numbers, dynkin_tree, euler_characteristic
 from minorbit.rootsys import SimpleType, root_to_weight, weyl_dim
-from minorbit.sln_oracle import minor_generators, oracle_quotient_dims, square_generators
+from minorbit.sln_oracle import matrix_quadrics, oracle_quotient_dims
 
 from helpers import (
     algebra_of,
@@ -41,6 +43,7 @@ ALL_TYPES = (
     + [("D", r) for r in range(4, 9)]
     + [("E", r) for r in (6, 7, 8)]
 )
+GOLDEN = Path(__file__).with_name("golden_all8.json")
 
 
 def _jacobi_residual(L, i, j, k):
@@ -107,7 +110,7 @@ def test_criterion_2_kernel_dimension_matches_weyl_formula():
         L = algebra_of(family, rk)
         rs = L.rs
         assert sym2_dim(L.dim) == dim_sym2
-        theta2 = tuple(2 * x for x in root_to_weight(rs, rs.highest_root))
+        theta2 = tuple(2 * x for x in root_to_weight(rs, rs.positive_roots[-1]))
         assert weyl_dim(rs, theta2) == dim_top
         shifted = _shifted(family, rk)
         got = len(image_basis(shifted.nrows, columns(shifted)))
@@ -161,11 +164,23 @@ def test_criterion_4_hikita_match_all_types():
         assert report.quotient_hilbert == [1, rk, 0, 0, 0], (family, rk)
         assert report.hikita_match, (family, rk)
         tree = dynkin_tree(SimpleType(family, rk))
-        model = betti_numbers(tree)
-        assert report.betti == model.betti
+        betti = betti_numbers(tree)
+        assert report.betti == betti == [1, 0, rk]
         assert euler_characteristic(tree) == rk + 1
-        assert model.betti[0] - model.betti[1] + model.betti[2] == rk + 1
     print("ACCEPTANCE 4 hikita match across all ADE types: PASS")
+
+
+def test_reports_match_the_golden_json():
+    """Every report field but timings_ms, for every ADE type up to rank 8
+    at max_degree 4, is byte for byte the JSON in golden_all8.json, which
+    is what hikita-verify --all 8 --format json prints without timings."""
+    reports = []
+    for family, rk in ALL_TYPES:
+        fields = _cached_report(family, rk).to_dict()
+        del fields["timings_ms"]
+        reports.append(fields)
+    assert json.dumps({"reports": reports}, indent=2) + "\n" == GOLDEN.read_text()
+    print("ACCEPTANCE golden JSON reports: PASS")
 
 
 def test_criterion_5_matrix_model_oracle_agreement():
@@ -180,7 +195,7 @@ def test_criterion_5_matrix_model_oracle_agreement():
         abstract = quotient_hilbert(L, span, 4)
         assert oracle_quotient_dims(n, 4) == abstract, n
         point = {(0, n - 1): 1}
-        for g in minor_generators(n) + square_generators(n):
+        for g in matrix_quadrics(n):
             assert evaluate(g, point) == 0, n
     print("ACCEPTANCE 5 matrix-model oracle equivalence: PASS")
 

@@ -148,7 +148,7 @@ def test_trace_form_is_dual_coxeter_multiple(family, rank):
     # highest root; checked on every basis pair.
     L = algebra_of(family, rank)
     form = invariant_form(L)
-    hvee = 1 + sum(L.rs.highest_root)
+    hvee = 1 + sum(L.rs.positive_roots[-1])
     ads = [columns(adjoint_matrix(L, i)) for i in range(L.dim)]
     for x in range(L.dim):
         ax = ads[x]
@@ -263,7 +263,7 @@ def test_casimir_top_eigenvalue_is_two(family, rank):
     L = algebra_of(family, rank)
     c = casimir_top_eigenvalue(casimir_of(family, rank))
     assert type(c) is int and c == 2
-    theta = L.rs.highest_root
+    theta = L.rs.positive_roots[-1]
     assert c == sum(a * b for a, b in zip(root_to_weight(L.rs, theta), theta))
     cols = columns(casimir_of(family, rank).matrix())
     assert all(type(v) is int for col in cols for v in col.values())

@@ -154,18 +154,33 @@ def test_main_invalid_rank_exits_two(capsys):
 
 
 def test_main_verification_failure_exits_one(monkeypatch, capsys):
-    # Force a mismatch by sabotaging the resolution side.
-    real = cli.betti_numbers
+    # Force a mismatch on the orbit side: one class too many in degree 2.
+    real = cli.quotient_hilbert
 
-    def wrong(tree):
-        model = real(tree)
-        model.ring_dims = [1, model.betti[2] + 1, 0, 0, 0]
-        return model
+    def wrong(L, span, max_degree):
+        dims = real(L, span, max_degree)
+        dims[2] += 1
+        return dims
 
-    monkeypatch.setattr(cli, "betti_numbers", wrong)
-    code = main(["--family", "A", "--rank", "1"])
+    monkeypatch.setattr(cli, "quotient_hilbert", wrong)
+    code = main(["--family", "D", "--rank", "4"])
+    out = capsys.readouterr().out
     assert code == 1
-    assert "hikita_match: FAIL" in capsys.readouterr().out
+    assert "quotient_hilbert: (1, 4, 1, 0, 0)" in out
+    assert "hikita_match: FAIL" in out
+
+
+def test_oracle_mismatch_alone_fails_the_verdict(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "oracle_quotient_dims", lambda n, max_degree: [1, n, 0, 0, 0])
+    r = verify(SimpleType("A", 2))
+    assert r.hikita_match is True
+    assert r.oracle_match is False
+    assert not r.passed
+    code = main(["--family", "A", "--rank", "2"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "hikita_match: PASS" in out
+    assert "oracle_match: FAIL" in out
 
 
 def test_main_invariant_violation_exits_three(monkeypatch, capsys):
@@ -178,10 +193,16 @@ def test_main_invariant_violation_exits_three(monkeypatch, capsys):
     assert "invariant" in capsys.readouterr().err
 
 
-def test_euler_mismatch_names_the_stage_and_the_type(monkeypatch):
-    monkeypatch.setattr(cli, "euler_characteristic", lambda tree: 0)
-    with pytest.raises(InvariantViolation, match="^resolution stage: A1: "):
-        verify(SimpleType("A", 1))
+def test_euler_mismatch_names_the_stage_and_the_type(monkeypatch, capsys):
+    # One sphere too many: b2 = n + 1 disagrees with the tree's Euler characteristic.
+    monkeypatch.setattr(cli, "betti_numbers", lambda tree: [1, 0, tree.n + 1])
+    for family, rank in (("A", 1), ("D", 5), ("E", 6)):
+        code = main(["--family", family, "--rank", str(rank)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"internal invariant violation: resolution stage: {family}{rank}: "
+            "Euler characteristic mismatch\n"
+        )
 
 
 def test_main_rejects_bad_degree(capsys):
@@ -289,8 +310,7 @@ def _truncated_root_system(where):
         roots = list(rs.positive_roots)
         del roots[len(roots) // 2 if where == "middle" else -1]
         return dataclasses.replace(
-            rs, positive_roots=tuple(roots), highest_root=roots[-1],
-            root_index={u: i for i, u in enumerate(roots)},
+            rs, positive_roots=tuple(roots), root_index={u: i for i, u in enumerate(roots)},
         )
 
     return build
@@ -346,7 +366,7 @@ def test_large_max_degree_stops_at_the_first_zero_degree(monkeypatch):
     monkeypatch.setattr(orbit_ideal, "monomial_exponents", counted)
     r = verify(SimpleType("A", 3), max_degree=30)
     assert r.quotient_hilbert == [1, 3] + [0] * 29
-    assert r.oracle_match is True
+    assert r.hikita_match is True and r.oracle_match is True
     assert asked and max(asked) == 2
 
 

@@ -46,7 +46,7 @@ def test_invalid_types_rejected(family, rank, msg):
 def test_a1_is_sl2():
     rs = rs_of("A", 1)
     assert rs.positive_roots == ((1,),)
-    assert rs.highest_root == (1,)
+    assert rs.positive_roots[-1] == (1,)
     assert rs.dim_g == 3
 
 
@@ -67,7 +67,7 @@ def test_a2_roots_match_brute_force_closure():
     assert oracle == {(1, 0), (0, 1), (1, 1)}
     rs = rs_of("A", 2)
     assert set(rs.positive_roots) == oracle
-    assert rs.highest_root == (1, 1)
+    assert rs.positive_roots[-1] == (1, 1)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6])
@@ -120,8 +120,9 @@ def test_ordering_is_by_height_then_lex(family, rank):
 def test_highest_root_is_dominant_and_maximal():
     for family, rank in ALL_TYPES:
         rs = rs_of(family, rank)
-        theta = rs.highest_root
-        assert theta == rs.positive_roots[-1]
+        theta = rs.positive_roots[-1]
+        if rank > 1:
+            assert sum(rs.positive_roots[-2]) < sum(theta)
         assert min(root_to_weight(rs, theta)) >= 0
         for r in rs.positive_roots:
             assert all(a >= b for a, b in zip(theta, r))
@@ -135,7 +136,7 @@ def test_pairing_values():
     assert dot(root_to_weight(rs, a1), a2) == dot(root_to_weight(rs, a2), a1) == -1
     for family, rank in ALL_TYPES:
         rsx = rs_of(family, rank)
-        theta = rsx.highest_root
+        theta = rsx.positive_roots[-1]
         assert dot(root_to_weight(rsx, theta), theta) == 2
 
 
@@ -155,7 +156,7 @@ def test_weyl_dim_d4_doubled_highest_weight():
     # Frozen from evaluating the product by hand: numerator
     # 1*3*1*1*4*4*4*5*5*5*6*9 = 1296000, denominator (heights) 4320.
     rs = rs_of("D", 4)
-    lam = tuple(2 * x for x in root_to_weight(rs, rs.highest_root))
+    lam = tuple(2 * x for x in root_to_weight(rs, rs.positive_roots[-1]))
     assert lam == (0, 2, 0, 0)
     assert weyl_dim(rs, lam) == 300
 
@@ -163,7 +164,7 @@ def test_weyl_dim_d4_doubled_highest_weight():
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
 def test_weyl_dim_of_adjoint_is_dim_g(family, rank):
     rs = rs_of(family, rank)
-    theta = root_to_weight(rs, rs.highest_root)
+    theta = root_to_weight(rs, rs.positive_roots[-1])
     assert weyl_dim(rs, theta) == rs.dim_g
 
 
