@@ -285,13 +285,11 @@ def casimir_top_eigenvalue(Omega: SplitCasimir) -> int:
     k = sym2_index(L.dim, p, p)
     if set(col) != {k}:
         raise InvariantViolation(
-            f"casimir stage: {L.rs.simple_type}: split Casimir does not act as a scalar "
-            "on the highest-weight square"
+            "split Casimir does not act as a scalar on the highest-weight square"
         )
     value = col[k]
     if value != 2:
         raise InvariantViolation(
-            f"casimir stage: {L.rs.simple_type}: Casimir scalar {value} on the "
-            "highest-weight square differs from (theta, theta) = 2"
+            f"Casimir scalar {value} on the highest-weight square differs from (theta, theta) = 2"
         )
     return value

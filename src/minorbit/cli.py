@@ -6,7 +6,7 @@ its dimension checked against the Weyl formula), Cartan restriction,
 quotient Hilbert function and the resolution cohomology, plus, for
 family A, the oracle built from 2x2 minors and the matrix square.
 Verification failures are data in the report; only construction bugs
-raise.
+raise, as an InvariantViolation that names the stage and the type.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .chevalley import SplitCasimir, build_chevalley, casimir_top_eigenvalue, sym2_dim
 from .orbit_ideal import degree2_ideal, projected_span, quotient_hilbert
@@ -32,9 +33,6 @@ __all__ = [
     "emit_report",
     "main",
 ]
-
-FORMATS = ("text", "json")
-
 
 @dataclass
 class VerificationReport:
@@ -52,9 +50,6 @@ class VerificationReport:
     oracle_match: Optional[bool]
     timings_ms: dict
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @property
     def passed(self) -> bool:
         return self.hikita_match and self.oracle_match is not False
@@ -65,53 +60,54 @@ def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
 
     The degree-2 ideal is always the full image of (Omega - c) on the
     symmetric square, with its dimension checked against the Weyl
-    formula, so a broken construction raises for every rank.
+    formula, so a broken construction raises for every rank.  Each stage
+    is timed under its name, and an InvariantViolation raised inside it
+    is raised again with the stage and the type in front of its message:
+    the stage modules do not know who calls them.
     """
     if max_degree < 2:
         raise ValueError(f"max_degree must be at least 2, got {max_degree}")
+    if max_degree > 64:
+        raise ValueError(f"max_degree must be at most 64, got {max_degree}")
 
     timings: dict = {}
-    last = time.perf_counter()
 
-    def mark(stage: str) -> None:
-        nonlocal last
-        now = time.perf_counter()
-        timings[stage] = round((now - last) * 1000.0, 3)
-        last = now
+    @contextmanager
+    def stage(name: str) -> Iterator[None]:
+        start = time.perf_counter()
+        try:
+            yield
+        except InvariantViolation as exc:
+            raise InvariantViolation(f"{name} stage: {t}: {exc}") from exc
+        timings[name] = round((time.perf_counter() - start) * 1000.0, 3)
 
-    rs = build_root_system(t)
-    mark("root_system")
-    L = build_chevalley(rs)
-    mark("chevalley")
-    Omega = SplitCasimir(L)
-    c = casimir_top_eigenvalue(Omega)
-    mark("casimir")
-
-    n = t.rank
-    expected_rank = n * (n + 1) // 2
-
-    ideal = degree2_ideal(L, Omega, c)
-    mark("ideal")
-    projected_rank, span = projected_span(L, ideal)
-    mark("projection")
-
-    qh = quotient_hilbert(L, span, max_degree)
-    mark("quotient")
-
-    tree = dynkin_tree(t)
-    betti = betti_numbers(tree)
-    if euler_characteristic(tree) != sum((-1) ** k * b for k, b in enumerate(betti)):
-        raise InvariantViolation(f"resolution stage: {t}: Euler characteristic mismatch")
-    # Cohomological degree 2d is polynomial degree d: the ring dimensions
-    # are the even Betti numbers, zero above the top one.
-    ring = (betti[::2] + [0] * max_degree)[: max_degree + 1]
-    hikita_match = list(qh) == ring
-    mark("resolution")
+    with stage("root_system"):
+        rs = build_root_system(t)
+    with stage("chevalley"):
+        L = build_chevalley(rs)
+    with stage("casimir"):
+        Omega = SplitCasimir(L)
+        c = casimir_top_eigenvalue(Omega)
+    with stage("ideal"):
+        ideal = degree2_ideal(L, Omega, c)
+    with stage("projection"):
+        projected_rank, span = projected_span(L, ideal)
+    with stage("quotient"):
+        qh = quotient_hilbert(L, span, max_degree)
+    with stage("resolution"):
+        tree = dynkin_tree(t)
+        betti = betti_numbers(tree)
+        if euler_characteristic(tree) != sum((-1) ** k * b for k, b in enumerate(betti)):
+            raise InvariantViolation("Euler characteristic mismatch")
+        # Cohomological degree 2d is polynomial degree d: the ring dimensions
+        # are the even Betti numbers, zero above the top one.
+        ring = (betti[::2] + [0] * max_degree)[: max_degree + 1]
+        hikita_match = qh == ring
 
     oracle_match: Optional[bool] = None
     if t.family == "A":
-        oracle_match = oracle_quotient_dims(n + 1, max_degree) == list(qh)
-        mark("oracle")
+        with stage("oracle"):
+            oracle_match = oracle_quotient_dims(t.rank + 1, max_degree) == qh
 
     return VerificationReport(
         family=t.family,
@@ -121,8 +117,8 @@ def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
         dim_v2theta=ideal.dim_v2theta,
         ideal2_dim=ideal.dim,
         projected_rank=projected_rank,
-        expected_projected_rank=expected_rank,
-        quotient_hilbert=list(qh),
+        expected_projected_rank=sym2_dim(t.rank),
+        quotient_hilbert=qh,
         betti=betti,
         hikita_match=hikita_match,
         oracle_match=oracle_match,
@@ -146,19 +142,12 @@ def verify_all(max_rank: int, max_degree: int = 4) -> list:
 
 
 def _poincare_str(coeffs: list) -> str:
-    terms = []
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        if k == 0:
-            terms.append(str(c))
-        else:
-            terms.append(f"{c}*t^{k}")
+    terms = [f"{c}*t^{k}" if k else str(c) for k, c in enumerate(coeffs) if c]
     return " + ".join(terms) if terms else "0"
 
 
 def emit_report(r: VerificationReport) -> str:
-    """One report as a fixed-width text table."""
+    """One report as text, one ``key: value`` row per line."""
     rows = [
         f"type: {r.family}{r.rank}",
         f"dim_g: {r.dim_g}",
@@ -173,13 +162,8 @@ def emit_report(r: VerificationReport) -> str:
     ]
     if r.oracle_match is not None:
         rows.append(f"oracle_match: {'PASS' if r.oracle_match else 'FAIL'}")
-    rows.append(
-        "timings_ms: " + " ".join(f"{k}={v}" for k, v in r.timings_ms.items())
-    )
-    width = max(len(row) for row in rows)
-    bar = "+" + "-" * (width + 2) + "+"
-    lines = [bar] + [f"| {row.ljust(width)} |" for row in rows] + [bar]
-    return "\n".join(lines) + "\n"
+    rows.append("timings_ms: " + " ".join(f"{k}={v}" for k, v in r.timings_ms.items()))
+    return "\n".join(rows) + "\n"
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -196,7 +180,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--max-degree", type=int, default=4, help="top polynomial degree to compare"
     )
-    parser.add_argument("--format", choices=FORMATS, default="text")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument(
         "--all",
         type=int,
@@ -225,13 +209,12 @@ def main(argv: Optional[list] = None) -> int:
 
     if args.format == "json":
         if args.all is not None:
-            payload = {"reports": [r.to_dict() for r in reports]}
+            payload = {"reports": [asdict(r) for r in reports]}
         else:
-            payload = reports[0].to_dict()
+            payload = asdict(reports[0])
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
-        for r in reports:
-            sys.stdout.write(emit_report(r))
+        sys.stdout.write("\n".join(emit_report(r) for r in reports))
 
     return 0 if all(r.passed for r in reports) else 1
 

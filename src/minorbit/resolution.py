@@ -32,9 +32,8 @@ def dynkin_tree(t: SimpleType) -> DynkinTree:
     """Tree of exceptional spheres for type t, checked to be a tree."""
     n = t.rank
     edges = dynkin_edges(t)
-    stage = f"resolution stage: {t}:"
     if len(edges) != n - 1:
-        raise InvariantViolation(f"{stage} diagram has {len(edges)} edges, expected {n - 1}")
+        raise InvariantViolation(f"diagram has {len(edges)} edges, expected {n - 1}")
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -46,10 +45,10 @@ def dynkin_tree(t: SimpleType) -> DynkinTree:
     for i, j in edges:
         ri, rj = find(i), find(j)
         if ri == rj:
-            raise InvariantViolation(f"{stage} diagram contains a cycle")
+            raise InvariantViolation("diagram contains a cycle")
         parent[ri] = rj
     if len({find(i) for i in range(n)}) != 1:
-        raise InvariantViolation(f"{stage} diagram is not connected")
+        raise InvariantViolation("diagram is not connected")
     return DynkinTree(n, edges)
 
 

@@ -169,28 +169,25 @@ def build_root_system(t: SimpleType) -> RootSystem:
             layers.append(layer)
 
     ordered = [v for lay in layers for v in lay]
-    stage = f"root_system stage: {t}:"
     if len(ordered) != count:
-        raise InvariantViolation(
-            f"{stage} enumerated {len(ordered)} positive roots, expected {count}"
-        )
+        raise InvariantViolation(f"enumerated {len(ordered)} positive roots, expected {count}")
     if 2 * count + n != dim_of_type(t):
-        raise InvariantViolation(f"{stage} root count does not match dim g")
+        raise InvariantViolation("root count does not match dim g")
 
     for u in ordered:
         norm = sum(u[i] * c[i][j] * u[j] for i in range(n) for j in range(n))
         if norm != 2:
-            raise InvariantViolation(f"{stage} root {u} has squared length {norm}, not 2")
+            raise InvariantViolation(f"root {u} has squared length {norm}, not 2")
 
     theta = ordered[-1]
     if len(ordered) > 1 and sum(ordered[-2]) == sum(theta):
-        raise InvariantViolation(f"{stage} highest root is not unique by height")
+        raise InvariantViolation("highest root is not unique by height")
     fw = tuple(sum(c[i][j] * theta[j] for j in range(n)) for i in range(n))
     if any(x < 0 for x in fw):
-        raise InvariantViolation(f"{stage} highest root is not dominant")
+        raise InvariantViolation("highest root is not dominant")
     for u in ordered:
         if any(a < b for a, b in zip(theta, u)):
-            raise InvariantViolation(f"{stage} {u} is not below the highest root")
+            raise InvariantViolation(f"{u} is not below the highest root")
 
     return RootSystem(
         simple_type=t,
@@ -210,15 +207,14 @@ def weyl_dim(rs: RootSystem, lam: tuple[int, ...]) -> int:
 
     Evaluates the product over positive roots of (lam + rho, alpha)
     divided by (rho, alpha); both factors are integer dot products in
-    our coordinates, and the quotient is checked to be exact.  The
-    ideal stage is the only caller, so a weight that is not dominant or
-    a product that is not an integer is reported as its failure.
+    our coordinates, and the quotient is checked to be exact.  A weight
+    that is not dominant or a product that is not an integer means the
+    root data is broken, reported fatally.
     """
     if len(lam) != rs.rank:
         raise ValueError(f"weight length must be {rs.rank}")
-    stage = f"ideal stage: {rs.simple_type}:"
     if min(lam) < 0:
-        raise InvariantViolation(f"{stage} weight {lam} is not dominant")
+        raise InvariantViolation(f"weight {lam} is not dominant")
     shifted = [x + 1 for x in lam]
     num = 1
     den = 1
@@ -226,7 +222,5 @@ def weyl_dim(rs: RootSystem, lam: tuple[int, ...]) -> int:
         num *= sum(map(mul, shifted, beta))
         den *= sum(beta)
     if num % den:
-        raise InvariantViolation(
-            f"{stage} Weyl dimension product for weight {lam} is not an integer"
-        )
+        raise InvariantViolation(f"Weyl dimension product for weight {lam} is not an integer")
     return num // den

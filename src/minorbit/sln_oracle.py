@@ -10,7 +10,7 @@ construction and must match the abstract type A_(n-1) answer.
 
 from __future__ import annotations
 
-from .linalgx import EchelonBasis, SparseVec, append_and_rank
+from .linalgx import SparseVec
 from .orbit_ideal import hilbert_from_quadrics, monomial_exponents
 
 __all__ = ["matrix_quadrics", "restrict_to_diagonal", "oracle_quotient_dims"]
@@ -61,9 +61,4 @@ def restrict_to_diagonal(quadrics: list[dict], n: int) -> list[SparseVec]:
 
 def oracle_quotient_dims(n: int, max_degree: int) -> list:
     """Graded dimensions of Sym[h] of the traceless diagonal modulo the restricted quadrics."""
-    restricted = restrict_to_diagonal(matrix_quadrics(n), n)
-    span = EchelonBasis(n * (n - 1) // 2)
-    for vec in restricted:
-        if vec:
-            append_and_rank(span, vec)
-    return hilbert_from_quadrics(n - 1, span.vectors, max_degree)
+    return hilbert_from_quadrics(n - 1, restrict_to_diagonal(matrix_quadrics(n), n), max_degree)

@@ -273,5 +273,7 @@ def test_casimir_top_eigenvalue_is_two(family, rank):
 def test_top_eigenvalue_check_fires_on_wrong_weight_pairing(family, rank, monkeypatch):
     real = SplitCasimir.weight_pairing
     monkeypatch.setattr(SplitCasimir, "weight_pairing", lambda self, p, q: real(self, p, q) + 1)
-    with pytest.raises(InvariantViolation, match=f"^casimir stage: {family}{rank}: "):
+    with pytest.raises(InvariantViolation, match=(
+        r"^Casimir scalar 3 on the highest-weight square differs from \(theta, theta\) = 2$"
+    )):
         casimir_top_eigenvalue(SplitCasimir(algebra_of(family, rank)))

@@ -80,6 +80,27 @@ def test_text_report_contains_pass_line():
     assert "oracle_match: PASS" in text
 
 
+def _without_timings(text):
+    return [line for line in text.splitlines() if not line.startswith("timings_ms: ")]
+
+
+def test_text_report_does_not_depend_on_the_timings():
+    # Timings differ from run to run; no other row, and no padding, may follow them.
+    r = verify(SimpleType("A", 3))
+    slow = dataclasses.replace(r, timings_ms={k: 1000 * v + 1.5 for k, v in r.timings_ms.items()})
+    assert emit_report(r) != emit_report(slow)
+    assert _without_timings(emit_report(r)) == _without_timings(emit_report(slow))
+
+
+def test_text_reports_are_separated_by_a_blank_line(capsys):
+    assert main(["--all", "2"]) == 0
+    blocks = capsys.readouterr().out.split("\n\n")
+    assert [_without_timings(b) for b in blocks] == [
+        _without_timings(emit_report(r)) for r in verify_all(2)
+    ]
+    assert all(": " in line for b in blocks for line in b.splitlines())
+
+
 def test_unknown_format_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--family", "A", "--rank", "1", "--format", "yaml"])
@@ -88,8 +109,8 @@ def test_unknown_format_rejected(capsys):
 
 
 def test_json_stable_fields_across_runs():
-    a = verify(SimpleType("A", 2)).to_dict()
-    b = verify(SimpleType("A", 2)).to_dict()
+    a = dataclasses.asdict(verify(SimpleType("A", 2)))
+    b = dataclasses.asdict(verify(SimpleType("A", 2)))
     a.pop("timings_ms")
     b.pop("timings_ms")
     assert a == b
@@ -210,11 +231,34 @@ def test_main_rejects_bad_degree(capsys):
     assert code == 2
 
 
+def test_degree_above_the_bound_is_a_usage_error(monkeypatch, capsys):
+    # The report lists every degree, so an unbounded degree is unbounded output.
+    assert verify(SimpleType("A", 1), max_degree=64).quotient_hilbert == [1, 1] + [0] * 63
+    monkeypatch.setattr(cli, "build_root_system", lambda t: pytest.fail("verified despite the bound"))
+    with pytest.raises(ValueError, match="^max_degree must be at most 64, got 65$"):
+        verify(SimpleType("A", 2), max_degree=65)
+    assert main(["--family", "A", "--rank", "2", "--max-degree", "65"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: max_degree must be at most 64, got 65\nusage: hikita-verify")
+
+
 def test_main_rejects_the_removed_mode_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--family", "A", "--rank", "1", "--mode", "full"])
     assert exc.value.code == 2
     assert "--mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("D", 4), ("E", 6)])
+def test_wrong_weight_pairing_exits_three_at_the_casimir_stage(monkeypatch, capsys, family, rank):
+    real = cli.SplitCasimir.weight_pairing
+    monkeypatch.setattr(cli.SplitCasimir, "weight_pairing", lambda self, p, q: real(self, p, q) + 1)
+    code = main(["--family", family, "--rank", str(rank)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"internal invariant violation: casimir stage: {family}{rank}: Casimir scalar 3 "
+        "on the highest-weight square differs from (theta, theta) = 2\n"
+    )
 
 
 def _flip_ee_sign(monkeypatch):

@@ -75,6 +75,6 @@ def test_dropped_edge_fails_the_tree_check(monkeypatch):
     real = resolution.dynkin_edges
     monkeypatch.setattr(resolution, "dynkin_edges", lambda t: real(t)[1:])
     with pytest.raises(InvariantViolation, match=(
-        "^resolution stage: E6: diagram has 4 edges, expected 5$"
+        "^diagram has 4 edges, expected 5$"
     )):
         dynkin_tree(SimpleType("E", 6))
