@@ -5,7 +5,7 @@ for the simple coroots.  Signs of root-root brackets come from a
 bimultiplicative cocycle on the root lattice determined by an
 orientation of the Dynkin diagram: eps(alpha, beta) = (-1)^(u^T B v)
 in simple-root coordinates, where B has ones on the diagonal and a one
-at (i, j) for each edge crossed in the chosen direction.  With
+at (i, j) for each Dynkin edge with i > j.  With
 
     E(a) = e_a,   F(a) = -e_(-a),   H(i) = a_i^vee
 
@@ -38,8 +38,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import combinations_with_replacement, islice
-from operator import itemgetter, mul
-from typing import Iterator, Optional
+from operator import add, itemgetter, mul
+from typing import Iterator
 
 from .linalgx import SparseMatrix, SparseVec
 from .rootsys import InvariantViolation, RootSystem, root_to_weight
@@ -82,85 +82,56 @@ class LieAlgebra:
         return self.brackets.get((i, j), ())
 
 
-def _sign_data(rs: RootSystem) -> tuple[list[int], list[int]]:
-    """Per-root bitmasks so that eps(a, b) = -1 iff popcount(mask[a] & bmask[b]) is odd."""
-    c = rs.cartan_matrix
-    n = rs.rank
-    b = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                b[i][j] = 1
-            elif i > j and c[i][j] != 0:
-                b[i][j] = 1
-    masks = []
-    bmasks = []
-    for u in rs.positive_roots:
-        masks.append(sum((u[i] & 1) << i for i in range(n)))
-        bv = 0
-        for i in range(n):
-            if sum(b[i][j] * u[j] for j in range(n)) & 1:
-                bv |= 1 << i
-        bmasks.append(bv)
-    return masks, bmasks
-
-
 def build_chevalley(rs: RootSystem) -> LieAlgebra:
-    """Assemble the bracket table and the weights over the Chevalley basis."""
+    """Assemble the bracket table and the weights over the Chevalley basis.
+
+    Root-vector position a carries the signed root s_a, +alpha for E(alpha)
+    and -alpha for F(alpha), and x_a = sigma_a e_(s_a) with sigma_a = 1 on
+    E and -1 on F.  One loop over position pairs a < b fills every
+    root-root bracket: the coroot of s_a when b is the F partner of a,
+    otherwise sigma_a sigma_b sigma_k eps(s_a, s_b) x_k when s_a + s_b is
+    the root s_k, and nothing otherwise.
+    """
     n = rs.rank
     m = len(rs.positive_roots)
-    coords = rs.positive_roots
-    index = rs.root_index
-    masks, bmasks = _sign_data(rs)
-
-    def eps(a: int, b: int) -> int:
-        return -1 if (masks[a] & bmasks[b]).bit_count() & 1 else 1
+    c = rs.cartan_matrix
+    signed = list(rs.positive_roots) + [tuple(-x for x in u) for u in rs.positive_roots]
+    position = {s: k for k, s in enumerate(signed)}
+    sigma = [1] * m + [-1] * m
+    # Bit i of masks[a] is s_a[i] mod 2 and of bmasks[a] is (B s_a)[i] mod 2,
+    # so eps(s_a, s_b) = -1 exactly when masks[a] & bmasks[b] has odd parity.
+    masks = [sum((x & 1) << i for i, x in enumerate(s)) for s in signed]
+    bmasks = [
+        sum(((s[i] + sum(s[j] for j in range(i) if c[i][j])) & 1) << i for i in range(n))
+        for s in signed
+    ]
 
     brackets: dict = {}
 
-    def put(i: int, j: int, terms: list) -> None:
-        if not terms:
-            return
-        brackets[(i, j)] = tuple(terms)
+    def put(i: int, j: int, terms: tuple) -> None:
+        brackets[(i, j)] = terms
         brackets[(j, i)] = tuple((k, -s) for k, s in terms)
 
-    # Root-root brackets: E-E and F-F over unordered pairs.
-    for a in range(m):
-        ua = coords[a]
-        for b in range(a + 1, m):
-            s = tuple(x + y for x, y in zip(ua, coords[b]))
-            r = index.get(s)
-            if r is not None:
-                sign = eps(a, b)
-                put(a, b, [(r, sign)])
-                put(m + a, m + b, [(m + r, -sign)])
-
-    # E-F brackets, including the coroot on the diagonal.
-    for a in range(m):
-        ua = coords[a]
-        terms = [(2 * m + i, ua[i]) for i in range(n) if ua[i]]
-        put(a, m + a, terms)
-        for b in range(m):
-            if b == a:
-                continue
-            d = tuple(x - y for x, y in zip(ua, coords[b]))
-            r = index.get(d)
-            if r is not None:
-                put(a, m + b, [(r, -eps(a, b))])
-            else:
-                r = index.get(tuple(-x for x in d))
-                if r is not None:
-                    put(a, m + b, [(m + r, eps(a, b))])
+    for a in range(2 * m):
+        sa = signed[a]
+        for b in range(a + 1, 2 * m):
+            if b == a + m:
+                put(a, b, tuple((2 * m + i, x) for i, x in enumerate(sa) if x))
+            elif (k := position.get(tuple(map(add, sa, signed[b])))) is not None:
+                sign = sigma[a] * sigma[b] * sigma[k]
+                if (masks[a] & bmasks[b]).bit_count() & 1:
+                    sign = -sign
+                put(a, b, ((k, sign),))
 
     # Cartan action on the root vectors: H(i) scales E(a) by the i-th weight coordinate of a.
-    weights = [root_to_weight(rs, u) for u in coords]
+    weights = [root_to_weight(rs, u) for u in rs.positive_roots]
     for i in range(n):
         hi = 2 * m + i
         for a in range(m):
             k = weights[a][i]
             if k:
-                put(hi, a, [(a, k)])
-                put(hi, m + a, [(m + a, -k)])
+                put(hi, a, ((a, k),))
+                put(hi, m + a, ((m + a, -k),))
 
     weights += [tuple(-x for x in w) for w in weights]
     weights += [(0,) * n] * n
@@ -201,13 +172,12 @@ class SplitCasimir:
     gives the images of x_p x_q for every q >= p, in monomial order.
     ``column(p, q)`` reads one image off that row, and ``matrix()``
     packs every row into a ``SparseMatrix`` as it is built, so the
-    operator never exists as one dict per column, and caches it.
+    operator never exists as one dict per column.
     """
 
     def __init__(self, L: LieAlgebra):
         self.L = L
         self.sym_dim = sym2_dim(L.dim)
-        self._matrix: Optional[SparseMatrix] = None
         # Per basis position, its weight and its signed root coordinates
         # (zero on the Cartan): a weight paired with a root is a dot product.
         n = L.rs.rank
@@ -262,12 +232,10 @@ class SplitCasimir:
         return self._row(min(p, q))[abs(q - p)]
 
     def matrix(self) -> SparseMatrix:
-        """Full operator on the monomial basis, packed row by row as it is assembled, then cached."""
-        if self._matrix is None:
-            self._matrix = SparseMatrix.from_columns(
-                self.sym_dim, (col for p in range(self.L.dim) for col in self._row(p))
-            )
-        return self._matrix
+        """Full operator on the monomial basis, packed row by row as it is assembled."""
+        return SparseMatrix.from_columns(
+            self.sym_dim, (col for p in range(self.L.dim) for col in self._row(p))
+        )
 
 
 def casimir_top_eigenvalue(Omega: SplitCasimir) -> int:

@@ -67,7 +67,7 @@ def weight_blocks(L: LieAlgebra, Omega: SplitCasimir, c) -> Iterator[list[Sparse
     key[p] + key[q], determines its weight.  The keys are Python ints,
     so the encoding is exact at every rank.  A block is the list of
     columns of one weight, in monomial order, over the global row
-    indices.  Each column is a fresh dict unpacked from the cached
+    indices.  Each column is a fresh dict unpacked from the packed
     operator, so c is subtracted on its diagonal in place and the
     operator is never written.  Every column is checked to
     lie in its block: an entry outside is a construction bug, reported

@@ -14,7 +14,7 @@ basis order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "RootSystem",
     "cartan_matrix",
     "dynkin_edges",
-    "dim_of_type",
     "positive_root_count",
     "build_root_system",
     "root_to_weight",
@@ -57,16 +56,6 @@ class SimpleType:
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
-
-
-def dim_of_type(t: SimpleType) -> int:
-    """Dimension of the simple Lie algebra of type t."""
-    n = t.rank
-    if t.family == "A":
-        return n * (n + 2)
-    if t.family == "D":
-        return n * (2 * n - 1)
-    return {6: 78, 7: 133, 8: 248}[n]
 
 
 def positive_root_count(t: SimpleType) -> int:
@@ -114,7 +103,6 @@ class RootSystem:
     simple_type: SimpleType
     cartan_matrix: tuple[tuple[int, ...], ...]
     positive_roots: tuple[tuple[int, ...], ...]
-    root_index: dict = field(repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -129,50 +117,29 @@ def build_root_system(t: SimpleType) -> RootSystem:
     """Enumerate the positive roots of type t and package the root data.
 
     Starting from the simple roots, each height layer is extended by
-    adding simple roots, keeping a candidate u + alpha_i exactly when
-    the alpha_i-string through u continues upward (p - <u, alpha_i^vee>
-    positive, with p counted by walking down through known roots).
-    Enumeration stops once more roots are known than type t has, so a
-    diagram whose root system is infinite fails the count check instead
-    of running forever.
+    adding simple roots.  In a simply laced root system an alpha_i-string
+    through a root u != alpha_i has length at most 2, so u + alpha_i is a
+    root exactly when (u, alpha_i) = -1 (Humphreys, Introduction to Lie
+    Algebras, 9.4).  Enumeration stops once more roots are known than
+    type t has, so a diagram whose root system is infinite fails the
+    count check instead of running forever.
     """
     c = cartan_matrix(t)
     n = t.rank
     count = positive_root_count(t)
-    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    known = set(simple)
-    layers = [sorted(simple)]
-    layer = layers[0]
-    while layer and len(known) <= count:
-        nxt = []
-        for u in layer:
-            for i in range(n):
-                v = list(u)
-                v[i] += 1
-                v = tuple(v)
-                if v in known:
-                    continue
-                p = 0
-                w = list(u)
-                while True:
-                    w[i] -= 1
-                    if tuple(w) in known:
-                        p += 1
-                    else:
-                        break
-                pair = sum(c[i][j] * u[j] for j in range(n))
-                if p - pair > 0:
-                    known.add(v)
-                    nxt.append(v)
-        layer = sorted(nxt)
-        if layer:
-            layers.append(layer)
+    layer = sorted(tuple(int(i == j) for j in range(n)) for i in range(n))
+    ordered = list(layer)
+    while layer and len(ordered) <= count:
+        layer = sorted({
+            u[:i] + (u[i] + 1,) + u[i + 1:]
+            for u in layer
+            for i in range(n)
+            if sum(map(mul, c[i], u)) == -1
+        })
+        ordered += layer
 
-    ordered = [v for lay in layers for v in lay]
     if len(ordered) != count:
         raise InvariantViolation(f"enumerated {len(ordered)} positive roots, expected {count}")
-    if 2 * count + n != dim_of_type(t):
-        raise InvariantViolation("root count does not match dim g")
 
     for u in ordered:
         norm = sum(u[i] * c[i][j] * u[j] for i in range(n) for j in range(n))
@@ -193,7 +160,6 @@ def build_root_system(t: SimpleType) -> RootSystem:
         simple_type=t,
         cartan_matrix=c,
         positive_roots=tuple(ordered),
-        root_index={u: i for i, u in enumerate(ordered)},
     )
 
 

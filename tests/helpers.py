@@ -343,7 +343,8 @@ def d_positive_roots(n: int) -> set:
     return _in_simple_basis(simple, roots)
 
 
-def e8_positive_roots() -> set:
+@lru_cache(maxsize=None)
+def e8_positive_roots() -> frozenset:
     """E8 positive roots from the even-coordinate Euclidean model."""
     half = Fraction(1, 2)
     simple = [
@@ -370,4 +371,4 @@ def e8_positive_roots() -> set:
         signs = [1 if bits & (1 << k) else -1 for k in range(8)]
         if signs.count(-1) % 2 == 0:
             roots.append(tuple(half * s for s in signs))
-    return _in_simple_basis(simple, roots)
+    return frozenset(_in_simple_basis(simple, roots))

@@ -61,8 +61,8 @@ def test_a1_sl2_relations():
 def test_a2_root_vectors_bracket_nonvanishing():
     L = algebra_of("A", 2)
     rs = L.rs
-    top = rs.root_index[(1, 1)]
-    simple = [rs.root_index[(1, 0)], rs.root_index[(0, 1)]]
+    top = rs.positive_roots.index((1, 1))
+    simple = [rs.positive_roots.index((1, 0)), rs.positive_roots.index((0, 1))]
     terms = L.bracket(simple[0], simple[1])
     assert len(terms) == 1
     idx, coeff = terms[0]
@@ -131,6 +131,35 @@ def test_structure_constant_sizes(family, rank):
                 assert c in (1, -1)
             if i >= 2 * m or j >= 2 * m:
                 assert abs(c) <= 2
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 1), ("A", 2), ("A", 5), ("D", 4), ("D", 6), ("E", 6), ("E", 7), ("E", 8),
+])
+def test_root_brackets_follow_the_documented_cocycle(family, rank):
+    # [x_a, x_b] for x_a = sigma_a e_(s_a): the coroot of s_a when
+    # s_a + s_b = 0, sigma_a sigma_b sigma_k (-1)^(s_a^T B s_b) x_k when
+    # s_a + s_b = s_k, else nothing.  B has ones on the diagonal and at
+    # (i, j) for each Dynkin edge with i > j.
+    L = algebra_of(family, rank)
+    c = L.rs.cartan_matrix
+    m = L.npos
+    B = [[int(i == j or (i > j and c[i][j] != 0)) for j in range(rank)] for i in range(rank)]
+    signed = list(L.rs.positive_roots) + [tuple(-x for x in u) for u in L.rs.positive_roots]
+    where = {s: k for k, s in enumerate(signed)}
+    sigma = [1] * m + [-1] * m
+    for a, sa in enumerate(signed):
+        for b, sb in enumerate(signed):
+            total = tuple(x + y for x, y in zip(sa, sb))
+            k = where.get(total)
+            if not any(total):
+                expected = tuple((2 * m + i, x) for i, x in enumerate(sa) if x)
+            elif k is not None:
+                power = sum(sa[i] * B[i][j] * sb[j] for i in range(rank) for j in range(rank))
+                expected = ((k, sigma[a] * sigma[b] * sigma[k] * (-1) ** power),)
+            else:
+                expected = ()
+            assert L.bracket(a, b) == expected, (a, b)
 
 
 def test_adjoint_matrix_a1():

@@ -353,9 +353,7 @@ def _truncated_root_system(where):
         rs = real(t)
         roots = list(rs.positive_roots)
         del roots[len(roots) // 2 if where == "middle" else -1]
-        return dataclasses.replace(
-            rs, positive_roots=tuple(roots), root_index={u: i for i, u in enumerate(roots)},
-        )
+        return dataclasses.replace(rs, positive_roots=tuple(roots))
 
     return build
 

@@ -9,7 +9,6 @@ from minorbit.rootsys import (
     SimpleType,
     build_root_system,
     cartan_matrix,
-    dim_of_type,
     dynkin_edges,
     positive_root_count,
     root_to_weight,
@@ -28,6 +27,13 @@ ALL_TYPES = (
     + [("D", r) for r in range(4, 9)]
     + [("E", r) for r in (6, 7, 8)]
 )
+
+# Known dimensions of the simple Lie algebras.
+DIM_G = {
+    "A1": 3, "A2": 8, "A3": 15, "A4": 24, "A5": 35, "A6": 48, "A7": 63, "A8": 80,
+    "D4": 28, "D5": 45, "D6": 66, "D7": 91, "D8": 120,
+    "E6": 78, "E7": 133, "E8": 248,
+}
 
 
 @pytest.mark.parametrize("family,rank,msg", [
@@ -89,6 +95,14 @@ def test_e8_roots_match_euclidean_model():
     assert set(rs.positive_roots) == oracle
 
 
+@pytest.mark.parametrize("rank,count", [(6, 36), (7, 63)])
+def test_e6_e7_roots_are_the_e8_roots_they_contain(rank, count):
+    # Bourbaki numbering nests E6 in E7 in E8: node k of E_rank is node k of E8.
+    oracle = {r[:rank] for r in e8_positive_roots() if not any(r[rank:])}
+    assert len(oracle) == count
+    assert set(rs_of("E", rank).positive_roots) == oracle
+
+
 def test_e6_counts():
     rs = rs_of("E", 6)
     assert len(rs.positive_roots) == 36
@@ -101,7 +115,7 @@ def test_root_counts_and_lengths(family, rank):
     rs = rs_of(family, rank)
     t = SimpleType(family, rank)
     assert len(rs.positive_roots) == positive_root_count(t)
-    assert rs.dim_g == dim_of_type(t)
+    assert rs.dim_g == DIM_G[f"{family}{rank}"]
     for r in rs.positive_roots:
         assert type(r) is tuple and all(type(x) is int for x in r)
         assert dot(root_to_weight(rs, r), r) == 2
