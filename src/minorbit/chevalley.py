@@ -37,16 +37,17 @@ on the square of a highest-weight vector the operator is the scalar
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement, groupby, islice, repeat
 from operator import add, itemgetter, mul
 from typing import Iterator
 
-from .linalgx import SparseMatrix, SparseVec
+from .linalgx import SparseVec
 from .rootsys import InvariantViolation, RootSystem, root_to_weight
 
 __all__ = [
     "LieAlgebra",
     "SplitCasimir",
+    "WeightBlocks",
     "build_chevalley",
     "casimir_top_eigenvalue",
     "sym2_dim",
@@ -60,14 +61,17 @@ class LieAlgebra:
     """Bracket table and weight data over a Chevalley basis.
 
     Basis positions are laid out as all E(alpha), then all F(alpha) in
-    the positive-root order, then H(1)..H(rank).  Immutable in practice:
+    the positive-root order, then H(1)..H(rank).  signed_roots[x] is
+    the root of position x in simple-root coordinates: +alpha on E(alpha),
+    -alpha on F(alpha) and zero on the Cartan.  Immutable in practice:
     nothing mutates the tables after construction.
     """
 
-    def __init__(self, rs, brackets, weights_fw):
+    def __init__(self, rs, brackets, weights_fw, signed_roots):
         self.rs = rs
         self.brackets = brackets
         self.weights_fw = weights_fw
+        self.signed_roots = signed_roots
 
     @property
     def dim(self) -> int:
@@ -135,7 +139,7 @@ def build_chevalley(rs: RootSystem) -> LieAlgebra:
 
     weights += [tuple(-x for x in w) for w in weights]
     weights += [(0,) * n] * n
-    return LieAlgebra(rs, brackets, tuple(weights))
+    return LieAlgebra(rs, brackets, tuple(weights), tuple(signed) + ((0,) * n,) * n)
 
 
 def sym2_dim(n: int) -> int:
@@ -165,25 +169,58 @@ def sym2_pairs(n: int) -> Iterator[tuple[int, int]]:
     return combinations_with_replacement(range(n), 2)
 
 
+class WeightBlocks:
+    """A square integer matrix on Sym^2 g, stored as dense diagonal blocks.
+
+    blocks[b] is a pair (monos, data): monos lists the monomials of one
+    torus weight in ascending order, and data holds the block's s * s
+    entries column by column, s = len(monos), so the entry on row
+    monos[i] of column monos[j] is data[j * s + i].  Every entry outside
+    the blocks is zero.  nnz is the number of nonzero entries, counted
+    as the blocks were filled: the owner may release blocks once it is
+    done with them, as degree2_ideal does, and nnz keeps the count.
+    """
+
+    __slots__ = ("nrows", "nnz", "blocks", "_block", "_local")
+
+    def __init__(self, nrows: int, monos_by_block: list[list[int]]):
+        self.nrows = nrows
+        self.nnz = 0
+        self.blocks = [(monos, [0] * len(monos) ** 2) for monos in monos_by_block]
+        self._block = block = [0] * nrows
+        self._local = local = [0] * nrows
+        for b, monos in enumerate(monos_by_block):
+            for i, k in enumerate(monos):
+                block[k] = b
+                local[k] = i
+
+    @property
+    def ncols(self) -> int:
+        return self.nrows
+
+    def column(self, j: int) -> SparseVec:
+        """Column j over the global monomial indices, as a fresh dict that the caller owns."""
+        monos, data = self.blocks[self._block[j]]
+        s = len(monos)
+        start = self._local[j] * s
+        return {monos[i]: x for i, x in enumerate(data[start : start + s]) if x}
+
+
 class SplitCasimir:
     """Split Casimir acting on the symmetric square, assembled on demand.
 
     The operator is built one row of monomials at a time: ``_row(p)``
     gives the images of x_p x_q for every q >= p, in monomial order.
     ``column(p, q)`` reads one image off that row, and ``matrix()``
-    packs every row into a ``SparseMatrix`` as it is built, so the
-    operator never exists as one dict per column.
+    writes every row straight into the dense weight blocks as it is
+    built, so the operator never exists as one dict per column.
     """
 
     def __init__(self, L: LieAlgebra):
         self.L = L
         self.sym_dim = sym2_dim(L.dim)
-        # Per basis position, its weight and its signed root coordinates
-        # (zero on the Cartan): a weight paired with a root is a dot product.
-        n = L.rs.rank
-        roots = list(L.rs.positive_roots)
-        signed = roots + [tuple(-x for x in u) for u in roots] + [(0,) * n] * n
-        self._weight_root = list(zip(L.weights_fw, signed))
+        # A weight paired with a root is a dot product.
+        self._weight_root = list(zip(L.weights_fw, L.signed_roots))
         # Bracket index, built once: _ad[p] maps each root vector x with
         # [x, x_p] != 0 to that bracket, and _inv[x] lists a triple
         # (q, j, c) for every term c x_j of every nonzero [dual(x), x_q],
@@ -231,11 +268,52 @@ class SplitCasimir:
         """Image of the monomial x_p x_q, as a sparse vector over monomials."""
         return self._row(min(p, q))[abs(q - p)]
 
-    def matrix(self) -> SparseMatrix:
-        """Full operator on the monomial basis, packed row by row as it is assembled."""
-        return SparseMatrix.from_columns(
-            self.sym_dim, (col for p in range(self.L.dim) for col in self._row(p))
-        )
+    def matrix(self) -> WeightBlocks:
+        """Full operator on the monomial basis, written into its torus-weight blocks as it is assembled.
+
+        The monomial x_p x_q has weight wt(x_p) + wt(x_q), and Omega
+        commutes with the torus, so the image of a monomial only involves
+        monomials of the same weight.  A weight is encoded as one integer,
+        its coordinates read as balanced digits in base 4 top + 1, where
+        top is the largest |coordinate| of a weight of g: a coordinate of
+        a sum of two weights lies in [-2 top, 2 top], so the key of
+        x_p x_q, which is key[p] + key[q], determines its weight.  The
+        keys are Python ints, so the encoding is exact at every rank.
+        Blocks come in key order, each over its monomials in monomial
+        order.  Every entry is checked to lie in its column's block: an
+        entry outside is a construction bug, reported fatally, and the
+        check is what makes the rank of the operator exactly the sum of
+        the block ranks.
+        """
+        nn = self.L.dim
+        weights = self.L.weights_fw
+        base = 4 * max(abs(x) for w in weights for x in w) + 1
+        key = [sum(x * base**i for i, x in enumerate(w)) for w in weights]
+        keys = [key[p] + key[q] for p, q in sym2_pairs(nn)]
+        order = sorted(range(self.sym_dim), key=keys.__getitem__)
+        out = WeightBlocks(self.sym_dim, [list(g) for _, g in groupby(order, keys.__getitem__)])
+        block, local, blocks = out._block, out._local, out.blocks
+        nnz = 0
+        for p in range(nn):
+            offset = self._offset[p]
+            for q, col in enumerate(self._row(p), p):
+                j = offset + q
+                b = block[j]
+                monos, data = blocks[b]
+                s = len(monos)
+                # Entries are nonzero, so any entry off the block is one that the gather misses.
+                dense = list(map(col.get, monos, repeat(0)))
+                if s - dense.count(0) != len(col):
+                    r1, r2 = sym2_unrank(nn, next(r for r in col if block[r] != b))
+                    raise InvariantViolation(
+                        f"the image of monomial x_{p} x_{q} has an entry on x_{r1} x_{r2}, "
+                        "outside its weight block"
+                    )
+                at = local[j] * s
+                data[at : at + s] = dense
+                nnz += len(col)
+        out.nnz = nnz
+        return out
 
 
 def casimir_top_eigenvalue(Omega: SplitCasimir) -> int:

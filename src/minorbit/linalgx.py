@@ -1,13 +1,13 @@
-"""Exact sparse linear algebra with fraction-free integer elimination.
+"""Exact linear algebra with fraction-free integer elimination.
 
-Vectors are dicts mapping coordinate index to a nonzero integer.  A
-matrix packs its sparse columns into three 64-bit integer arrays
-(compressed-sparse-column form) and hands each column back as a fresh
-dict.  Rank and image computations push columns, from a matrix or any
-other iterable, one at a time into a reduced echelon basis.
+Vectors are dicts mapping coordinate index to a nonzero integer, and
+an echelon basis grows one such vector at a time through
+``append_and_rank``.  ``image_basis`` is the dense kernel for one
+weight block: its columns are int lists over the block's own
+coordinates, and it hands back the same kind of echelon basis.
 
 Every vector is an integer vector, and every operation is integer
-arithmetic: the kernel takes int entries only, and anything else, a
+arithmetic: the kernels take int entries only, and anything else, a
 ``Fraction`` included, raises ``TypeError`` in ``math.gcd``.  Each
 stored vector is primitive (its entries have gcd 1) with a positive
 pivot entry, so the basis is the canonical reduced echelon basis of its
@@ -17,19 +17,16 @@ integers.  There is no floating point anywhere in this module.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from math import gcd, lcm
-from operator import itemgetter
-from typing import Iterable, Mapping
+from operator import add, sub
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "SparseVec",
-    "SparseMatrix",
     "EchelonBasis",
     "addmul",
     "append_and_rank",
-    "direct_sum",
     "image_basis",
 ]
 
@@ -55,60 +52,6 @@ def _primitive(w: SparseVec) -> SparseVec:
     if g == 1:
         return w
     return {i: x // g for i, x in w.items()}
-
-
-class SparseMatrix:
-    """An nrows x ncols integer matrix, packed in compressed-sparse-column form.
-
-    Three ``array("q")`` fields hold it: the entries of column j are the
-    pairs zip(_rows[a:b], _vals[a:b]) with a, b = _ptr[j], _ptr[j + 1].
-    A matrix is immutable once built, and from_columns() is its only
-    constructor.  column() hands out a fresh dict, so writing into one
-    never writes the matrix.
-
-    Every row index and entry must be an int that fits in 64 bits, and
-    that is enforced where it comes in: packing a ``Fraction``, integral
-    or not, or a float raises ``TypeError``, and an int beyond 64 bits
-    raises ``OverflowError``.
-    """
-
-    __slots__ = ("nrows", "_ptr", "_rows", "_vals")
-
-    @classmethod
-    def from_columns(cls, nrows: int, cols: Iterable[Mapping[int, int]]) -> SparseMatrix:
-        """The matrix whose columns are cols, each packed as it arrives.
-
-        cols may be any iterable, a generator included, and is consumed
-        once.  Each column must be a sparse vector over range(nrows) with
-        no zero entries.  That is not checked here, as it costs a pass
-        over every entry; append_and_rank checks the coordinates of every
-        column it eliminates.
-        """
-        if nrows < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        ptr, rows, vals = array("q", [0]), array("q"), array("q")
-        for col in cols:
-            rows.extend(col)
-            vals.extend(col.values())
-            ptr.append(len(rows))
-        m = cls.__new__(cls)
-        m.nrows, m._ptr, m._rows, m._vals = nrows, ptr, rows, vals
-        return m
-
-    @property
-    def ncols(self) -> int:
-        return len(self._ptr) - 1
-
-    @property
-    def nnz(self) -> int:
-        return len(self._vals)
-
-    def column(self, j: int) -> SparseVec:
-        """Column j as a fresh dict that the caller owns."""
-        if not 0 <= j < self.ncols:
-            raise IndexError(f"column {j} out of range for {self.ncols} columns")
-        a, b = self._ptr[j], self._ptr[j + 1]
-        return dict(zip(self._rows[a:b], self._vals[a:b]))
 
 
 class EchelonBasis:
@@ -189,29 +132,70 @@ def append_and_rank(basis: EchelonBasis, v: Mapping[int, int]) -> tuple[EchelonB
     return basis, True
 
 
-def direct_sum(dim: int, parts: Iterable[EchelonBasis]) -> EchelonBasis:
-    """One basis from echelon bases of subspaces with pairwise disjoint supports.
+def _submul(v: list[int], x: int, row: list[int]) -> list[int]:
+    """v - x * row for dense int lists, with the unit multiples done in C."""
+    if x == 1:
+        return list(map(sub, v, row))
+    if x == -1:
+        return list(map(add, v, row))
+    return [u - x * y for u, y in zip(v, row)]
 
-    No coordinate is shared, so the union is already reduced and the
-    merge is a sort by pivot.
+
+def image_basis(nrows: int, columns: Iterable[Sequence[int]]) -> EchelonBasis:
+    """Canonical reduced echelon basis of the span of dense int columns of length nrows.
+
+    Gauss-Jordan elimination one coordinate at a time: the column with
+    the smallest nonzero entry there, in absolute value, becomes the
+    row of that pivot, and the coordinate is cleared from every other
+    column and row, so a unit pivot, where there is one, makes every
+    step a plain subtraction.  A column that reaches zero is dropped.
+    The rows then enter an EchelonBasis through append_and_rank, which
+    makes each primitive, highest pivot first, so no earlier vector
+    holds the new pivot and each insertion scans nothing.
     """
-    out = EchelonBasis(dim)
-    pairs = sorted(
-        (pair for part in parts for pair in zip(part.pivots, part.vectors)),
-        key=itemgetter(0),
-    )
-    out.pivots = [p for p, _ in pairs]
-    out.vectors = [vec for _, vec in pairs]
-    out._by_pivot = dict(pairs)
-    if len(out._by_pivot) != len(pairs):
-        raise ValueError("bases to merge share a pivot coordinate")
-    return out
-
-
-def image_basis(nrows: int, columns: Iterable[Mapping[int, int]]) -> EchelonBasis:
-    """Canonical reduced echelon basis of the span of columns, vectors over range(nrows)."""
-    basis = EchelonBasis(nrows)
+    # Every step builds a new list, so a column is never written and needs no copy.
+    vecs = []
     for col in columns:
-        append_and_rank(basis, col)
+        if len(col) != nrows:
+            raise ValueError(f"column of length {len(col)} in dimension {nrows}")
+        g = gcd(*col)
+        if g:
+            vecs.append(col if g == 1 else [x // g for x in col])
+    rows: list[list[int]] = []
+    for i in range(nrows):
+        if not vecs:
+            break
+        best, size = -1, 0
+        for k, v in enumerate(vecs):
+            x = v[i]
+            if x and (best < 0 or abs(x) < size):
+                best, size = k, abs(x)
+                if size == 1:
+                    break
+        if best < 0:
+            continue
+        row = vecs.pop(best)
+        a = row[i]
+        if a < 0:
+            row = [-x for x in row]
+            a = -a
+        for others in (vecs, rows):
+            for k, v in enumerate(others):
+                x = v[i]
+                if not x:
+                    continue
+                if a == 1:
+                    v = _submul(v, x, row)
+                else:
+                    g = gcd(a, x)
+                    v = [(a // g) * u - (x // g) * y for u, y in zip(v, row)]
+                    g = gcd(*v)
+                    if g > 1:
+                        v = [u // g for u in v]
+                others[k] = v
+        vecs = [v for v in vecs if any(v)]
+        rows.append(row)
+    basis = EchelonBasis(nrows)
+    for row in reversed(rows):
+        append_and_rank(basis, {i: x for i, x in enumerate(row) if x})
     return basis
-

@@ -21,16 +21,16 @@ exactly that order, so restriction is a shift of the index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, groupby
-from typing import Iterator, Sequence
+from itertools import combinations_with_replacement
+from operator import itemgetter
+from typing import Sequence
 
-from .chevalley import LieAlgebra, SplitCasimir, sym2_dim, sym2_index, sym2_pairs, sym2_unrank
-from .linalgx import EchelonBasis, SparseVec, append_and_rank, direct_sum, image_basis
+from .chevalley import LieAlgebra, SplitCasimir, sym2_dim, sym2_index
+from .linalgx import EchelonBasis, SparseVec, append_and_rank, image_basis
 from .rootsys import InvariantViolation, root_to_weight, weyl_dim
 
 __all__ = [
     "IdealDegree2",
-    "weight_blocks",
     "degree2_ideal",
     "projected_span",
     "quotient_hilbert",
@@ -55,69 +55,37 @@ class IdealDegree2:
         return len(self.basis)
 
 
-def weight_blocks(L: LieAlgebra, Omega: SplitCasimir, c) -> Iterator[list[SparseVec]]:
-    """Yield (Omega - c) on Sym^2 g one torus-weight block at a time.
-
-    The monomial x_p x_q has weight wt(x_p) + wt(x_q), and Omega commutes
-    with the torus, so the image of a monomial only involves monomials
-    of the same weight.  A weight is encoded as one integer, its
-    coordinates read as balanced digits in base 4 top + 1, where top is
-    the largest |coordinate| of a weight of g: a coordinate of a sum of
-    two weights lies in [-2 top, 2 top], so the key of x_p x_q, which is
-    key[p] + key[q], determines its weight.  The keys are Python ints,
-    so the encoding is exact at every rank.  A block is the list of
-    columns of one weight, in monomial order, over the global row
-    indices.  Each column is a fresh dict unpacked from the packed
-    operator, so c is subtracted on its diagonal in place and the
-    operator is never written.  Every column is checked to
-    lie in its block: an entry outside is a construction bug, reported
-    fatally, and the check is what makes the rank of (Omega - c) exactly
-    the sum of the block ranks.
-    """
-    mat = Omega.matrix()
-    nn = L.dim
-    weights = L.weights_fw
-    base = 4 * max(abs(x) for w in weights for x in w) + 1
-    key = [sum(x * base**i for i, x in enumerate(w)) for w in weights]
-    keys = [key[p] + key[q] for p, q in sym2_pairs(nn)]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    for _, group in groupby(order, keys.__getitem__):
-        ks = list(group)
-        members = set(ks)
-        block = []
-        for k in ks:
-            col = mat.column(k)
-            if not col.keys() <= members:
-                r = next(r for r in col if r not in members)
-                p, q = sym2_unrank(nn, k)
-                r1, r2 = sym2_unrank(nn, r)
-                raise InvariantViolation(
-                    f"the image of monomial x_{p} x_{q} has an entry on x_{r1} x_{r2}, "
-                    "outside its weight block"
-                )
-            v = col.get(k, 0) - c
-            if v:
-                col[k] = v
-            else:
-                col.pop(k, None)
-            block.append(col)
-        yield block
-
-
 def degree2_ideal(L: LieAlgebra, Omega: SplitCasimir, c) -> IdealDegree2:
     """Image basis of (Omega - c) on Sym^2 g, with its dimension verified.
 
-    The image is taken block by block over the torus weights and the
-    block bases, whose supports are disjoint, are merged into the
-    canonical basis of the whole image.  Each block is eliminated
-    longest column first, which is faster on the large blocks and
-    leaves the canonical basis as it is.  A mismatch against dim Sym^2 g
-    minus the Weyl dimension of the doubled highest weight is a
-    construction bug, reported fatally.
+    The operator comes assembled in its torus-weight blocks.  Each block
+    in turn has c subtracted on its diagonal, is eliminated in its own
+    coordinates, unless the shift leaves it zero, and is released.  The
+    local pivots map back through the block's ascending monomial list,
+    an order-preserving map, so every block basis is the canonical
+    basis of its part of the image.  The block supports are disjoint,
+    so the union of the block bases is already reduced and the merge is
+    one sort by pivot.  A mismatch against dim Sym^2 g minus the Weyl
+    dimension of the doubled highest weight is a construction bug,
+    reported fatally.
     """
     nrows = sym2_dim(L.dim)
-    blocks = (sorted(block, key=len, reverse=True) for block in weight_blocks(L, Omega, c))
-    basis = direct_sum(nrows, (image_basis(nrows, block) for block in blocks))
+    blocks = Omega.matrix().blocks
+    pairs = []
+    while blocks:
+        monos, data = blocks.pop()
+        s = len(monos)
+        data[:: s + 1] = [x - c for x in data[:: s + 1]]
+        if not any(data):
+            continue
+        part = image_basis(s, [data[j : j + s] for j in range(0, s * s, s)])
+        for pivot, vec in zip(part.pivots, part.vectors):
+            pairs.append((monos[pivot], {monos[i]: x for i, x in vec.items()}))
+    pairs.sort(key=itemgetter(0))
+    basis = EchelonBasis(nrows)
+    basis.pivots = [p for p, _ in pairs]
+    basis.vectors = [vec for _, vec in pairs]
+    basis._by_pivot = dict(pairs)
     rs = L.rs
     theta2 = tuple(2 * x for x in root_to_weight(rs, rs.positive_roots[-1]))
     dim_v2theta = weyl_dim(rs, theta2)

@@ -8,10 +8,11 @@ Euclidean-coordinate constructions of the classical root systems.
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Callable
+from typing import Callable, Iterable, Mapping
 
 from minorbit.chevalley import (
     LieAlgebra,
@@ -20,7 +21,7 @@ from minorbit.chevalley import (
     sym2_index,
     sym2_unrank,
 )
-from minorbit.linalgx import SparseMatrix, addmul
+from minorbit.linalgx import EchelonBasis, SparseVec, addmul, append_and_rank
 from minorbit.rootsys import RootSystem, SimpleType, build_root_system
 
 
@@ -41,17 +42,93 @@ def casimir_of(family: str, rank: int) -> SplitCasimir:
 
 # -- reference matrix operations --------------------------------------------
 
-def columns(m: SparseMatrix) -> tuple[dict, ...]:
+class SparseMatrix:
+    """An nrows x ncols integer matrix, packed in compressed-sparse-column form.
+
+    The reference matrix the helpers below build.  Three ``array("q")``
+    fields hold it: the entries of column j are the pairs
+    zip(_rows[a:b], _vals[a:b]) with a, b = _ptr[j], _ptr[j + 1].  A
+    matrix is immutable once built, and from_columns() is its only
+    constructor.  column() hands out a fresh dict, so writing into one
+    never writes the matrix.
+
+    Every row index and entry must be an int that fits in 64 bits, and
+    that is enforced where it comes in: packing a ``Fraction``, integral
+    or not, or a float raises ``TypeError``, and an int beyond 64 bits
+    raises ``OverflowError``.
+    """
+
+    __slots__ = ("nrows", "_ptr", "_rows", "_vals")
+
+    @classmethod
+    def from_columns(cls, nrows: int, cols: Iterable[Mapping[int, int]]) -> SparseMatrix:
+        """The matrix whose columns are cols, each packed as it arrives.
+
+        cols may be any iterable, a generator included, and is consumed
+        once.  Each column must be a sparse vector over range(nrows) with
+        no zero entries; that is not checked here.
+        """
+        if nrows < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        ptr, rows, vals = array("q", [0]), array("q"), array("q")
+        for col in cols:
+            rows.extend(col)
+            vals.extend(col.values())
+            ptr.append(len(rows))
+        m = cls.__new__(cls)
+        m.nrows, m._ptr, m._rows, m._vals = nrows, ptr, rows, vals
+        return m
+
+    @property
+    def ncols(self) -> int:
+        return len(self._ptr) - 1
+
+    @property
+    def nnz(self) -> int:
+        return len(self._vals)
+
+    def column(self, j: int) -> SparseVec:
+        """Column j as a fresh dict that the caller owns."""
+        if not 0 <= j < self.ncols:
+            raise IndexError(f"column {j} out of range for {self.ncols} columns")
+        a, b = self._ptr[j], self._ptr[j + 1]
+        return dict(zip(self._rows[a:b], self._vals[a:b]))
+
+
+def columns(m) -> tuple[dict, ...]:
     """Every column of m, empty ones included, as fresh dicts.
 
-    Two matrices with the same number of rows are equal exactly when
-    their columns() are: dict equality ignores the order of the rows
-    packed inside a column.
+    m is a SparseMatrix or any operator with ncols and column(j), such
+    as the WeightBlocks that SplitCasimir.matrix() returns.  Two
+    matrices with the same number of rows are equal exactly when their
+    columns() are: dict equality ignores the order of the rows packed
+    inside a column.
     """
     return tuple(map(m.column, range(m.ncols)))
 
 
-def to_rows(m: SparseMatrix) -> list[list]:
+def dense(n: int, v: Mapping[int, int]) -> list[int]:
+    """The sparse vector v over range(n) as the dense int list image_basis takes."""
+    return [v.get(i, 0) for i in range(n)]
+
+
+def dense_columns(m) -> list[list[int]]:
+    return [dense(m.nrows, col) for col in columns(m)]
+
+
+def sparse_image(nrows: int, cols: Iterable[Mapping[int, int]]) -> EchelonBasis:
+    """Echelon basis of the span of sparse columns, pushed one at a time through append_and_rank.
+
+    The sparse route, with no weight blocks: the reference for ranks of
+    whole operators, which the dense kernel would take as one block.
+    """
+    basis = EchelonBasis(nrows)
+    for col in cols:
+        append_and_rank(basis, col)
+    return basis
+
+
+def to_rows(m) -> list[list]:
     rows = [[0] * m.ncols for _ in range(m.nrows)]
     for c, col in enumerate(columns(m)):
         for r, v in col.items():
@@ -207,7 +284,7 @@ def negate_first_ee_constant(L: LieAlgebra) -> LieAlgebra:
     brackets = dict(L.brackets)
     for key in ((a, b), (b, a)):
         brackets[key] = tuple((k, -s) for k, s in brackets[key])
-    return LieAlgebra(L.rs, brackets, L.weights_fw)
+    return LieAlgebra(L.rs, brackets, L.weights_fw, L.signed_roots)
 
 
 # -- rational echelon reference ----------------------------------------------

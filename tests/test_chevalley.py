@@ -13,10 +13,10 @@ from minorbit.chevalley import (
     sym2_pairs,
     sym2_unrank,
 )
-from minorbit.linalgx import SparseMatrix
 from minorbit.rootsys import InvariantViolation, root_to_weight
 
 from helpers import (
+    SparseMatrix,
     adjoint_matrix,
     algebra_of,
     all_pairs_column,
@@ -225,7 +225,9 @@ def test_matrix_packs_every_column_in_monomial_order(family, rank):
     L = algebra_of(family, rank)
     Om = casimir_of(family, rank)
     cols = tuple(Om.column(p, q) for p, q in sym2_pairs(L.dim))
-    assert columns(Om.matrix()) == cols
+    op = Om.matrix()
+    assert columns(op) == cols
+    assert op.nnz == sum(map(len, cols))
     # No column keeps an entry whose sum cancelled to zero.
     assert not any(0 in col.values() for col in cols)
 

@@ -1,4 +1,4 @@
-"""Sparse integer rank, image bases and incremental span building."""
+"""Integer rank, image bases and incremental span building, and the reference SparseMatrix."""
 
 import random
 from fractions import Fraction
@@ -8,17 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minorbit.chevalley import casimir_top_eigenvalue, sym2_index
-from minorbit.linalgx import (
-    EchelonBasis,
-    SparseMatrix,
-    append_and_rank,
-    direct_sum,
-    image_basis,
-)
+from minorbit.linalgx import EchelonBasis, append_and_rank, image_basis
 
 from helpers import (
+    SparseMatrix,
     casimir_of,
     columns,
+    dense,
+    dense_columns,
     dense_rank,
     fraction_echelon,
     from_entries,
@@ -105,24 +102,24 @@ def test_append_and_rank_rejects_out_of_range_coordinates(bad):
 
 
 def test_rank_trivial():
-    assert len(image_basis(4, [{}] * 7)) == 0
-    assert len(image_basis(5, ({i: 1} for i in range(5)))) == 5
+    assert len(image_basis(4, [[0] * 4] * 7)) == 0
+    assert len(image_basis(5, (dense(5, {i: 1}) for i in range(5)))) == 5
 
 
 def test_rank_a2_shifted_casimir():
     # 36 - 27 by the dimension count, and again by dense elimination.
     m = top_shifted_casimir("A", 2)
     assert m.nrows == 36
-    assert len(image_basis(m.nrows, columns(m))) == 9
+    assert len(image_basis(m.nrows, dense_columns(m))) == 9
     assert dense_rank(to_rows(m)) == 9
 
 
 def test_image_basis_identity_and_repeated_column():
-    basis = image_basis(4, [{i: 1} for i in range(4)])
+    basis = image_basis(4, [dense(4, {i: 1}) for i in range(4)])
     assert basis.pivots == [0, 1, 2, 3]
     assert basis.vectors == [{0: 1}, {1: 1}, {2: 1}, {3: 1}]
 
-    basis = image_basis(3, [{0: 2, 2: -4}] * 4)
+    basis = image_basis(3, [[2, 0, -4]] * 4)
     assert len(basis) == 1
     assert basis.vectors == [{0: 1, 2: -2}]
 
@@ -131,7 +128,7 @@ def test_image_basis_a1_shifted_casimir():
     # The single generator as a primitive integer vector: 4 e.f + h.h,
     # proportional to 2 h.h + 8 e.f.
     m = top_shifted_casimir("A", 1)
-    basis = image_basis(m.nrows, columns(m))
+    basis = image_basis(m.nrows, dense_columns(m))
     ef = sym2_index(3, 0, 1)
     hh = sym2_index(3, 2, 2)
     assert len(basis) == 1
@@ -176,7 +173,7 @@ def test_echelon_invariants_on_random_matrices():
     rng = random.Random(2024)
     for _ in range(40):
         m = random_sparse(rng, max_side=60)
-        basis = image_basis(m.nrows, columns(m))
+        basis = image_basis(m.nrows, dense_columns(m))
         assert basis.pivots == sorted(basis.pivots)
         assert len(set(basis.pivots)) == len(basis.pivots)
         for i, vec in enumerate(basis.vectors):
@@ -197,15 +194,15 @@ def test_rank_equals_rank_of_transpose():
     for _ in range(30):
         m = random_sparse(rng, max_side=60)
         t = transpose(m)
-        assert len(image_basis(m.nrows, columns(m))) == len(image_basis(t.nrows, columns(t)))
+        assert len(image_basis(m.nrows, dense_columns(m))) == len(image_basis(t.nrows, dense_columns(t)))
 
 
 def test_image_basis_is_canonical_under_column_shuffle():
     rng = random.Random(5)
     m = random_sparse(rng, max_side=30)
-    cols = list(columns(m))
+    cols = dense_columns(m)
     rng.shuffle(cols)
-    b1 = image_basis(m.nrows, columns(m))
+    b1 = image_basis(m.nrows, dense_columns(m))
     b2 = image_basis(m.nrows, cols)
     assert b1.pivots == b2.pivots
     assert b1.vectors == b2.vectors
@@ -214,7 +211,7 @@ def test_image_basis_is_canonical_under_column_shuffle():
 def test_all_arithmetic_stays_rational():
     rng = random.Random(17)
     m = random_sparse(rng, max_side=25)
-    for vec in image_basis(m.nrows, columns(m)).vectors:
+    for vec in image_basis(m.nrows, dense_columns(m)).vectors:
         for v in vec.values():
             assert type(v) is int
 
@@ -237,7 +234,7 @@ def sparse_matrices(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(sparse_matrices())
 def test_integer_basis_is_the_monic_fraction_basis_rescaled(m):
-    basis = image_basis(m.nrows, columns(m))
+    basis = image_basis(m.nrows, dense_columns(m))
     pivots, vectors = fraction_echelon(columns(m))
     assert basis.pivots == pivots
     for pivot, vec in zip(basis.pivots, basis.vectors):
@@ -270,13 +267,26 @@ def test_fraction_entries_raise_type_error():
     assert basis.pivots == [0] and basis.vectors == [{0: 2, 3: -1}]
 
 
-def test_direct_sum_sorts_disjoint_bases_by_pivot():
-    a = image_basis(6, [{1: 2, 4: 2}, {3: -1}])
-    b = image_basis(6, [{0: 1, 2: -3}])
-    merged = direct_sum(6, [a, b])
-    assert merged.pivots == [0, 1, 3]
-    assert merged.vectors == [{0: 1, 2: -3}, {1: 1, 4: 1}, {3: 1}]
-    _, grew = append_and_rank(merged, {1: 5, 4: 5, 0: 1, 2: -3})
-    assert not grew
-    with pytest.raises(ValueError):
-        direct_sum(6, [a, a])
+@pytest.mark.parametrize("bad", [Fraction(1, 3), Fraction(2), 2.0])
+@pytest.mark.parametrize("column", [
+    lambda b: [b, 0, 0, 0],
+    lambda b: [0, b, 0, 0],
+    lambda b: [b, 0, 0, -b],
+], ids=["on_the_pivot", "off_every_pivot", "inside_the_span"])
+def test_image_basis_rejects_non_int_entries(bad, column):
+    # The dense kernel is integer-only like the sparse one: a Fraction,
+    # even an integral one, or a float raises wherever it stands, also
+    # in a column that would reduce to zero against the int column.
+    col = column(bad)
+    with pytest.raises(TypeError):
+        image_basis(4, [[1, 0, 0, -1], col])
+    with pytest.raises(TypeError):
+        image_basis(4, [col, [1, 0, 0, -1]])
+
+
+@pytest.mark.parametrize("length", [0, 3, 5])
+def test_image_basis_rejects_columns_of_the_wrong_length(length):
+    # A dense list would otherwise read a short column as zero-padded and
+    # never look at the tail of a long one.
+    with pytest.raises(ValueError, match=f"^column of length {length} in dimension 4$"):
+        image_basis(4, [[1, 0, 0, 0], [1] * length])

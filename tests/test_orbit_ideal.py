@@ -12,7 +12,7 @@ from minorbit.chevalley import (
     sym2_pairs,
 )
 from minorbit.cli import ade_types
-from minorbit.linalgx import SparseMatrix, image_basis
+from minorbit.linalgx import image_basis
 from minorbit.orbit_ideal import (
     IdealDegree2,
     _cartan_start,
@@ -21,7 +21,6 @@ from minorbit.orbit_ideal import (
     monomial_exponents,
     projected_span,
     quotient_hilbert,
-    weight_blocks,
 )
 from minorbit.rootsys import InvariantViolation, SimpleType
 
@@ -31,9 +30,11 @@ from helpers import (
     cartan_restriction,
     casimir_of,
     columns,
+    dense,
     dense_rank,
     negate_first_ee_constant,
     shifted_casimir,
+    sparse_image,
     to_rows,
 )
 
@@ -47,7 +48,8 @@ def pipeline(family, rank):
 
 def hand_built_ideal(L, *vectors):
     """An ideal basis spanned by the given Sym^2 g vectors; projected_span reads only the basis."""
-    return IdealDegree2(image_basis(sym2_dim(L.dim), vectors), dim_v2theta=0)
+    n = sym2_dim(L.dim)
+    return IdealDegree2(image_basis(n, [dense(n, v) for v in vectors]), dim_v2theta=0)
 
 
 def test_a1_ideal_single_generator():
@@ -127,7 +129,8 @@ def test_pair_generators_span_equals_projected_span(family, rank):
     L, Om, c = pipeline(family, rank)
     ideal = degree2_ideal(L, Om, c)
     _, via_ideal = projected_span(L, ideal)
-    via_pairs = image_basis(sym2_dim(rank), cartan_pair_generators(L, Om, c))
+    n = sym2_dim(rank)
+    via_pairs = image_basis(n, [dense(n, g) for g in cartan_pair_generators(L, Om, c)])
     assert via_ideal.pivots == via_pairs.pivots
     assert via_ideal.vectors == via_pairs.vectors
 
@@ -204,36 +207,45 @@ def test_sl2_generator_matches_classical_quadric():
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("D", 4)])
 def test_block_ranks_sum_to_the_dense_rank(family, rank):
     L, Om, c = pipeline(family, rank)
-    blocks = list(weight_blocks(L, Om, c))
-    assert sum(map(len, blocks)) == sym2_dim(L.dim)
-    block_ranks = sum(len(image_basis(sym2_dim(L.dim), block)) for block in blocks)
-    assert block_ranks == dense_rank(to_rows(shifted_casimir(family, rank, c)))
-    assert block_ranks == degree2_ideal(L, Om, c).dim
-
-
-class _Identity:
-    """Stands in for the Casimir: column k of its matrix is the unit vector on monomial k."""
-
-    def __init__(self, n):
-        self.n = n
-
-    def matrix(self):
-        return SparseMatrix.from_columns(self.n, ({k: 1} for k in range(self.n)))
+    blocks = Om.matrix().blocks
+    assert sum(len(monos) for monos, _ in blocks) == sym2_dim(L.dim)
+    block_ranks = 0
+    for monos, data in blocks:
+        s = len(monos)
+        cols = [data[j * s : (j + 1) * s] for j in range(s)]
+        for j in range(s):
+            cols[j][j] -= c
+        block_ranks += len(image_basis(s, cols))
+    shifted = shifted_casimir(family, rank, c)
+    assert block_ranks == dense_rank(to_rows(shifted))
+    # The merged block bases are the canonical basis of the whole image,
+    # as the sparse route finds it with no weight blocks.
+    whole = sparse_image(shifted.nrows, columns(shifted))
+    ideal = degree2_ideal(L, Om, c)
+    assert ideal.dim == block_ranks
+    assert ideal.basis.pivots == whole.pivots
+    assert ideal.basis.vectors == whole.vectors
 
 
 @pytest.mark.parametrize("t", [*ade_types(8), SimpleType("A", 21)], ids=str)
 def test_weight_blocks_partition_the_monomials_by_weight_tuple(t):
-    # With the identity operator and c = 0 each yielded column is {k: 1},
-    # so a block reads back as its monomials; the integer key must group
-    # them exactly as the weight tuples do, each block in monomial order.
-    # At rank 21 the keys of the weight sums pass 2^63.
+    # With every row replaced by unit columns, matrix() assembles the
+    # identity, so its blocks read back as their monomial lists; the
+    # integer key must group them exactly as the weight tuples do, each
+    # block in monomial order.  At rank 21 the keys of the weight sums
+    # pass 2^63.
     L = algebra_of(t.family, t.rank)
     wt = L.weights_fw
     by_tuple: dict = {}
     for k, (p, q) in enumerate(sym2_pairs(L.dim)):
         by_tuple.setdefault(tuple(map(add, wt[p], wt[q])), []).append(k)
-    blocks = [[min(col) for col in block] for block in weight_blocks(L, _Identity(sym2_dim(L.dim)), 0)]
-    assert sorted(blocks) == sorted(by_tuple.values())
+    Om = SplitCasimir(L)
+    Om._row = lambda p: [{sym2_index(L.dim, p, q): 1} for q in range(p, L.dim)]
+    blocks = Om.matrix().blocks
+    assert sorted(monos for monos, _ in blocks) == sorted(by_tuple.values())
+    for monos, data in blocks:
+        s = len(monos)
+        assert data == [int(i == j) for j in range(s) for i in range(s)]
 
 
 def test_off_weight_entry_fires_the_block_check(monkeypatch):
@@ -264,12 +276,28 @@ def test_degree2_ideal_leaves_the_cached_operator_intact(family, rank):
     assert columns(Om.matrix()) == columns(SplitCasimir(L).matrix())
 
 
+@pytest.mark.parametrize("family,rank", [("A", 2), ("D", 4), ("E", 6)])
+def test_operator_nnz_survives_the_release_of_its_blocks(family, rank, monkeypatch):
+    # nnz is counted during assembly, and degree2_ideal empties the
+    # operator it eliminates; the count must read the same afterwards.
+    L = algebra_of(family, rank)
+    Om = SplitCasimir(L)
+    nnz = sum(map(len, columns(SplitCasimir(L).matrix())))
+    built = []
+    matrix = Om.matrix
+    monkeypatch.setattr(Om, "matrix", lambda: built.append(matrix()) or built[-1])
+    degree2_ideal(L, Om, casimir_top_eigenvalue(Om))
+    (op,) = built
+    assert op.blocks == [] and op.nnz == nnz
+
+
 @pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4), ("E", 6)])
 def test_projected_span_equals_the_span_of_every_restriction(family, rank):
     L, Om, c = pipeline(family, rank)
     ideal = degree2_ideal(L, Om, c)
     _, skipped = projected_span(L, ideal)
-    every = image_basis(sym2_dim(rank), [cartan_restriction(L, vec) for vec in ideal.basis.vectors])
+    n = sym2_dim(rank)
+    every = image_basis(n, [dense(n, cartan_restriction(L, vec)) for vec in ideal.basis.vectors])
     assert skipped.pivots == every.pivots
     assert skipped.vectors == every.vectors
 

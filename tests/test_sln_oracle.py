@@ -9,7 +9,7 @@ from minorbit.linalgx import image_basis
 from minorbit.orbit_ideal import degree2_ideal, projected_span, quotient_hilbert
 from minorbit.sln_oracle import matrix_quadrics, oracle_quotient_dims, restrict_to_diagonal
 
-from helpers import algebra_of, casimir_of, evaluate
+from helpers import algebra_of, casimir_of, dense, evaluate
 
 
 def test_rejects_tiny_matrices():
@@ -105,7 +105,7 @@ def test_oracle_quotient_dims(n, expected):
 def test_restricted_span_is_full(n):
     restricted = restrict_to_diagonal(matrix_quadrics(n), n)
     dim = (n - 1) * n // 2
-    assert len(image_basis(dim, restricted)) == dim
+    assert len(image_basis(dim, [dense(dim, g) for g in restricted])) == dim
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
