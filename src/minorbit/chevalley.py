@@ -31,13 +31,14 @@ monomial basis x_p x_q for p <= q, it acts column by column as
 where the Cartan part of the sum collapses to the weight pairing
 (wt(x_p), wt(x_q)) times the identity.  Every entry is an integer, and
 on the square of a highest-weight vector the operator is the scalar
-(theta, theta) = 2.
+(theta, theta) = 2.  It commutes with the torus, so SplitCasimir
+assembles it once, straight into dense blocks of one weight each.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations_with_replacement, groupby, islice, repeat
+from itertools import combinations_with_replacement, groupby, islice
 from operator import add, itemgetter, mul
 from typing import Iterator
 
@@ -47,7 +48,6 @@ from .rootsys import InvariantViolation, RootSystem, root_to_weight
 __all__ = [
     "LieAlgebra",
     "SplitCasimir",
-    "WeightBlocks",
     "build_chevalley",
     "casimir_top_eigenvalue",
     "sym2_dim",
@@ -169,107 +169,35 @@ def sym2_pairs(n: int) -> Iterator[tuple[int, int]]:
     return combinations_with_replacement(range(n), 2)
 
 
-class WeightBlocks:
-    """A square integer matrix on Sym^2 g, stored as dense diagonal blocks.
+class SplitCasimir:
+    """The split Casimir on the symmetric square, assembled once into its torus-weight blocks.
 
     blocks[b] is a pair (monos, data): monos lists the monomials of one
-    torus weight in ascending order, and data holds the block's s * s
-    entries column by column, s = len(monos), so the entry on row
-    monos[i] of column monos[j] is data[j * s + i].  Every entry outside
-    the blocks is zero.  nnz is the number of nonzero entries, counted
-    as the blocks were filled: the owner may release blocks once it is
-    done with them, as degree2_ideal does, and nnz keeps the count.
+    weight in ascending order, and data holds the s * s entries column
+    by column, s = len(monos), so row monos[i] of column monos[j] is
+    data[j * s + i].  Every entry outside the blocks is zero.
+    degree2_ideal releases the blocks as it eliminates them, and nnz,
+    the number of nonzero entries, keeps its count.
     """
 
-    __slots__ = ("nrows", "nnz", "blocks", "_block", "_local")
+    def __init__(self, L: LieAlgebra):
+        self.L = L
+        self.matrix()
 
-    def __init__(self, nrows: int, monos_by_block: list[list[int]]):
-        self.nrows = nrows
-        self.nnz = 0
-        self.blocks = [(monos, [0] * len(monos) ** 2) for monos in monos_by_block]
-        self._block = block = [0] * nrows
-        self._local = local = [0] * nrows
-        for b, monos in enumerate(monos_by_block):
-            for i, k in enumerate(monos):
-                block[k] = b
-                local[k] = i
+    def weight_pairing(self, p: int, q: int) -> int:
+        """(wt(x_p), wt(x_q)), a dot product: the scalar the Cartan part contributes."""
+        return sum(map(mul, self.L.weights_fw[p], self.L.signed_roots[q]))
 
-    @property
-    def ncols(self) -> int:
-        return self.nrows
-
-    def column(self, j: int) -> SparseVec:
-        """Column j over the global monomial indices, as a fresh dict that the caller owns."""
+    def column(self, p: int, q: int) -> SparseVec:
+        """Image of the monomial x_p x_q, as a fresh sparse vector over monomials."""
+        j = sym2_index(self.L.dim, p, q)
         monos, data = self.blocks[self._block[j]]
         s = len(monos)
         start = self._local[j] * s
         return {monos[i]: x for i, x in enumerate(data[start : start + s]) if x}
 
-
-class SplitCasimir:
-    """Split Casimir acting on the symmetric square, assembled on demand.
-
-    The operator is built one row of monomials at a time: ``_row(p)``
-    gives the images of x_p x_q for every q >= p, in monomial order.
-    ``column(p, q)`` reads one image off that row, and ``matrix()``
-    writes every row straight into the dense weight blocks as it is
-    built, so the operator never exists as one dict per column.
-    """
-
-    def __init__(self, L: LieAlgebra):
-        self.L = L
-        self.sym_dim = sym2_dim(L.dim)
-        # A weight paired with a root is a dot product.
-        self._weight_root = list(zip(L.weights_fw, L.signed_roots))
-        # Bracket index, built once: _ad[p] maps each root vector x with
-        # [x, x_p] != 0 to that bracket, and _inv[x] lists a triple
-        # (q, j, c) for every term c x_j of every nonzero [dual(x), x_q],
-        # sorted by q.  The root part of column (p, q) sums
-        # [x, x_p] [dual(x), x_q] over the x keyed in _ad[p] whose list
-        # holds q, so a row visits only nonzero products.
-        m = L.npos
-        nn = L.dim
-        dual = list(range(m, 2 * m)) + list(range(m))
-        self._ad = [{x: u for x in range(2 * m) if (u := L.bracket(x, p))} for p in range(nn)]
-        self._inv = [[] for _ in range(2 * m)]
-        for q, ad in enumerate(self._ad):
-            for x, u in ad.items():
-                self._inv[dual[x]].extend((q, j, c) for j, c in u)
-        # sym2_index(nn, i, j) == _offset[i] + j for i <= j.
-        self._offset = [i * (2 * nn - i - 1) // 2 for i in range(nn)]
-
-    def weight_pairing(self, p: int, q: int) -> int:
-        """(wt(x_p), wt(x_q)): the scalar the Cartan part of the operator contributes."""
-        wp = self._weight_root[p][0]
-        uq = self._weight_root[q][1]
-        return sum(map(mul, wp, uq))
-
-    def _row(self, p: int) -> list[SparseVec]:
-        """Images of x_p x_q for q = p, p + 1, ..., in monomial order, as sparse vectors."""
-        offset = self._offset
-        row = [{} for _ in range(p, self.L.dim)]
-        for x, terms in self._ad[p].items():
-            inv = self._inv[x]
-            start = bisect_left(inv, p, key=itemgetter(0))
-            for i, ci in terms:
-                oi = offset[i]
-                for q, j, cj in islice(inv, start, None):
-                    out = row[q - p]
-                    k = oi + j if i <= j else offset[j] + i
-                    out[k] = out.get(k, 0) + ci * cj
-        base = offset[p]
-        for q, out in enumerate(row, p):
-            w = self.weight_pairing(p, q)
-            if w:
-                out[base + q] = out.get(base + q, 0) + w
-        return [{k: v for k, v in out.items() if v} if 0 in out.values() else out for out in row]
-
-    def column(self, p: int, q: int) -> SparseVec:
-        """Image of the monomial x_p x_q, as a sparse vector over monomials."""
-        return self._row(min(p, q))[abs(q - p)]
-
-    def matrix(self) -> WeightBlocks:
-        """Full operator on the monomial basis, written into its torus-weight blocks as it is assembled.
+    def matrix(self) -> SplitCasimir:
+        """Assemble the operator on the monomial basis straight into its torus-weight blocks.
 
         The monomial x_p x_q has weight wt(x_p) + wt(x_q), and Omega
         commutes with the torus, so the image of a monomial only involves
@@ -280,40 +208,70 @@ class SplitCasimir:
         x_p x_q, which is key[p] + key[q], determines its weight.  The
         keys are Python ints, so the encoding is exact at every rank.
         Blocks come in key order, each over its monomials in monomial
-        order.  Every entry is checked to lie in its column's block: an
-        entry outside is a construction bug, reported fatally, and the
-        check is what makes the rank of the operator exactly the sum of
-        the block ranks.
+        order.
+
+        The root part of column (p, q) sums [x, x_p] [dual(x), x_q] over
+        root vectors x.  ad[p] maps each x with [x, x_p] != 0 to that
+        bracket, and inv[x] lists (q, j, c) for every term c x_j of every
+        nonzero [dual(x), x_q], sorted by q, so every product visited is
+        nonzero.  Each goes straight into its block entry, the weight
+        pairing onto the diagonal.  A product outside its column's block
+        is a construction bug, reported fatally; the check makes the
+        rank of the operator exactly the sum of the block ranks.
         """
-        nn = self.L.dim
-        weights = self.L.weights_fw
-        base = 4 * max(abs(x) for w in weights for x in w) + 1
-        key = [sum(x * base**i for i, x in enumerate(w)) for w in weights]
+        L = self.L
+        nn = L.dim
+        m = L.npos
+        base = 4 * max(abs(x) for w in L.weights_fw for x in w) + 1
+        key = [sum(x * base**i for i, x in enumerate(w)) for w in L.weights_fw]
         keys = [key[p] + key[q] for p, q in sym2_pairs(nn)]
-        order = sorted(range(self.sym_dim), key=keys.__getitem__)
-        out = WeightBlocks(self.sym_dim, [list(g) for _, g in groupby(order, keys.__getitem__)])
-        block, local, blocks = out._block, out._local, out.blocks
-        nnz = 0
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        groups = [list(g) for _, g in groupby(order, keys.__getitem__)]
+        del keys, order
+        self._block = block = [0] * sym2_dim(nn)
+        self._local = local = [0] * sym2_dim(nn)
+        for b, monos in enumerate(groups):
+            for i, k in enumerate(monos):
+                block[k] = b
+                local[k] = i
+        datas = [[0] * len(monos) ** 2 for monos in groups]
+
+        dual = list(range(m, 2 * m)) + list(range(m))
+        ad = [{x: u for x in range(2 * m) if (u := L.bracket(x, p))} for p in range(nn)]
+        inv: list[list] = [[] for _ in range(2 * m)]
+        for q, row in enumerate(ad):
+            for x, u in row.items():
+                inv[dual[x]].extend((q, j, c) for j, c in u)
+        # sym2_index(nn, i, j) == offset[i] + j for i <= j.
+        offset = [i * (2 * nn - i - 1) // 2 for i in range(nn)]
+
         for p in range(nn):
-            offset = self._offset[p]
-            for q, col in enumerate(self._row(p), p):
-                j = offset + q
-                b = block[j]
-                monos, data = blocks[b]
-                s = len(monos)
-                # Entries are nonzero, so any entry off the block is one that the gather misses.
-                dense = list(map(col.get, monos, repeat(0)))
-                if s - dense.count(0) != len(col):
-                    r1, r2 = sym2_unrank(nn, next(r for r in col if block[r] != b))
-                    raise InvariantViolation(
-                        f"the image of monomial x_{p} x_{q} has an entry on x_{r1} x_{r2}, "
-                        "outside its weight block"
-                    )
-                at = local[j] * s
-                data[at : at + s] = dense
-                nnz += len(col)
-        out.nnz = nnz
-        return out
+            # Column (p, q) is monomial op + q: its block, data and start, indexed by q >= p.
+            op = offset[p]
+            cblock = block[op : op + nn]
+            cdata = [datas[b] for b in cblock]
+            cstart = [local[op + q] * len(groups[b]) for q, b in enumerate(cblock)]
+            for x, terms in ad[p].items():
+                xs = inv[x]
+                first = bisect_left(xs, p, key=itemgetter(0))
+                for i, ci in terms:
+                    oi = offset[i]
+                    for q, j, cj in islice(xs, first, None):
+                        k = oi + j if i <= j else offset[j] + i
+                        if block[k] != cblock[q]:
+                            raise InvariantViolation(
+                                f"the image of monomial x_{p} x_{q} has an entry on "
+                                f"x_{min(i, j)} x_{max(i, j)}, outside its weight block"
+                            )
+                        cdata[q][cstart[q] + local[k]] += ci * cj
+            for q in range(p, nn):
+                w = self.weight_pairing(p, q)
+                if w:
+                    cdata[q][cstart[q] + local[op + q]] += w
+
+        self.blocks = list(zip(groups, datas))
+        self.nnz = sum(len(data) - data.count(0) for data in datas)
+        return self
 
 
 def casimir_top_eigenvalue(Omega: SplitCasimir) -> int:

@@ -34,6 +34,8 @@ __all__ = [
     "main",
 ]
 
+MAX_RANK = 24  # the operator on Sym^2 g grows as the fourth power of the rank
+
 @dataclass
 class VerificationReport:
     family: str
@@ -60,11 +62,15 @@ def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
 
     The degree-2 ideal is always the full image of (Omega - c) on the
     symmetric square, with its dimension checked against the Weyl
-    formula, so a broken construction raises for every rank.  Each stage
+    formula, so a broken construction raises for every rank.  The
+    casimir stage assembles the operator into its weight blocks, and the
+    ideal stage eliminates them and releases them as it goes.  Each stage
     is timed under its name, and an InvariantViolation raised inside it
     is raised again with the stage and the type in front of its message:
     the stage modules do not know who calls them.
     """
+    if t.rank > MAX_RANK:
+        raise ValueError(f"rank must be at most {MAX_RANK}, got {t.rank}")
     if max_degree < 2:
         raise ValueError(f"max_degree must be at least 2, got {max_degree}")
     if max_degree > 64:
@@ -130,6 +136,8 @@ def ade_types(max_rank: int) -> list[SimpleType]:
     """Every valid ADE type of rank at most max_rank, A then D then E."""
     if max_rank < 1:
         raise ValueError(f"max_rank must be at least 1, got {max_rank}")
+    if max_rank > MAX_RANK:
+        raise ValueError(f"max_rank must be at most {MAX_RANK}, got {max_rank}")
     types = [SimpleType("A", r) for r in range(1, max_rank + 1)]
     types += [SimpleType("D", r) for r in range(4, max_rank + 1)]
     types += [SimpleType("E", r) for r in (6, 7, 8) if r <= max_rank]

@@ -59,8 +59,10 @@ def degree2_ideal(L: LieAlgebra, Omega: SplitCasimir, c) -> IdealDegree2:
     """Image basis of (Omega - c) on Sym^2 g, with its dimension verified.
 
     The operator comes assembled in its torus-weight blocks.  Each block
-    in turn has c subtracted on its diagonal, is eliminated in its own
-    coordinates, unless the shift leaves it zero, and is released.  The
+    in turn is popped off Omega.blocks, has c subtracted on its
+    diagonal, and is eliminated in its own coordinates, unless the shift
+    leaves it zero.  So this uses the operator up: afterwards its blocks
+    are empty, and only its nnz keeps the count of its entries.  The
     local pivots map back through the block's ascending monomial list,
     an order-preserving map, so every block basis is the canonical
     basis of its part of the image.  The block supports are disjoint,
@@ -70,7 +72,7 @@ def degree2_ideal(L: LieAlgebra, Omega: SplitCasimir, c) -> IdealDegree2:
     reported fatally.
     """
     nrows = sym2_dim(L.dim)
-    blocks = Omega.matrix().blocks
+    blocks = Omega.blocks
     pairs = []
     while blocks:
         monos, data = blocks.pop()

@@ -18,7 +18,9 @@ from minorbit.chevalley import (
     LieAlgebra,
     SplitCasimir,
     build_chevalley,
+    sym2_dim,
     sym2_index,
+    sym2_pairs,
     sym2_unrank,
 )
 from minorbit.linalgx import EchelonBasis, SparseVec, addmul, append_and_rank
@@ -37,6 +39,8 @@ def algebra_of(family: str, rank: int) -> LieAlgebra:
 
 @lru_cache(maxsize=None)
 def casimir_of(family: str, rank: int) -> SplitCasimir:
+    """The assembled operator, shared and read-only: degree2_ideal empties
+    the operator it is given, so a test that calls it builds its own."""
     return SplitCasimir(algebra_of(family, rank))
 
 
@@ -98,12 +102,13 @@ class SparseMatrix:
 def columns(m) -> tuple[dict, ...]:
     """Every column of m, empty ones included, as fresh dicts.
 
-    m is a SparseMatrix or any operator with ncols and column(j), such
-    as the WeightBlocks that SplitCasimir.matrix() returns.  Two
-    matrices with the same number of rows are equal exactly when their
-    columns() are: dict equality ignores the order of the rows packed
-    inside a column.
+    m is a SparseMatrix, or a SplitCasimir, read as column(p, q) over
+    sym2_pairs.  Two matrices with the same number of rows are equal
+    exactly when their columns() are: dict equality ignores the order
+    of the rows packed inside a column.
     """
+    if isinstance(m, SplitCasimir):
+        return tuple(m.column(p, q) for p, q in sym2_pairs(m.L.dim))
     return tuple(map(m.column, range(m.ncols)))
 
 
@@ -189,16 +194,16 @@ def adjoint_matrix(L: LieAlgebra, x: int) -> SparseMatrix:
 
 
 def shifted_casimir(family: str, rank: int, c: int = 2) -> SparseMatrix:
-    """The matrix of Omega - c on Sym^2 g, built column by column."""
-    mat = casimir_of(family, rank).matrix()
-    cols = columns(mat)
+    """The matrix of Omega - c on Sym^2 g, built column by column; c = 0 gives Omega itself."""
+    Om = casimir_of(family, rank)
+    cols = columns(Om)
     for d, col in enumerate(cols):
         v = col.get(d, 0) - c
         if v:
             col[d] = v
         else:
             col.pop(d, None)
-    return SparseMatrix.from_columns(mat.nrows, cols)
+    return SparseMatrix.from_columns(sym2_dim(Om.L.dim), cols)
 
 
 def all_pairs_column(Omega: SplitCasimir, p: int, q: int) -> dict:
@@ -276,6 +281,20 @@ def cartan_pair_generators(L: LieAlgebra, Omega: SplitCasimir, c) -> list[dict]:
                 col.pop(k, None)
             out.append(cartan_restriction(L, col))
     return out
+
+
+def misdirect_first_ee_bracket(L: LieAlgebra) -> LieAlgebra:
+    """A copy of L whose first E-E bracket, in both orientations, lands on H(1) instead of a root vector.
+
+    The bracket keeps its sign but loses its weight, so products of the
+    split Casimir that use it leave their column's weight block.
+    """
+    a, b = next((i, j) for i, j in L.brackets if i < j < L.npos)
+    h1 = 2 * L.npos
+    brackets = dict(L.brackets)
+    for key in ((a, b), (b, a)):
+        brackets[key] = tuple((h1, s) for _, s in brackets[key])
+    return LieAlgebra(L.rs, brackets, L.weights_fw, L.signed_roots)
 
 
 def negate_first_ee_constant(L: LieAlgebra) -> LieAlgebra:

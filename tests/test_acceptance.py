@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from minorbit.chevalley import casimir_top_eigenvalue, sym2_dim, sym2_index
+from minorbit.chevalley import SplitCasimir, casimir_top_eigenvalue, sym2_dim, sym2_index
 from minorbit.cli import ade_types, verify
 from minorbit.linalgx import EchelonBasis, append_and_rank, image_basis
 from minorbit.orbit_ideal import degree2_ideal, projected_span, quotient_hilbert
@@ -130,7 +130,7 @@ def test_criterion_3_projected_span_fills_sym2h():
     -c h_i h_j exactly."""
     for family, rk in EXHAUSTIVE_TYPES:
         L = algebra_of(family, rk)
-        Om = casimir_of(family, rk)
+        Om = SplitCasimir(L)
         c = casimir_top_eigenvalue(Om)
         ideal = degree2_ideal(L, Om, c)
         got, _ = projected_span(L, ideal)
@@ -198,7 +198,7 @@ def test_criterion_5_matrix_model_oracle_agreement():
     type A quotient for n = 2..5 and vanishes at the matrix E_1n."""
     for n in (2, 3, 4, 5):
         L = algebra_of("A", n - 1)
-        Om = casimir_of("A", n - 1)
+        Om = SplitCasimir(L)
         c = casimir_top_eigenvalue(Om)
         ideal = degree2_ideal(L, Om, c)
         _, span = projected_span(L, ideal)
@@ -214,7 +214,7 @@ def test_criterion_6_sl2_anchor():
     """The unique sl2 generator restricts to a nonzero multiple of h^2
     and matches h^2 + ef after rescaling f by 4."""
     L = algebra_of("A", 1)
-    Om = casimir_of("A", 1)
+    Om = SplitCasimir(L)
     c = casimir_top_eigenvalue(Om)
     ideal = degree2_ideal(L, Om, c)
     assert ideal.dim == 1

@@ -24,7 +24,7 @@ from minorbit.cli import (
 )
 from minorbit.rootsys import InvariantViolation, SimpleType
 
-from helpers import negate_first_ee_constant
+from helpers import misdirect_first_ee_bracket, negate_first_ee_constant
 
 
 def test_verify_a1_report_values():
@@ -242,6 +242,41 @@ def test_degree_above_the_bound_is_a_usage_error(monkeypatch, capsys):
     assert err.startswith("error: max_degree must be at most 64, got 65\nusage: hikita-verify")
 
 
+class _Reached(Exception):
+    pass
+
+
+def _reached(t):
+    raise _Reached(str(t))
+
+
+def test_rank_above_the_bound_is_a_usage_error(monkeypatch, capsys):
+    # The operator on Sym^2 g grows as the fourth power of the rank, so an
+    # unbounded rank is unbounded work.  Rank 24 gets past the bound, to
+    # the first stage; rank 25 never gets there.
+    monkeypatch.setattr(cli, "build_root_system", _reached)
+    for family in ("A", "D"):
+        with pytest.raises(_Reached, match=f"^{family}24$"):
+            verify(SimpleType(family, 24))
+    assert [str(t) for t in ade_types(24)][-5:] == ["D23", "D24", "E6", "E7", "E8"]
+    monkeypatch.setattr(cli, "build_root_system", lambda t: pytest.fail("verified despite the bound"))
+    for family in ("A", "D"):
+        with pytest.raises(ValueError, match="^rank must be at most 24, got 25$"):
+            verify(SimpleType(family, 25))
+    assert main(["--family", "A", "--rank", "25"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rank must be at most 24, got 25\nusage: hikita-verify")
+
+
+def test_all_above_the_rank_bound_fails_before_any_type_runs(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify", lambda *a: pytest.fail("verified despite the bound"))
+    with pytest.raises(ValueError, match="^max_rank must be at most 24, got 25$"):
+        ade_types(25)
+    assert main(["--all", "25"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: max_rank must be at most 24, got 25\nusage: hikita-verify")
+
+
 def test_main_rejects_the_removed_mode_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--family", "A", "--rank", "1", "--mode", "full"])
@@ -291,6 +326,18 @@ def test_broken_construction_exits_three_at_rank_seven_and_up(
         f"ideal stage: {family}{rank}: degree-2 ideal has dimension {got}, "
         f"expected {expected}"
     ) in err
+
+
+def test_off_block_product_exits_three_at_the_casimir_stage(monkeypatch, capsys):
+    # A bracket that lands on the wrong weight sends a product of the
+    # operator outside its column's weight block; assembly catches it.
+    real = cli.build_chevalley
+    monkeypatch.setattr(cli, "build_chevalley", lambda rs: misdirect_first_ee_bracket(real(rs)))
+    assert main(["--family", "A", "--rank", "2"]) == 3
+    assert capsys.readouterr().err == (
+        "internal invariant violation: casimir stage: A2: the image of monomial x_0 x_1 "
+        "has an entry on x_6 x_6, outside its weight block\n"
+    )
 
 
 MOVE_EDGE = """

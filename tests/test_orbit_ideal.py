@@ -32,6 +32,7 @@ from helpers import (
     columns,
     dense,
     dense_rank,
+    misdirect_first_ee_bracket,
     negate_first_ee_constant,
     shifted_casimir,
     sparse_image,
@@ -40,8 +41,9 @@ from helpers import (
 
 
 def pipeline(family, rank):
+    # An operator of its own: degree2_ideal empties the one it is given.
     L = algebra_of(family, rank)
-    Om = casimir_of(family, rank)
+    Om = SplitCasimir(L)
     c = casimir_top_eigenvalue(Om)
     return L, Om, c
 
@@ -130,7 +132,8 @@ def test_pair_generators_span_equals_projected_span(family, rank):
     ideal = degree2_ideal(L, Om, c)
     _, via_ideal = projected_span(L, ideal)
     n = sym2_dim(rank)
-    via_pairs = image_basis(n, [dense(n, g) for g in cartan_pair_generators(L, Om, c)])
+    gens = cartan_pair_generators(L, casimir_of(family, rank), c)
+    via_pairs = image_basis(n, [dense(n, g) for g in gens])
     assert via_ideal.pivots == via_pairs.pivots
     assert via_ideal.vectors == via_pairs.vectors
 
@@ -207,7 +210,7 @@ def test_sl2_generator_matches_classical_quadric():
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("D", 4)])
 def test_block_ranks_sum_to_the_dense_rank(family, rank):
     L, Om, c = pipeline(family, rank)
-    blocks = Om.matrix().blocks
+    blocks = Om.blocks
     assert sum(len(monos) for monos, _ in blocks) == sym2_dim(L.dim)
     block_ranks = 0
     for monos, data in blocks:
@@ -229,66 +232,38 @@ def test_block_ranks_sum_to_the_dense_rank(family, rank):
 
 @pytest.mark.parametrize("t", [*ade_types(8), SimpleType("A", 21)], ids=str)
 def test_weight_blocks_partition_the_monomials_by_weight_tuple(t):
-    # With every row replaced by unit columns, matrix() assembles the
-    # identity, so its blocks read back as their monomial lists; the
-    # integer key must group them exactly as the weight tuples do, each
-    # block in monomial order.  At rank 21 the keys of the weight sums
-    # pass 2^63.
+    # The integer key must group the monomials exactly as the weight
+    # tuples do, each block in monomial order and square.  At rank 21
+    # the keys of the weight sums pass 2^63.
     L = algebra_of(t.family, t.rank)
     wt = L.weights_fw
     by_tuple: dict = {}
     for k, (p, q) in enumerate(sym2_pairs(L.dim)):
         by_tuple.setdefault(tuple(map(add, wt[p], wt[q])), []).append(k)
-    Om = SplitCasimir(L)
-    Om._row = lambda p: [{sym2_index(L.dim, p, q): 1} for q in range(p, L.dim)]
-    blocks = Om.matrix().blocks
+    blocks = SplitCasimir(L).blocks
     assert sorted(monos for monos, _ in blocks) == sorted(by_tuple.values())
     for monos, data in blocks:
-        s = len(monos)
-        assert data == [int(i == j) for j in range(s) for i in range(s)]
+        assert len(data) == len(monos) ** 2
 
 
-def test_off_weight_entry_fires_the_block_check(monkeypatch):
-    L, _, c = pipeline("A", 2)
-    Om = SplitCasimir(L)  # a private operator: the cached one stays intact
-    h1 = 2 * L.npos
-    h1h1 = sym2_index(L.dim, h1, h1)
-    row = Om._row
-
-    def corrupted(p):
-        cols = row(p)
-        if p == 0:
-            cols[0][h1h1] = 1  # the image of x_0 x_0
-        return cols
-
-    monkeypatch.setattr(Om, "_row", corrupted)
+def test_off_weight_entry_fires_the_block_check():
+    bad = misdirect_first_ee_bracket(algebra_of("A", 2))
     with pytest.raises(InvariantViolation, match=(
-        "^the image of monomial x_0 x_0 has an entry on x_6 x_6, outside its weight block$"
+        "^the image of monomial x_0 x_1 has an entry on x_6 x_6, outside its weight block$"
     )):
-        degree2_ideal(L, Om, c)
-
-
-@pytest.mark.parametrize("family,rank", [("A", 2), ("D", 4)])
-def test_degree2_ideal_leaves_the_cached_operator_intact(family, rank):
-    L = algebra_of(family, rank)
-    Om = SplitCasimir(L)
-    degree2_ideal(L, Om, casimir_top_eigenvalue(Om))
-    assert columns(Om.matrix()) == columns(SplitCasimir(L).matrix())
+        SplitCasimir(bad)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("D", 4), ("E", 6)])
-def test_operator_nnz_survives_the_release_of_its_blocks(family, rank, monkeypatch):
-    # nnz is counted during assembly, and degree2_ideal empties the
-    # operator it eliminates; the count must read the same afterwards.
-    L = algebra_of(family, rank)
-    Om = SplitCasimir(L)
-    nnz = sum(map(len, columns(SplitCasimir(L).matrix())))
-    built = []
-    matrix = Om.matrix
-    monkeypatch.setattr(Om, "matrix", lambda: built.append(matrix()) or built[-1])
-    degree2_ideal(L, Om, casimir_top_eigenvalue(Om))
-    (op,) = built
-    assert op.blocks == [] and op.nnz == nnz
+def test_operator_nnz_survives_the_release_of_its_blocks(family, rank):
+    # nnz is counted once the blocks are filled, and degree2_ideal
+    # empties the operator it eliminates; the count must read the same
+    # afterwards.
+    L, Om, c = pipeline(family, rank)
+    nnz = sum(map(len, columns(Om)))
+    assert Om.nnz == nnz
+    degree2_ideal(L, Om, c)
+    assert Om.blocks == [] and Om.nnz == nnz
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4), ("E", 6)])

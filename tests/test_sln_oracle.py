@@ -4,12 +4,12 @@ from math import comb
 
 import pytest
 
-from minorbit.chevalley import casimir_top_eigenvalue
+from minorbit.chevalley import SplitCasimir, casimir_top_eigenvalue
 from minorbit.linalgx import image_basis
 from minorbit.orbit_ideal import degree2_ideal, projected_span, quotient_hilbert
 from minorbit.sln_oracle import matrix_quadrics, oracle_quotient_dims, restrict_to_diagonal
 
-from helpers import algebra_of, casimir_of, dense, evaluate
+from helpers import algebra_of, dense, evaluate
 
 
 def test_rejects_tiny_matrices():
@@ -119,7 +119,7 @@ def test_generators_vanish_at_highest_weight_matrix(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_oracle_agrees_with_abstract_route(n):
     L = algebra_of("A", n - 1)
-    Om = casimir_of("A", n - 1)
+    Om = SplitCasimir(L)
     c = casimir_top_eigenvalue(Om)
     ideal = degree2_ideal(L, Om, c)
     _, span = projected_span(L, ideal)
