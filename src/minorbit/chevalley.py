@@ -37,10 +37,11 @@ assembles it once, straight into dense blocks of one weight each.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
-from itertools import combinations_with_replacement, groupby, islice
-from operator import add, itemgetter, mul
-from typing import Iterator
+from itertools import combinations_with_replacement, groupby
+from operator import mul
+from typing import Iterator, Sequence
 
 from .linalgx import SparseVec
 from .rootsys import InvariantViolation, RootSystem, root_to_weight
@@ -95,12 +96,20 @@ def build_chevalley(rs: RootSystem) -> LieAlgebra:
     root-root bracket: the coroot of s_a when b is the F partner of a,
     otherwise sigma_a sigma_b sigma_k eps(s_a, s_b) x_k when s_a + s_b is
     the root s_k, and nothing otherwise.
+
+    The sum s_a + s_b is looked up by integer key: the balanced digits
+    of each signed root in base 4 max(theta) + 1.  Theta dominates every
+    root, so each coordinate of a sum of two roots lies in
+    [-2 max(theta), 2 max(theta)], and the key of the sum, key[a] +
+    key[b], determines the sum.  Equal term tuples are stored once.
     """
     n = rs.rank
     m = len(rs.positive_roots)
     c = rs.cartan_matrix
     signed = list(rs.positive_roots) + [tuple(-x for x in u) for u in rs.positive_roots]
-    position = {s: k for k, s in enumerate(signed)}
+    base = 4 * max(rs.positive_roots[-1]) + 1
+    key = [_balanced_key(s, base) for s in signed]
+    position = {k: a for a, k in enumerate(key)}
     sigma = [1] * m + [-1] * m
     # Bit i of masks[a] is s_a[i] mod 2 and of bmasks[a] is (B s_a)[i] mod 2,
     # so eps(s_a, s_b) = -1 exactly when masks[a] & bmasks[b] has odd parity.
@@ -111,17 +120,20 @@ def build_chevalley(rs: RootSystem) -> LieAlgebra:
     ]
 
     brackets: dict = {}
+    shared: dict = {}
 
     def put(i: int, j: int, terms: tuple) -> None:
-        brackets[(i, j)] = terms
-        brackets[(j, i)] = tuple((k, -s) for k, s in terms)
+        brackets[(i, j)] = shared.setdefault(terms, terms)
+        neg = tuple((k, -s) for k, s in terms)
+        brackets[(j, i)] = shared.setdefault(neg, neg)
 
     for a in range(2 * m):
         sa = signed[a]
+        ka = key[a]
         for b in range(a + 1, 2 * m):
             if b == a + m:
                 put(a, b, tuple((2 * m + i, x) for i, x in enumerate(sa) if x))
-            elif (k := position.get(tuple(map(add, sa, signed[b])))) is not None:
+            elif (k := position.get(ka + key[b])) is not None:
                 sign = sigma[a] * sigma[b] * sigma[k]
                 if (masks[a] & bmasks[b]).bit_count() & 1:
                     sign = -sign
@@ -140,6 +152,15 @@ def build_chevalley(rs: RootSystem) -> LieAlgebra:
     weights += [tuple(-x for x in w) for w in weights]
     weights += [(0,) * n] * n
     return LieAlgebra(rs, brackets, tuple(weights), tuple(signed) + ((0,) * n,) * n)
+
+
+def _balanced_key(v: Sequence[int], base: int) -> int:
+    """The int tuple v as one integer, its coordinates read as balanced digits in base.
+
+    Tuples whose coordinates all lie in [-(base - 1) / 2, (base - 1) / 2]
+    get distinct keys, and the key of a sum is the sum of the keys.
+    """
+    return sum(x * base**i for i, x in enumerate(v))
 
 
 def sym2_dim(n: int) -> int:
@@ -172,12 +193,15 @@ def sym2_pairs(n: int) -> Iterator[tuple[int, int]]:
 class SplitCasimir:
     """The split Casimir on the symmetric square, assembled once into its torus-weight blocks.
 
-    blocks[b] is a pair (monos, data): monos lists the monomials of one
-    weight in ascending order, and data holds the s * s entries column
-    by column, s = len(monos), so row monos[i] of column monos[j] is
-    data[j * s + i].  Every entry outside the blocks is zero.
-    degree2_ideal releases the blocks as it eliminates them, and nnz,
-    the number of nonzero entries, keeps its count.
+    blocks[b] is a pair (monos, data): monos, an array('l'), lists the
+    monomials of one weight in ascending order, and data, an array('i')
+    of int32 entries, holds the s * s entries column by column,
+    s = len(monos), so row monos[i] of column monos[j] is
+    data[j * s + i].  matrix() fills data one finished column at a
+    time.  Every entry outside the blocks is zero.  degree2_ideal takes
+    the blocks through release() and frees them as it eliminates them;
+    nnz, the number of nonzero entries, keeps its count, and column()
+    stops working with them.
     """
 
     def __init__(self, L: LieAlgebra):
@@ -190,11 +214,21 @@ class SplitCasimir:
 
     def column(self, p: int, q: int) -> SparseVec:
         """Image of the monomial x_p x_q, as a fresh sparse vector over monomials."""
+        if self._block is None:
+            raise RuntimeError(
+                "column() needs the weight blocks, and this operator has released them"
+            )
         j = sym2_index(self.L.dim, p, q)
         monos, data = self.blocks[self._block[j]]
         s = len(monos)
         start = self._local[j] * s
         return {monos[i]: x for i, x in enumerate(data[start : start + s]) if x}
+
+    def release(self) -> list:
+        """Hand over the blocks, and drop them and the column index from the operator."""
+        blocks, self.blocks = self.blocks, []
+        self._block = self._local = None
+        return blocks
 
     def matrix(self) -> SplitCasimir:
         """Assemble the operator on the monomial basis straight into its torus-weight blocks.
@@ -212,21 +246,28 @@ class SplitCasimir:
 
         The root part of column (p, q) sums [x, x_p] [dual(x), x_q] over
         root vectors x.  ad[p] maps each x with [x, x_p] != 0 to that
-        bracket, and inv[x] lists (q, j, c) for every term c x_j of every
-        nonzero [dual(x), x_q], sorted by q, so every product visited is
-        nonzero.  Each goes straight into its block entry, the weight
-        pairing onto the diagonal.  A product outside its column's block
-        is a construction bug, reported fatally; the check makes the
-        rank of the operator exactly the sum of the block ranks.
+        bracket, and the parallel lists invq[x], invj[x] and invc[x] hold
+        (q, j, c) for every term c x_j of every nonzero [dual(x), x_q],
+        sorted by q, so every product visited is nonzero.  Step p
+        completes the columns (p, q), q >= p: each product is added into
+        a short int list for its column, the weight pairing onto the
+        diagonal.  Columns finish in monomial order, so the columns of
+        each block finish in the block's own order, and each finished
+        column is appended to its block's int32 data by one fromlist.  An
+        entry outside the int32 range raises OverflowError there instead
+        of wrapping; the largest |entry| on E8 is 60.  A product outside
+        its column's block is a construction bug, reported fatally; the
+        check makes the rank of the operator exactly the sum of the block
+        ranks.
         """
         L = self.L
         nn = L.dim
         m = L.npos
         base = 4 * max(abs(x) for w in L.weights_fw for x in w) + 1
-        key = [sum(x * base**i for i, x in enumerate(w)) for w in L.weights_fw]
+        key = [_balanced_key(w, base) for w in L.weights_fw]
         keys = [key[p] + key[q] for p, q in sym2_pairs(nn)]
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        groups = [list(g) for _, g in groupby(order, keys.__getitem__)]
+        groups = [array("l", g) for _, g in groupby(order, keys.__getitem__)]
         del keys, order
         self._block = block = [0] * sym2_dim(nn)
         self._local = local = [0] * sym2_dim(nn)
@@ -234,43 +275,51 @@ class SplitCasimir:
             for i, k in enumerate(monos):
                 block[k] = b
                 local[k] = i
-        datas = [[0] * len(monos) ** 2 for monos in groups]
+        datas = [array("i") for _ in groups]
 
         dual = list(range(m, 2 * m)) + list(range(m))
         ad = [{x: u for x in range(2 * m) if (u := L.bracket(x, p))} for p in range(nn)]
-        inv: list[list] = [[] for _ in range(2 * m)]
+        invq, invj, invc = ([[] for _ in range(2 * m)] for _ in range(3))
         for q, row in enumerate(ad):
             for x, u in row.items():
-                inv[dual[x]].extend((q, j, c) for j, c in u)
+                d = dual[x]
+                for j, c in u:
+                    invq[d].append(q)
+                    invj[d].append(j)
+                    invc[d].append(c)
         # sym2_index(nn, i, j) == offset[i] + j for i <= j.
         offset = [i * (2 * nn - i - 1) // 2 for i in range(nn)]
 
+        nnz = 0
         for p in range(nn):
-            # Column (p, q) is monomial op + q: its block, data and start, indexed by q >= p.
+            # Column (p, q) is monomial op + q; its block and list are indexed by q >= p.
             op = offset[p]
             cblock = block[op : op + nn]
-            cdata = [datas[b] for b in cblock]
-            cstart = [local[op + q] * len(groups[b]) for q, b in enumerate(cblock)]
+            cols = [None] * p + [[0] * len(groups[b]) for b in cblock[p:]]
             for x, terms in ad[p].items():
-                xs = inv[x]
-                first = bisect_left(xs, p, key=itemgetter(0))
+                qs = invq[x]
+                first = bisect_left(qs, p)
+                qs, js, cs = qs[first:], invj[x][first:], invc[x][first:]
                 for i, ci in terms:
                     oi = offset[i]
-                    for q, j, cj in islice(xs, first, None):
+                    for q, j, cj in zip(qs, js, cs):
                         k = oi + j if i <= j else offset[j] + i
                         if block[k] != cblock[q]:
                             raise InvariantViolation(
                                 f"the image of monomial x_{p} x_{q} has an entry on "
                                 f"x_{min(i, j)} x_{max(i, j)}, outside its weight block"
                             )
-                        cdata[q][cstart[q] + local[k]] += ci * cj
+                        cols[q][local[k]] += ci * cj
             for q in range(p, nn):
+                col = cols[q]
                 w = self.weight_pairing(p, q)
                 if w:
-                    cdata[q][cstart[q] + local[op + q]] += w
+                    col[local[op + q]] += w
+                nnz += len(col) - col.count(0)
+                datas[cblock[q]].fromlist(col)
 
         self.blocks = list(zip(groups, datas))
-        self.nnz = sum(len(data) - data.count(0) for data in datas)
+        self.nnz = nnz
         return self
 
 

@@ -241,7 +241,7 @@ def test_weight_blocks_partition_the_monomials_by_weight_tuple(t):
     for k, (p, q) in enumerate(sym2_pairs(L.dim)):
         by_tuple.setdefault(tuple(map(add, wt[p], wt[q])), []).append(k)
     blocks = SplitCasimir(L).blocks
-    assert sorted(monos for monos, _ in blocks) == sorted(by_tuple.values())
+    assert sorted(list(monos) for monos, _ in blocks) == sorted(by_tuple.values())
     for monos, data in blocks:
         assert len(data) == len(monos) ** 2
 
@@ -264,6 +264,19 @@ def test_operator_nnz_survives_the_release_of_its_blocks(family, rank):
     assert Om.nnz == nnz
     degree2_ideal(L, Om, c)
     assert Om.blocks == [] and Om.nnz == nnz
+
+
+def test_column_of_a_released_operator_says_the_blocks_are_gone():
+    # degree2_ideal drops the column index with the blocks, and column()
+    # then names what happened instead of failing on an empty list.
+    L, Om, c = pipeline("A", 2)
+    p = L.npos - 1
+    assert Om.column(p, p) == {sym2_index(L.dim, p, p): 2}
+    degree2_ideal(L, Om, c)
+    assert Om._block is None and Om._local is None
+    with pytest.raises(RuntimeError, match="^column\\(\\) needs the weight blocks, and this "
+                       "operator has released them$"):
+        Om.column(p, p)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4), ("E", 6)])
