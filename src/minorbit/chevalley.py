@@ -290,7 +290,6 @@ class SplitCasimir:
         # sym2_index(nn, i, j) == offset[i] + j for i <= j.
         offset = [i * (2 * nn - i - 1) // 2 for i in range(nn)]
 
-        nnz = 0
         for p in range(nn):
             # Column (p, q) is monomial op + q; its block and list are indexed by q >= p.
             op = offset[p]
@@ -315,11 +314,10 @@ class SplitCasimir:
                 w = self.weight_pairing(p, q)
                 if w:
                     col[local[op + q]] += w
-                nnz += len(col) - col.count(0)
                 datas[cblock[q]].fromlist(col)
 
         self.blocks = list(zip(groups, datas))
-        self.nnz = nnz
+        self.nnz = sum(len(data) - data.count(0) for data in datas)
         return self
 
 

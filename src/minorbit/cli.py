@@ -11,6 +11,8 @@ raise, as an InvariantViolation that names the stage and the type.
 
 from __future__ import annotations
 
+import argparse
+import json
 import sys
 import time
 from contextlib import contextmanager
@@ -173,11 +175,6 @@ def emit_report(r: VerificationReport) -> str:
 
 
 def main(argv: Optional[list] = None) -> int:
-    # Imported here, not at the top, so that importing the verifier as a
-    # library loads neither.
-    import argparse
-    import json
-
     parser = argparse.ArgumentParser(
         prog="hikita-verify",
         description=(
