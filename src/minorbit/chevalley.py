@@ -39,9 +39,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from collections.abc import Iterator, Sequence
 from itertools import combinations_with_replacement, groupby
 from operator import mul
-from typing import Iterator, Sequence
 
 from .linalgx import SparseVec
 from .rootsys import InvariantViolation, RootSystem, root_to_weight
@@ -208,10 +208,6 @@ class SplitCasimir:
         self.L = L
         self.matrix()
 
-    def weight_pairing(self, p: int, q: int) -> int:
-        """(wt(x_p), wt(x_q)), a dot product: the scalar the Cartan part contributes."""
-        return sum(map(mul, self.L.weights_fw[p], self.L.signed_roots[q]))
-
     def column(self, p: int, q: int) -> SparseVec:
         """Image of the monomial x_p x_q, as a fresh sparse vector over monomials."""
         if self._block is None:
@@ -250,15 +246,16 @@ class SplitCasimir:
         (q, j, c) for every term c x_j of every nonzero [dual(x), x_q],
         sorted by q, so every product visited is nonzero.  Step p
         completes the columns (p, q), q >= p: each product is added into
-        a short int list for its column, the weight pairing onto the
-        diagonal.  Columns finish in monomial order, so the columns of
-        each block finish in the block's own order, and each finished
-        column is appended to its block's int32 data by one fromlist.  An
-        entry outside the int32 range raises OverflowError there instead
-        of wrapping; the largest |entry| on E8 is 60.  A product outside
-        its column's block is a construction bug, reported fatally; the
-        check makes the rank of the operator exactly the sum of the block
-        ranks.
+        a short int list for its column, and the weight pairing
+        (wt(x_p), wt(x_q)), the dot product of weights_fw[p] and
+        signed_roots[q], onto the diagonal.  Columns finish in monomial
+        order, so the columns of each block finish in the block's own
+        order, and each finished column is appended to its block's int32
+        data by one fromlist.  An entry outside the int32 range raises
+        OverflowError there instead of wrapping; the largest |entry| on
+        E8 is 60.  A product outside its column's block is a construction
+        bug, reported fatally; the check makes the rank of the operator
+        exactly the sum of the block ranks.
         """
         L = self.L
         nn = L.dim
@@ -309,9 +306,10 @@ class SplitCasimir:
                                 f"x_{min(i, j)} x_{max(i, j)}, outside its weight block"
                             )
                         cols[q][local[k]] += ci * cj
+            wp = L.weights_fw[p]
             for q in range(p, nn):
                 col = cols[q]
-                w = self.weight_pairing(p, q)
+                w = sum(map(mul, wp, L.signed_roots[q]))
                 if w:
                     col[local[op + q]] += w
                 datas[cblock[q]].fromlist(col)

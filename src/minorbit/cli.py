@@ -15,9 +15,9 @@ import argparse
 import json
 import sys
 import time
+from collections import namedtuple
+from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
-from typing import Iterator, Optional
 
 from .chevalley import SplitCasimir, build_chevalley, casimir_top_eigenvalue, sym2_dim
 from .orbit_ideal import degree2_ideal, projected_span, quotient_hilbert
@@ -36,21 +36,18 @@ __all__ = [
 
 MAX_RANK = 24  # the operator on Sym^2 g grows as the fourth power of the rank
 
-@dataclass
-class VerificationReport:
-    family: str
-    rank: int
-    dim_g: int
-    dim_sym2: int
-    dim_v2theta: int
-    ideal2_dim: int
-    projected_rank: int
-    expected_projected_rank: int
-    quotient_hilbert: list
-    betti: list
-    hikita_match: bool
-    oracle_match: Optional[bool]
-    timings_ms: dict
+
+class VerificationReport(namedtuple("VerificationReport", (
+    "family rank dim_g dim_sym2 dim_v2theta ideal2_dim projected_rank "
+    "expected_projected_rank quotient_hilbert betti hikita_match oracle_match timings_ms"
+))):
+    """One type's report; the JSON output is _asdict(), in this field order.
+
+    oracle_match is None for the families without an oracle, and
+    timings_ms maps each stage name to its wall time in milliseconds.
+    """
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -110,7 +107,7 @@ def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
         ring = (betti[::2] + [0] * max_degree)[: max_degree + 1]
         hikita_match = qh == ring
 
-    oracle_match: Optional[bool] = None
+    oracle_match: bool | None = None
     if t.family == "A":
         with stage("oracle"):
             oracle_match = oracle_quotient_dims(t.rank + 1, max_degree) == qh
@@ -174,7 +171,7 @@ def emit_report(r: VerificationReport) -> str:
     return "\n".join(rows) + "\n"
 
 
-def main(argv: Optional[list] = None) -> int:
+def main(argv: list | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="hikita-verify",
         description=(
@@ -217,9 +214,9 @@ def main(argv: Optional[list] = None) -> int:
 
     if args.format == "json":
         if args.all is not None:
-            payload = {"reports": [asdict(r) for r in reports]}
+            payload = {"reports": [r._asdict() for r in reports]}
         else:
-            payload = asdict(reports[0])
+            payload = reports[0]._asdict()
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         sys.stdout.write("\n".join(emit_report(r) for r in reports))

@@ -18,9 +18,9 @@ integers.  There is no floating point anywhere in this module.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable, Mapping, Sequence
 from math import gcd, lcm
 from operator import add, sub
-from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "SparseVec",

@@ -20,10 +20,10 @@ exactly that order, so restriction is a shift of the index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from itertools import combinations_with_replacement
 from operator import itemgetter
-from typing import Sequence
 
 from .chevalley import LieAlgebra, SplitCasimir, sym2_dim, sym2_index
 from .linalgx import EchelonBasis, SparseVec, append_and_rank, image_basis
@@ -39,16 +39,15 @@ __all__ = [
 ]
 
 
-@dataclass
-class IdealDegree2:
+class IdealDegree2(namedtuple("IdealDegree2", "basis dim_v2theta")):
     """Echelon basis of the degree-2 ideal component inside Sym^2 g.
 
-    dim_v2theta is the Weyl dimension of V(2 theta), the kernel of the
-    shift, which the ideal dimension was checked against.
+    basis is an EchelonBasis, and dim_v2theta is the Weyl dimension of
+    V(2 theta), the kernel of the shift, which the ideal dimension was
+    checked against.
     """
 
-    basis: EchelonBasis
-    dim_v2theta: int
+    __slots__ = ()
 
     @property
     def dim(self) -> int:

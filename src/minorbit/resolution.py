@@ -13,19 +13,17 @@ higher, recorded here under the convention that cohomological degree
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .rootsys import InvariantViolation, SimpleType, dynkin_edges
 
 __all__ = ["DynkinTree", "dynkin_tree", "betti_numbers", "euler_characteristic"]
 
 
-@dataclass(frozen=True)
-class DynkinTree:
-    """The Dynkin diagram as a plain tree on vertices 0..n-1."""
+class DynkinTree(namedtuple("DynkinTree", "n edges")):
+    """The Dynkin diagram as a plain tree on vertices 0..n-1, with its edges as (i, j) pairs."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 def dynkin_tree(t: SimpleType) -> DynkinTree:

@@ -14,7 +14,7 @@ basis order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 __all__ = [
@@ -34,25 +34,29 @@ class InvariantViolation(RuntimeError):
     """A construction-time self-check failed: the build is wrong, not the input."""
 
 
-@dataclass(frozen=True)
-class SimpleType:
+class SimpleType(namedtuple("SimpleType", "family rank")):
     """A simply laced simple type: family A, D or E plus a rank."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family == "A":
-            if self.rank < 1:
-                raise ValueError(f"family A requires rank >= 1, got {self.rank}")
-        elif self.family == "D":
-            if self.rank < 4:
-                raise ValueError(f"family D requires rank >= 4, got {self.rank}")
-        elif self.family == "E":
-            if self.rank not in (6, 7, 8):
-                raise ValueError(f"family E requires rank in {{6, 7, 8}}, got {self.rank}")
+    def __new__(cls, family: str, rank: int) -> SimpleType:
+        if family == "A":
+            if rank < 1:
+                raise ValueError(f"family A requires rank >= 1, got {rank}")
+        elif family == "D":
+            if rank < 4:
+                raise ValueError(f"family D requires rank >= 4, got {rank}")
+        elif family == "E":
+            if rank not in (6, 7, 8):
+                raise ValueError(f"family E requires rank in {{6, 7, 8}}, got {rank}")
         else:
-            raise ValueError(f"unknown family {self.family!r}, expected one of A, D, E")
+            raise ValueError(f"unknown family {family!r}, expected one of A, D, E")
+        return super().__new__(cls, family, rank)
+
+    @classmethod
+    def _make(cls, iterable) -> SimpleType:
+        # _replace builds through _make, so it validates too.
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -91,18 +95,16 @@ def cartan_matrix(t: SimpleType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in c)
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(namedtuple("RootSystem", "simple_type cartan_matrix positive_roots")):
     """Root data for one ADE type, immutable after construction.
 
+    ``cartan_matrix`` and ``positive_roots`` are tuples of int tuples.
     ``cartan_matrix`` doubles as the Gram matrix of the simple roots in
     the simply laced normalization.  The highest root theta is
     ``positive_roots[-1]``, the only root of the greatest height.
     """
 
-    simple_type: SimpleType
-    cartan_matrix: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def rank(self) -> int:

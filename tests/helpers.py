@@ -218,7 +218,7 @@ def all_pairs_column(Omega: SplitCasimir, p: int, q: int) -> dict:
                 for j, cj in L.bracket(y, q):
                     k = sym2_index(nn, i, j)
                     out[k] = out.get(k, 0) + ci * cj
-    w = Omega.weight_pairing(p, q)
+    w = sum(a * b for a, b in zip(L.weights_fw[p], L.signed_roots[q]))
     if w:
         k = sym2_index(nn, p, q)
         out[k] = out.get(k, 0) + w
@@ -304,6 +304,20 @@ def negate_first_ee_constant(L: LieAlgebra) -> LieAlgebra:
     for key in ((a, b), (b, a)):
         brackets[key] = tuple((k, -s) for k, s in brackets[key])
     return LieAlgebra(L.rs, brackets, L.weights_fw, L.signed_roots)
+
+
+def shift_theta_pairing(L: LieAlgebra, by: int) -> LieAlgebra:
+    """A copy of L whose signed root of E(theta) is off by `by` times a unit vector.
+
+    The unit vector sits where the weight of theta has a 1, so the
+    weight pairing of theta with itself becomes 2 + by.  Only the
+    Casimir's weight pairing reads signed_roots.
+    """
+    t = L.npos - 1
+    i = L.weights_fw[t].index(1)
+    signed = list(L.signed_roots)
+    signed[t] = tuple(x + by * (k == i) for k, x in enumerate(signed[t]))
+    return LieAlgebra(L.rs, L.brackets, L.weights_fw, tuple(signed))
 
 
 # -- rational echelon reference ----------------------------------------------

@@ -25,6 +25,7 @@ from helpers import (
     from_entries,
     invariant_form,
     mul,
+    shift_theta_pairing,
     shifted_casimir,
     transpose,
 )
@@ -317,20 +318,16 @@ def test_casimir_top_eigenvalue_is_two(family, rank):
     assert all(type(v) is int for col in cols for v in col.values())
 
 
-def test_entry_outside_int32_raises_instead_of_wrapping(monkeypatch):
+def test_entry_outside_int32_raises_instead_of_wrapping():
     # Block data is int32: an entry that does not fit must stop the
     # assembly, not wrap around to a wrong operator.
-    real = SplitCasimir.weight_pairing
-    monkeypatch.setattr(SplitCasimir, "weight_pairing", lambda self, p, q: real(self, p, q) + 2**31)
     with pytest.raises(OverflowError):
-        SplitCasimir(algebra_of("A", 2))
+        SplitCasimir(shift_theta_pairing(algebra_of("A", 2), 2**31))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("D", 4), ("E", 6)])
-def test_top_eigenvalue_check_fires_on_wrong_weight_pairing(family, rank, monkeypatch):
-    real = SplitCasimir.weight_pairing
-    monkeypatch.setattr(SplitCasimir, "weight_pairing", lambda self, p, q: real(self, p, q) + 1)
+def test_top_eigenvalue_check_fires_on_wrong_weight_pairing(family, rank):
     with pytest.raises(InvariantViolation, match=(
         r"^Casimir scalar 3 on the highest-weight square differs from \(theta, theta\) = 2$"
     )):
-        casimir_top_eigenvalue(SplitCasimir(algebra_of(family, rank)))
+        casimir_top_eigenvalue(SplitCasimir(shift_theta_pairing(algebra_of(family, rank), 1)))

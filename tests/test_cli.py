@@ -1,6 +1,5 @@
 """Verification driver, report serialization, exit codes and export lists."""
 
-import dataclasses
 import importlib
 import json
 import os
@@ -24,7 +23,7 @@ from minorbit.cli import (
 )
 from minorbit.rootsys import InvariantViolation, SimpleType
 
-from helpers import misdirect_first_ee_bracket, negate_first_ee_constant
+from helpers import misdirect_first_ee_bracket, negate_first_ee_constant, shift_theta_pairing
 
 
 def test_verify_a1_report_values():
@@ -69,8 +68,7 @@ def test_json_report_round_trips(capsys):
     parsed = VerificationReport(**json.loads(capsys.readouterr().out))
     r = verify(SimpleType("A", 2))
     assert parsed.timings_ms.keys() == r.timings_ms.keys()
-    parsed.timings_ms = r.timings_ms
-    assert parsed == r
+    assert parsed._replace(timings_ms=r.timings_ms) == r
 
 
 def test_text_report_contains_pass_line():
@@ -87,7 +85,7 @@ def _without_timings(text):
 def test_text_report_does_not_depend_on_the_timings():
     # Timings differ from run to run; no other row, and no padding, may follow them.
     r = verify(SimpleType("A", 3))
-    slow = dataclasses.replace(r, timings_ms={k: 1000 * v + 1.5 for k, v in r.timings_ms.items()})
+    slow = r._replace(timings_ms={k: 1000 * v + 1.5 for k, v in r.timings_ms.items()})
     assert emit_report(r) != emit_report(slow)
     assert _without_timings(emit_report(r)) == _without_timings(emit_report(slow))
 
@@ -109,8 +107,8 @@ def test_unknown_format_rejected(capsys):
 
 
 def test_json_stable_fields_across_runs():
-    a = dataclasses.asdict(verify(SimpleType("A", 2)))
-    b = dataclasses.asdict(verify(SimpleType("A", 2)))
+    a = verify(SimpleType("A", 2))._asdict()
+    b = verify(SimpleType("A", 2))._asdict()
     a.pop("timings_ms")
     b.pop("timings_ms")
     assert a == b
@@ -286,8 +284,8 @@ def test_main_rejects_the_removed_mode_flag(capsys):
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("D", 4), ("E", 6)])
 def test_wrong_weight_pairing_exits_three_at_the_casimir_stage(monkeypatch, capsys, family, rank):
-    real = cli.SplitCasimir.weight_pairing
-    monkeypatch.setattr(cli.SplitCasimir, "weight_pairing", lambda self, p, q: real(self, p, q) + 1)
+    real = cli.build_chevalley
+    monkeypatch.setattr(cli, "build_chevalley", lambda rs: shift_theta_pairing(real(rs), 1))
     code = main(["--family", family, "--rank", str(rank)])
     assert code == 3
     assert capsys.readouterr().err == (
@@ -400,7 +398,7 @@ def _truncated_root_system(where):
         rs = real(t)
         roots = list(rs.positive_roots)
         del roots[len(roots) // 2 if where == "middle" else -1]
-        return dataclasses.replace(rs, positive_roots=tuple(roots))
+        return rs._replace(positive_roots=tuple(roots))
 
     return build
 
@@ -469,3 +467,20 @@ def test_module_entry_point_runs_without_warnings():
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    # Every hikita-verify process pays for what minorbit.cli imports;
+    # dataclasses alone pulls in inspect, ast, dis and tokenize.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "import sys, minorbit.cli\n"
+        "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"

@@ -1,7 +1,5 @@
 """Root system construction, pairings and Weyl dimensions."""
 
-import dataclasses
-
 import pytest
 
 from minorbit.rootsys import (
@@ -47,6 +45,8 @@ DIM_G = {
 def test_invalid_types_rejected(family, rank, msg):
     with pytest.raises(ValueError, match=msg):
         SimpleType(family, rank)
+    with pytest.raises(ValueError, match=msg):
+        SimpleType("A", 1)._replace(family=family, rank=rank)
 
 
 def test_a1_is_sl2():
@@ -193,7 +193,7 @@ def test_weyl_dim_rejects_non_dominant():
 def test_weyl_dim_names_the_weight():
     # With the highest root dropped, the D4 product for 2 theta is not integral.
     rs = rs_of("D", 4)
-    bad = dataclasses.replace(rs, positive_roots=rs.positive_roots[:-1])
+    bad = rs._replace(positive_roots=rs.positive_roots[:-1])
     with pytest.raises(InvariantViolation, match=(
         r"^Weyl dimension product for weight \(0, 2, 0, 0\) is not an integer$"
     )):
