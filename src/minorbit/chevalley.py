@@ -40,7 +40,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
-from itertools import combinations_with_replacement, groupby
+from itertools import accumulate, combinations_with_replacement, groupby
 from operator import mul
 
 from .linalgx import SparseVec
@@ -193,15 +193,18 @@ def sym2_pairs(n: int) -> Iterator[tuple[int, int]]:
 class SplitCasimir:
     """The split Casimir on the symmetric square, assembled once into its torus-weight blocks.
 
-    blocks[b] is a pair (monos, data): monos, an array('l'), lists the
-    monomials of one weight in ascending order, and data, an array('i')
-    of int32 entries, holds the s * s entries column by column,
-    s = len(monos), so row monos[i] of column monos[j] is
-    data[j * s + i].  matrix() fills data one finished column at a
-    time.  Every entry outside the blocks is zero.  degree2_ideal takes
-    the blocks through release() and frees them as it eliminates them;
-    nnz, the number of nonzero entries, keeps its count, and column()
-    stops working with them.
+    The blocks are stored flat, in block (weight key) order, in two
+    arrays.  _monos, an array('l'), lists the monomials of each block in
+    ascending order: block b is _monos[_mono_start[b] : _mono_start[b + 1]].
+    _entries, an array('i') of int32 entries, holds each block's s * s
+    entries column by column, s its number of monomials, from
+    _entry_start[b] on: row i of column j of block b is
+    _entries[_entry_start[b] + j * s + i].  Every entry outside the
+    blocks is zero.  For column(), _block and _local give each
+    monomial's block and its place in that block's monomials.
+    degree2_ideal takes the blocks through release(), which frees each
+    once the next is asked for; nnz, the number of nonzero entries,
+    keeps its count, and column() stops working.
     """
 
     def __init__(self, L: LieAlgebra):
@@ -215,16 +218,26 @@ class SplitCasimir:
                 "column() needs the weight blocks, and this operator has released them"
             )
         j = sym2_index(self.L.dim, p, q)
-        monos, data = self.blocks[self._block[j]]
-        s = len(monos)
-        start = self._local[j] * s
-        return {monos[i]: x for i, x in enumerate(data[start : start + s]) if x}
+        b = self._block[j]
+        lo, hi = self._mono_start[b], self._mono_start[b + 1]
+        start = self._entry_start[b] + self._local[j] * (hi - lo)
+        entries = self._entries[start : start + hi - lo]
+        return {k: x for k, x in zip(self._monos[lo:hi], entries) if x}
 
-    def release(self) -> list:
-        """Hand over the blocks, and drop them and the column index from the operator."""
-        blocks, self.blocks = self.blocks, []
+    def release(self) -> Iterator[tuple[array, array]]:
+        """Hand the blocks over, last key first, as (monomials, entries) pairs of arrays.
+
+        The operator is left at once with no blocks and no column index.
+        The iterator takes the storage over, and each time it is asked
+        for the next block it first cuts the one it handed over last off
+        the end of its arrays, so the entries shrink as the caller goes.
+        """
+        monos, entries = self._monos, self._entries
+        mono_start, entry_start = self._mono_start, self._entry_start
+        self._monos, self._entries = array("l"), array("i")
+        self._mono_start, self._entry_start = array("l", [0]), array("l", [0])
         self._block = self._local = None
-        return blocks
+        return _last_block_first(monos, entries, mono_start, entry_start)
 
     def matrix(self) -> SplitCasimir:
         """Assemble the operator on the monomial basis straight into its torus-weight blocks.
@@ -237,8 +250,11 @@ class SplitCasimir:
         a sum of two weights lies in [-2 top, 2 top], so the key of
         x_p x_q, which is key[p] + key[q], determines its weight.  The
         keys are Python ints, so the encoding is exact at every rank.
-        Blocks come in key order, each over its monomials in monomial
-        order.
+        One sort by key orders the monomials block by block, each block
+        in monomial order, and gives the block sizes.  The key and order
+        lists are dropped before the column index and the bracket tables
+        are made, so the memory of their many small ints can go back, and
+        the entry array is made once, at its final size.
 
         The root part of column (p, q) sums [x, x_p] [dual(x), x_q] over
         root vectors x.  ad[p] maps each x with [x, x_p] != 0 to that
@@ -248,14 +264,12 @@ class SplitCasimir:
         completes the columns (p, q), q >= p: each product is added into
         a short int list for its column, and the weight pairing
         (wt(x_p), wt(x_q)), the dot product of weights_fw[p] and
-        signed_roots[q], onto the diagonal.  Columns finish in monomial
-        order, so the columns of each block finish in the block's own
-        order, and each finished column is appended to its block's int32
-        data by one fromlist.  An entry outside the int32 range raises
-        OverflowError there instead of wrapping; the largest |entry| on
-        E8 is 60.  A product outside its column's block is a construction
-        bug, reported fatally; the check makes the rank of the operator
-        exactly the sum of the block ranks.
+        signed_roots[q], onto the diagonal.  Each finished column is
+        copied into its slot of the entry array.  An entry outside the
+        int32 range raises OverflowError there instead of wrapping; the
+        largest |entry| on E8 is 60.  A product outside its column's
+        block is a construction bug, reported fatally; the check makes
+        the rank of the operator exactly the sum of the block ranks.
         """
         L = self.L
         nn = L.dim
@@ -264,15 +278,20 @@ class SplitCasimir:
         key = [_balanced_key(w, base) for w in L.weights_fw]
         keys = [key[p] + key[q] for p, q in sym2_pairs(nn)]
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        groups = [array("l", g) for _, g in groupby(order, keys.__getitem__)]
-        del keys, order
+        self._monos = monos = array("l", order)
+        sizes = array("l", [len(list(g)) for _, g in groupby(order, keys.__getitem__)])
+        del key, keys, order
+        self._mono_start = array("l", accumulate(sizes, initial=0))
+        self._entry_start = entry_start = array("l", accumulate(map(mul, sizes, sizes), initial=0))
+        self._entries = entries = array("i", [0]) * entry_start[-1]
         self._block = block = [0] * sym2_dim(nn)
         self._local = local = [0] * sym2_dim(nn)
-        for b, monos in enumerate(groups):
-            for i, k in enumerate(monos):
+        it = iter(monos)
+        for b, s in enumerate(sizes):
+            # zip stops on the range before it takes from the next block.
+            for i, k in zip(range(s), it):
                 block[k] = b
                 local[k] = i
-        datas = [array("i") for _ in groups]
 
         dual = list(range(m, 2 * m)) + list(range(m))
         ad = [{x: u for x in range(2 * m) if (u := L.bracket(x, p))} for p in range(nn)]
@@ -286,12 +305,16 @@ class SplitCasimir:
                     invc[d].append(c)
         # sym2_index(nn, i, j) == offset[i] + j for i <= j.
         offset = [i * (2 * nn - i - 1) // 2 for i in range(nn)]
+        roots = L.signed_roots
+        # Each finished column goes into its slot through buf, by fromlist, which
+        # costs less than a new array per column and raises the same OverflowError.
+        buf = array("i")
 
         for p in range(nn):
             # Column (p, q) is monomial op + q; its block and list are indexed by q >= p.
             op = offset[p]
             cblock = block[op : op + nn]
-            cols = [None] * p + [[0] * len(groups[b]) for b in cblock[p:]]
+            cols = [None] * p + [[0] * sizes[b] for b in cblock[p:]]
             for x, terms in ad[p].items():
                 qs = invq[x]
                 first = bisect_left(qs, p)
@@ -307,16 +330,27 @@ class SplitCasimir:
                             )
                         cols[q][local[k]] += ci * cj
             wp = L.weights_fw[p]
-            for q in range(p, nn):
-                col = cols[q]
-                w = sum(map(mul, wp, L.signed_roots[q]))
+            for col, j, b, root in zip(cols[p:], local[op + p : op + nn], cblock[p:], roots[p:]):
+                w = sum(map(mul, wp, root))
                 if w:
-                    col[local[op + q]] += w
-                datas[cblock[q]].fromlist(col)
+                    col[j] += w
+                s = len(col)
+                start = entry_start[b] + j * s
+                buf.fromlist(col)
+                entries[start : start + s] = buf
+                del buf[:]
 
-        self.blocks = list(zip(groups, datas))
-        self.nnz = sum(len(data) - data.count(0) for data in datas)
+        self.nnz = len(entries) - entries.count(0)
         return self
+
+
+def _last_block_first(
+    monos: array, entries: array, mono_start: array, entry_start: array
+) -> Iterator[tuple[array, array]]:
+    """Yield each block of the flat storage, last first, then cut it off the arrays."""
+    for b in reversed(range(len(mono_start) - 1)):
+        yield monos[mono_start[b] :], entries[entry_start[b] :]
+        del monos[mono_start[b] :], entries[entry_start[b] :]
 
 
 def casimir_top_eigenvalue(Omega: SplitCasimir) -> int:

@@ -60,11 +60,12 @@ def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
     The degree-2 ideal is always the full image of (Omega - c) on the
     symmetric square, with its dimension checked against the Weyl
     formula, so a broken construction raises for every rank.  The
-    casimir stage assembles the operator into its weight blocks, and the
-    ideal stage eliminates them and releases them as it goes.  Each stage
-    is timed under its name, and an InvariantViolation raised inside it
-    is raised again with the stage and the type in front of its message:
-    the stage modules do not know who calls them.
+    casimir stage assembles the operator into its weight blocks, held in
+    flat arrays, and the ideal stage takes them over from the last block
+    to the first, eliminating each and freeing its entries as it goes.
+    Each stage is timed under its name, and an InvariantViolation raised
+    inside it is raised again with the stage and the type in front of
+    its message: the stage modules do not know who calls them.
     """
     if t.rank > MAX_RANK:
         raise ValueError(f"rank must be at most {MAX_RANK}, got {t.rank}")

@@ -144,14 +144,20 @@ def _submul(v: list[int], x: int, row: list[int]) -> list[int]:
 def image_basis(nrows: int, columns: Iterable[Sequence[int]]) -> EchelonBasis:
     """Canonical reduced echelon basis of the span of dense int columns of length nrows.
 
-    Gauss-Jordan elimination one coordinate at a time: the column with
-    the smallest nonzero entry there, in absolute value, becomes the
-    row of that pivot, and the coordinate is cleared from every other
-    column and row, so a unit pivot, where there is one, makes every
-    step a plain subtraction.  A column that reaches zero is dropped.
-    The rows then enter an EchelonBasis through append_and_rank, which
-    makes each primitive, highest pivot first, so no earlier vector
-    holds the new pivot and each insertion scans nothing.
+    Gauss-Jordan elimination one coordinate at a time, in ascending
+    order of the number of columns that are nonzero there, ties by
+    index: the column with the smallest nonzero entry at the coordinate,
+    in absolute value, becomes the row of that pivot, and the coordinate
+    is cleared from every other column and row, so a unit pivot, where
+    there is one, makes every step a plain subtraction.  Taking the
+    sparsest coordinates first keeps the fill-in down.  A column that
+    reaches zero is dropped.  The rows span the image but, pivoted out
+    of coordinate order, are not yet in echelon form: they enter an
+    EchelonBasis through append_and_rank, the row whose lowest
+    coordinate is highest first, so each new row's lowest coordinate is
+    at or below every pivot so far and rarely has to be cleared from
+    the vectors already in.  The result is the canonical basis of the
+    span, whatever order the coordinates were pivoted in.
     """
     # Every step builds a new list, so a column is never written and needs no copy.
     vecs = []
@@ -161,8 +167,10 @@ def image_basis(nrows: int, columns: Iterable[Sequence[int]]) -> EchelonBasis:
         g = gcd(*col)
         if g:
             vecs.append(col if g == 1 else [x // g for x in col])
+    # Fill-in never reaches a coordinate that is zero in every column, so those are skipped.
+    counts = [len(t) - t.count(0) for t in zip(*vecs)]
     rows: list[list[int]] = []
-    for i in range(nrows):
+    for i in sorted((i for i, n in enumerate(counts) if n), key=counts.__getitem__):
         if not vecs:
             break
         best, size = -1, 0
@@ -196,6 +204,7 @@ def image_basis(nrows: int, columns: Iterable[Sequence[int]]) -> EchelonBasis:
         vecs = [v for v in vecs if any(v)]
         rows.append(row)
     basis = EchelonBasis(nrows)
-    for row in reversed(rows):
-        append_and_rank(basis, {i: x for i, x in enumerate(row) if x})
+    sparse = [{i: x for i, x in enumerate(row) if x} for row in rows]
+    for v in sorted(sparse, key=min, reverse=True):
+        append_and_rank(basis, v)
     return basis

@@ -58,30 +58,31 @@ def degree2_ideal(L: LieAlgebra, Omega: SplitCasimir, c) -> IdealDegree2:
     """Image basis of (Omega - c) on Sym^2 g, with its dimension verified.
 
     The operator comes assembled in its torus-weight blocks, which
-    Omega.release() hands over.  Each block in turn is popped off that
-    list, read into an int list, has c subtracted on its diagonal, and
-    is eliminated in its own coordinates, unless the shift leaves it
-    zero.  So this uses the operator up: afterwards its blocks and its
-    column index are gone, and only its nnz keeps the count of its
-    entries.  The local pivots map back through the block's ascending
-    monomial list, an order-preserving map, so every block basis is the
-    canonical basis of its part of the image.  The block supports are
-    disjoint, so the union of the block bases is already reduced and the
-    merge is one sort by pivot.  A mismatch against dim Sym^2 g minus
-    the Weyl dimension of the doubled highest weight is a construction
-    bug, reported fatally.
+    Omega.release() hands over from the last to the first, freeing each
+    block's entries once the next one is asked for.  Each block in turn
+    is read into an int list, has c subtracted on its diagonal, and is
+    eliminated in its own coordinates, unless the shift leaves it zero.
+    So this uses the operator up: afterwards its blocks and its column
+    index are gone, and only its nnz keeps the count of its entries.
+    The local pivots map back through the block's ascending monomial
+    list, an order-preserving map, so every block basis is the canonical
+    basis of its part of the image; the list is made once per block, so
+    the block's basis vectors share its monomial ints.  The block
+    supports are disjoint, so the union of the block bases is already
+    reduced and the merge is one sort by pivot.  A mismatch against
+    dim Sym^2 g minus the Weyl dimension of the doubled highest weight
+    is a construction bug, reported fatally.
     """
     nrows = sym2_dim(L.dim)
-    blocks = Omega.release()
     pairs = []
-    while blocks:
-        monos, data = blocks.pop()
+    for monos, data in Omega.release():
         s = len(monos)
         data = data.tolist()
         data[:: s + 1] = [x - c for x in data[:: s + 1]]
         if not any(data):
             continue
         part = image_basis(s, [data[j : j + s] for j in range(0, s * s, s)])
+        monos = monos.tolist()
         for pivot, vec in zip(part.pivots, part.vectors):
             pairs.append((monos[pivot], {monos[i]: x for i, x in vec.items()}))
     pairs.sort(key=itemgetter(0))

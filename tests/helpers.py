@@ -44,6 +44,19 @@ def casimir_of(family: str, rank: int) -> SplitCasimir:
     return SplitCasimir(algebra_of(family, rank))
 
 
+def weight_blocks(Om: SplitCasimir) -> list[tuple[list[int], list[int]]]:
+    """The operator's stored blocks, in key order, as (monomials, entries) int lists.
+
+    Read straight from the flat storage by its offsets, so that a test
+    can check the layout and still hand the operator to degree2_ideal.
+    """
+    ms, es = Om._mono_start, Om._entry_start
+    return [
+        (Om._monos[ms[b] : ms[b + 1]].tolist(), Om._entries[es[b] : es[b + 1]].tolist())
+        for b in range(len(ms) - 1)
+    ]
+
+
 # -- reference matrix operations --------------------------------------------
 
 class SparseMatrix:

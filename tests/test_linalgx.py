@@ -124,6 +124,31 @@ def test_image_basis_identity_and_repeated_column():
     assert basis.vectors == [{0: 1, 2: -2}]
 
 
+def test_image_basis_pivots_the_sparsest_coordinate_first_through_a_non_unit_entry():
+    # Coordinate 2 is nonzero in two columns only, fewer than any other,
+    # and both entries there (2 and 3) are non-units, so the first pivot
+    # is not coordinate 0 and its elimination step scales.  The basis
+    # must still be the canonical one of the span.
+    cols = [
+        [1, 2, 0, 1, 1],
+        [3, 1, 0, 2, 0],
+        [2, 5, 2, 0, 1],
+        [1, 1, 3, 4, 2],
+        [4, 3, 0, 3, 1],  # the sum of the first two
+    ]
+    counts = [sum(1 for c in cols if c[i]) for i in range(5)]
+    assert min(range(5), key=counts.__getitem__) == 2
+    assert sorted(c[2] for c in cols if c[2]) == [2, 3]
+    basis = image_basis(5, cols)
+    pivots, vectors = fraction_echelon([dict(enumerate(c)) for c in cols])
+    assert len(basis) == dense_rank(list(map(list, zip(*cols)))) == 4
+    assert basis.pivots == pivots
+    assert [{i: Fraction(x, vec[p]) for i, x in vec.items()}
+            for p, vec in zip(basis.pivots, basis.vectors)] == vectors
+    assert all(vec[p] > 0 and gcd(*vec.values()) == 1
+               for p, vec in zip(basis.pivots, basis.vectors))
+
+
 def test_image_basis_a1_shifted_casimir():
     # The single generator as a primitive integer vector: 4 e.f + h.h,
     # proportional to 2 h.h + 8 e.f.

@@ -10,6 +10,7 @@ from minorbit.chevalley import (
     sym2_dim,
     sym2_index,
     sym2_pairs,
+    sym2_unrank,
 )
 from minorbit.cli import ade_types
 from minorbit.linalgx import image_basis
@@ -37,6 +38,7 @@ from helpers import (
     shifted_casimir,
     sparse_image,
     to_rows,
+    weight_blocks,
 )
 
 
@@ -210,7 +212,7 @@ def test_sl2_generator_matches_classical_quadric():
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("D", 4)])
 def test_block_ranks_sum_to_the_dense_rank(family, rank):
     L, Om, c = pipeline(family, rank)
-    blocks = Om.blocks
+    blocks = weight_blocks(Om)
     assert sum(len(monos) for monos, _ in blocks) == sym2_dim(L.dim)
     block_ranks = 0
     for monos, data in blocks:
@@ -240,10 +242,32 @@ def test_weight_blocks_partition_the_monomials_by_weight_tuple(t):
     by_tuple: dict = {}
     for k, (p, q) in enumerate(sym2_pairs(L.dim)):
         by_tuple.setdefault(tuple(map(add, wt[p], wt[q])), []).append(k)
-    blocks = SplitCasimir(L).blocks
-    assert sorted(list(monos) for monos, _ in blocks) == sorted(by_tuple.values())
+    Om = SplitCasimir(L)
+    blocks = weight_blocks(Om)
+    assert sorted(monos for monos, _ in blocks) == sorted(by_tuple.values())
     for monos, data in blocks:
         assert len(data) == len(monos) ** 2
+    # The offsets tile both arrays, with nothing left over.
+    assert Om._mono_start[-1] == len(Om._monos) and Om._entry_start[-1] == len(Om._entries)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4), ("E", 6)])
+def test_release_yields_square_blocks_last_key_first(family, rank):
+    # release() empties the operator at once and hands the stored blocks
+    # over in reverse.  Balanced digits order the keys as the weight
+    # tuples read from their last coordinate, so those must descend.
+    L = algebra_of(family, rank)
+    Om = SplitCasimir(L)
+    stored = weight_blocks(Om)
+    released = Om.release()
+    assert weight_blocks(Om) == [] and len(Om._monos) == len(Om._entries) == 0
+    got = [(monos.tolist(), data.tolist()) for monos, data in released]
+    assert got == stored[::-1]
+    assert all(len(data) == len(monos) ** 2 for monos, data in got)
+    wt = L.weights_fw
+    pq = [sym2_unrank(L.dim, monos[0]) for monos, _ in got]
+    weights = [tuple(map(add, wt[p], wt[q]))[::-1] for p, q in pq]
+    assert all(a > b for a, b in zip(weights, weights[1:]))
 
 
 def test_off_weight_entry_fires_the_block_check():
@@ -263,7 +287,7 @@ def test_operator_nnz_survives_the_release_of_its_blocks(family, rank):
     nnz = sum(map(len, columns(Om)))
     assert Om.nnz == nnz
     degree2_ideal(L, Om, c)
-    assert Om.blocks == [] and Om.nnz == nnz
+    assert weight_blocks(Om) == [] and len(Om._entries) == 0 and Om.nnz == nnz
 
 
 def test_column_of_a_released_operator_says_the_blocks_are_gone():
