@@ -267,15 +267,33 @@ class SplitCasimir:
         signed_roots[q], onto the diagonal.  Each finished column is
         copied into its slot of the entry array.  An entry outside the
         int32 range raises OverflowError there instead of wrapping; the
-        largest |entry| on E8 is 60.  A product outside its column's
-        block is a construction bug, reported fatally; the check makes
-        the rank of the operator exactly the sum of the block ranks.
+        largest |entry| on E8 is 60.  Before any product, one pass checks
+        that every bracket term has the key of the sum of its two
+        factors' weights, and that the dual of every root vector has the
+        opposite key.  A product [x, x_p] [dual(x), x_q] then has the
+        weight of x_p x_q, so every product lands in its column's block,
+        which makes the rank of the operator exactly the sum of the
+        block ranks.  A failed check is a construction bug, reported
+        fatally.
         """
         L = self.L
         nn = L.dim
         m = L.npos
         base = 4 * max(abs(x) for w in L.weights_fw for x in w) + 1
         key = [_balanced_key(w, base) for w in L.weights_fw]
+        dual = list(range(m, 2 * m)) + list(range(m))
+        for x in range(2 * m):
+            if key[dual[x]] != -key[x]:
+                raise InvariantViolation(
+                    f"x_{dual[x]}, the dual of x_{x}, is not of the opposite weight"
+                )
+        for (a, b), terms in L.brackets.items():
+            for k, _ in terms:
+                if key[k] != key[a] + key[b]:
+                    raise InvariantViolation(
+                        f"the bracket [x_{a}, x_{b}] has a term on x_{k}, "
+                        "whose weight is not the sum of theirs"
+                    )
         keys = [key[p] + key[q] for p, q in sym2_pairs(nn)]
         order = sorted(range(len(keys)), key=keys.__getitem__)
         self._monos = monos = array("l", order)
@@ -293,7 +311,6 @@ class SplitCasimir:
                 block[k] = b
                 local[k] = i
 
-        dual = list(range(m, 2 * m)) + list(range(m))
         ad = [{x: u for x in range(2 * m) if (u := L.bracket(x, p))} for p in range(nn)]
         invq, invj, invc = ([[] for _ in range(2 * m)] for _ in range(3))
         for q, row in enumerate(ad):
@@ -323,11 +340,6 @@ class SplitCasimir:
                     oi = offset[i]
                     for q, j, cj in zip(qs, js, cs):
                         k = oi + j if i <= j else offset[j] + i
-                        if block[k] != cblock[q]:
-                            raise InvariantViolation(
-                                f"the image of monomial x_{p} x_{q} has an entry on "
-                                f"x_{min(i, j)} x_{max(i, j)}, outside its weight block"
-                            )
                         cols[q][local[k]] += ci * cj
             wp = L.weights_fw[p]
             for col, j, b, root in zip(cols[p:], local[op + p : op + nn], cblock[p:], roots[p:]):

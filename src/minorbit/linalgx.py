@@ -2,17 +2,20 @@
 
 Vectors are dicts mapping coordinate index to a nonzero integer, and
 an echelon basis grows one such vector at a time through
-``append_and_rank``.  ``image_basis`` is the dense kernel for one
-weight block: its columns are int lists over the block's own
-coordinates, and it hands back the same kind of echelon basis.
+``append_and_rank``.  ``pivot_rows`` is the dense kernel for one weight
+block: its columns are int lists over the block's own coordinates, and
+one forward elimination hands back independent rows spanning their
+image, as many as its rank.  ``image_basis`` puts those rows in the
+canonical form below, for the callers that read a basis and not only
+its size.
 
 Every vector is an integer vector, and every operation is integer
 arithmetic: the kernels take int entries only, and anything else, a
 ``Fraction`` included, raises ``TypeError`` in ``math.gcd``.  Each
-stored vector is primitive (its entries have gcd 1) with a positive
-pivot entry, so the basis is the canonical reduced echelon basis of its
-span over the rationals, each vector scaled from monic to primitive
-integers.  There is no floating point anywhere in this module.
+vector of an echelon basis is primitive (its entries have gcd 1) with a
+positive pivot entry, so the basis is the canonical reduced echelon
+basis of its span over the rationals, each vector scaled from monic to
+primitive integers.  There is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "addmul",
     "append_and_rank",
     "image_basis",
+    "pivot_rows",
 ]
 
 SparseVec = dict
@@ -141,23 +145,20 @@ def _submul(v: list[int], x: int, row: list[int]) -> list[int]:
     return [u - x * y for u, y in zip(v, row)]
 
 
-def image_basis(nrows: int, columns: Iterable[Sequence[int]]) -> EchelonBasis:
-    """Canonical reduced echelon basis of the span of dense int columns of length nrows.
+def pivot_rows(nrows: int, columns: Iterable[Sequence[int]]) -> list[list[int]]:
+    """Primitive rows spanning the dense int columns of length nrows, as many as their rank.
 
-    Gauss-Jordan elimination one coordinate at a time, in ascending
-    order of the number of columns that are nonzero there, ties by
-    index: the column with the smallest nonzero entry at the coordinate,
-    in absolute value, becomes the row of that pivot, and the coordinate
-    is cleared from every other column and row, so a unit pivot, where
-    there is one, makes every step a plain subtraction.  Taking the
-    sparsest coordinates first keeps the fill-in down.  A column that
-    reaches zero is dropped.  The rows span the image but, pivoted out
-    of coordinate order, are not yet in echelon form: they enter an
-    EchelonBasis through append_and_rank, the row whose lowest
-    coordinate is highest first, so each new row's lowest coordinate is
-    at or below every pivot so far and rarely has to be cleared from
-    the vectors already in.  The result is the canonical basis of the
-    span, whatever order the coordinates were pivoted in.
+    Fraction-free forward elimination one coordinate at a time, in
+    ascending order of the number of columns that are nonzero there,
+    ties by index: the column with the smallest nonzero entry at the
+    coordinate, in absolute value, becomes the row of that pivot, made
+    primitive with a positive pivot entry, and the coordinate is cleared
+    from every remaining column, so a unit pivot, where there is one,
+    makes every step a plain subtraction.  Taking the sparsest
+    coordinates first keeps the fill-in down.  A column that reaches
+    zero is dropped.  Each row is zero on the pivots of the rows before
+    it, so the rows are independent, but nothing clears a later pivot
+    from an earlier row: they are not in echelon form.
     """
     # Every step builds a new list, so a column is never written and needs no copy.
     vecs = []
@@ -183,28 +184,43 @@ def image_basis(nrows: int, columns: Iterable[Sequence[int]]) -> EchelonBasis:
         if best < 0:
             continue
         row = vecs.pop(best)
+        g = gcd(*row)
+        if row[i] < 0:
+            g = -g
+        if g != 1:
+            row = [x // g for x in row]
         a = row[i]
-        if a < 0:
-            row = [-x for x in row]
-            a = -a
-        for others in (vecs, rows):
-            for k, v in enumerate(others):
-                x = v[i]
-                if not x:
-                    continue
-                if a == 1:
-                    v = _submul(v, x, row)
-                else:
-                    g = gcd(a, x)
-                    v = [(a // g) * u - (x // g) * y for u, y in zip(v, row)]
-                    g = gcd(*v)
-                    if g > 1:
-                        v = [u // g for u in v]
-                others[k] = v
+        for k, v in enumerate(vecs):
+            x = v[i]
+            if not x:
+                continue
+            if a == 1:
+                v = _submul(v, x, row)
+            else:
+                g = gcd(a, x)
+                v = [(a // g) * u - (x // g) * y for u, y in zip(v, row)]
+                g = gcd(*v)
+                if g > 1:
+                    v = [u // g for u in v]
+            vecs[k] = v
         vecs = [v for v in vecs if any(v)]
         rows.append(row)
+    return rows
+
+
+def image_basis(nrows: int, columns: Iterable[Sequence[int]]) -> EchelonBasis:
+    """Canonical reduced echelon basis of the span of dense int columns of length nrows.
+
+    The pivot_rows of the columns span the image, pivoted out of
+    coordinate order.  They enter an EchelonBasis through
+    append_and_rank, the row whose lowest coordinate is highest first,
+    so each new row's lowest coordinate is at or below every pivot so
+    far and rarely has to be cleared from the vectors already in.  The
+    result is the canonical basis of the span, whatever order the
+    coordinates were pivoted in.
+    """
     basis = EchelonBasis(nrows)
-    sparse = [{i: x for i, x in enumerate(row) if x} for row in rows]
+    sparse = [{i: x for i, x in enumerate(row) if x} for row in pivot_rows(nrows, columns)]
     for v in sorted(sparse, key=min, reverse=True):
         append_and_rank(basis, v)
     return basis

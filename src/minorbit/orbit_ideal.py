@@ -23,10 +23,10 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from itertools import combinations_with_replacement
-from operator import itemgetter
+from types import SimpleNamespace
 
 from .chevalley import LieAlgebra, SplitCasimir, sym2_dim, sym2_index
-from .linalgx import EchelonBasis, SparseVec, append_and_rank, image_basis
+from .linalgx import EchelonBasis, SparseVec, append_and_rank, image_basis, pivot_rows
 from .rootsys import InvariantViolation, root_to_weight, weyl_dim
 
 __all__ = [
@@ -40,22 +40,25 @@ __all__ = [
 
 
 class IdealDegree2(namedtuple("IdealDegree2", "basis dim_v2theta")):
-    """Echelon basis of the degree-2 ideal component inside Sym^2 g.
+    """A basis of the degree-2 ideal component inside Sym^2 g.
 
-    basis is an EchelonBasis, and dim_v2theta is the Weyl dimension of
-    V(2 theta), the kernel of the shift, which the ideal dimension was
-    checked against.
+    basis.vectors lists dim integer vectors over the monomials of
+    Sym^2 g that together span the ideal: the canonical echelon basis of
+    the zero-weight block's part of it, then the pivot rows of every
+    other block, which are independent but not in echelon form.
+    dim_v2theta is the Weyl dimension of V(2 theta), the kernel of the
+    shift, which the ideal dimension was checked against.
     """
 
     __slots__ = ()
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.basis.vectors)
 
 
 def degree2_ideal(L: LieAlgebra, Omega: SplitCasimir, c) -> IdealDegree2:
-    """Image basis of (Omega - c) on Sym^2 g, with its dimension verified.
+    """A basis of the image of (Omega - c) on Sym^2 g, with its dimension verified.
 
     The operator comes assembled in its torus-weight blocks, which
     Omega.release() hands over from the last to the first, freeing each
@@ -64,39 +67,39 @@ def degree2_ideal(L: LieAlgebra, Omega: SplitCasimir, c) -> IdealDegree2:
     eliminated in its own coordinates, unless the shift leaves it zero.
     So this uses the operator up: afterwards its blocks and its column
     index are gone, and only its nnz keeps the count of its entries.
-    The local pivots map back through the block's ascending monomial
-    list, an order-preserving map, so every block basis is the canonical
-    basis of its part of the image; the list is made once per block, so
-    the block's basis vectors share its monomial ints.  The block
-    supports are disjoint, so the union of the block bases is already
-    reduced and the merge is one sort by pivot.  A mismatch against
-    dim Sym^2 g minus the Weyl dimension of the doubled highest weight
-    is a construction bug, reported fatally.
+    The zero-weight block, the only one that holds the Cartan monomials
+    H(i) H(j) that projected_span reads, gives its image_basis; every
+    other block gives only its pivot_rows, as many as its rank.  Local
+    coordinates map back through the block's ascending monomial list,
+    made once per block, so the block's vectors share its monomial ints.
+    The block supports are disjoint, so the vectors of all blocks
+    together are independent.  A count other than dim Sym^2 g minus the
+    Weyl dimension of the doubled highest weight is a construction bug,
+    reported fatally.
     """
     nrows = sym2_dim(L.dim)
-    pairs = []
+    first = _cartan_start(L)
+    vectors = []
     for monos, data in Omega.release():
         s = len(monos)
         data = data.tolist()
         data[:: s + 1] = [x - c for x in data[:: s + 1]]
         if not any(data):
             continue
-        part = image_basis(s, [data[j : j + s] for j in range(0, s * s, s)])
+        cols = [data[j : j + s] for j in range(0, s * s, s)]
         monos = monos.tolist()
-        for pivot, vec in zip(part.pivots, part.vectors):
-            pairs.append((monos[pivot], {monos[i]: x for i, x in vec.items()}))
-    pairs.sort(key=itemgetter(0))
-    basis = EchelonBasis(nrows)
-    basis.pivots = [p for p, _ in pairs]
-    basis.vectors = [vec for _, vec in pairs]
-    basis._by_pivot = dict(pairs)
+        if monos[-1] >= first:
+            vectors += ({monos[i]: x for i, x in v.items()} for v in image_basis(s, cols).vectors)
+        else:
+            vectors += ({m: x for m, x in zip(monos, row) if x} for row in pivot_rows(s, cols))
     rs = L.rs
     theta2 = tuple(2 * x for x in root_to_weight(rs, rs.positive_roots[-1]))
     dim_v2theta = weyl_dim(rs, theta2)
     expected = nrows - dim_v2theta
-    if len(basis) != expected:
-        raise InvariantViolation(f"degree-2 ideal has dimension {len(basis)}, expected {expected}")
-    return IdealDegree2(basis, dim_v2theta)
+    dim = len(vectors)
+    if dim != expected:
+        raise InvariantViolation(f"degree-2 ideal has dimension {dim}, expected {expected}")
+    return IdealDegree2(SimpleNamespace(vectors=vectors), dim_v2theta)
 
 
 def _cartan_start(L: LieAlgebra) -> int:

@@ -10,31 +10,35 @@ construction and must match the abstract type A_(n-1) answer.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
+from itertools import chain
+
 from .linalgx import SparseVec
 from .orbit_ideal import hilbert_from_quadrics, monomial_exponents
 
 __all__ = ["matrix_quadrics", "restrict_to_diagonal", "oracle_quotient_dims"]
 
 
-def matrix_quadrics(n: int) -> list[dict]:
-    """Every 2 x 2 minor a_ij a_kl - a_il a_kj (i < k, j < l), then every entry of A^2.
+def matrix_quadrics(n: int) -> Iterator[dict]:
+    """Every 2 x 2 minor a_ij a_kl - a_il a_kj (i < k, j < l), then every entry of A^2, lazily.
 
     A quadric is a dict from a sorted pair of matrix entries (i, j) to
     its integer coefficient; entry (i, j) of A^2 is sum_k a_ik a_kj.
+    n is checked at the call, before the first quadric is asked for.
     """
     if n < 2:
         raise ValueError(f"matrix size must be at least 2, got {n}")
-    minors = [
+    minors = (
         {((i, j), (k, l)): 1, ((i, l), (k, j)): -1}
         for i in range(n) for k in range(i + 1, n) for j in range(n) for l in range(j + 1, n)
-    ]
-    squares = [
+    )
+    squares = (
         {tuple(sorted(((i, k), (k, j)))): 1 for k in range(n)} for i in range(n) for j in range(n)
-    ]
-    return minors + squares
+    )
+    return chain(minors, squares)
 
 
-def restrict_to_diagonal(quadrics: list[dict], n: int) -> list[SparseVec]:
+def restrict_to_diagonal(quadrics: Iterable[dict], n: int) -> list[SparseVec]:
     """Set off-diagonal entries to zero, then eliminate the last diagonal entry.
 
     Traceless coordinates are the first n-1 diagonal entries, with

@@ -333,8 +333,8 @@ def test_off_block_product_exits_three_at_the_casimir_stage(monkeypatch, capsys)
     monkeypatch.setattr(cli, "build_chevalley", lambda rs: misdirect_first_ee_bracket(real(rs)))
     assert main(["--family", "A", "--rank", "2"]) == 3
     assert capsys.readouterr().err == (
-        "internal invariant violation: casimir stage: A2: the image of monomial x_0 x_1 "
-        "has an entry on x_6 x_6, outside its weight block\n"
+        "internal invariant violation: casimir stage: A2: the bracket [x_0, x_1] "
+        "has a term on x_6, whose weight is not the sum of theirs\n"
     )
 
 

@@ -5,10 +5,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minorbit.chevalley import casimir_top_eigenvalue, sym2_index
-from minorbit.linalgx import EchelonBasis, append_and_rank, image_basis
+from minorbit.linalgx import EchelonBasis, append_and_rank, image_basis, pivot_rows
 
 from helpers import (
     SparseMatrix,
@@ -270,6 +270,37 @@ def test_integer_basis_is_the_monic_fraction_basis_rescaled(m):
         for pivot, vec in zip(basis.pivots, basis.vectors)
     ]
     assert monic == vectors
+
+
+@st.composite
+def int_columns(draw):
+    """Dense int columns, mostly zero, then repeats and multiples of some and a zero column."""
+    nrows = draw(st.integers(1, 12))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 4, 6, -9])
+    cols = draw(st.lists(st.lists(entry, min_size=nrows, max_size=nrows), max_size=12))
+    if cols:
+        for col in draw(st.lists(st.sampled_from(cols), max_size=4)):
+            cols.append([draw(st.sampled_from([1, -1, 2, -3])) * x for x in col])
+    if draw(st.booleans()):
+        cols.insert(draw(st.integers(0, len(cols))), [0] * nrows)
+    return nrows, cols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(int_columns())
+@example((3, []))
+@example((2, [[0, 0], [0, 0]]))
+@example((3, [[2, 4, 0], [3, 0, 6], [2, 4, 0], [0, 0, 0], [-4, -8, 0]]))
+@example((4, [[6, 0, 4, 0], [0, 9, 6, 0], [4, 6, 0, 0]]))
+def test_pivot_rows_count_the_rank_and_span_the_columns(case):
+    nrows, cols = case
+    rows = pivot_rows(nrows, cols)
+    assert len(rows) == dense_rank(list(map(list, zip(*cols))))
+    for row in rows:
+        assert len(row) == nrows and gcd(*row) == 1
+    got, want = image_basis(nrows, rows), image_basis(nrows, cols)
+    assert got.pivots == want.pivots
+    assert got.vectors == want.vectors
 
 
 def test_fraction_entries_raise_type_error():

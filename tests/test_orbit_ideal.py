@@ -1,10 +1,13 @@
 """Degree-2 ideal, Cartan restriction and quotient Hilbert functions."""
 
+from collections import defaultdict
 from operator import add
+from types import SimpleNamespace
 
 import pytest
 
 from minorbit.chevalley import (
+    LieAlgebra,
     SplitCasimir,
     casimir_top_eigenvalue,
     sym2_dim,
@@ -51,9 +54,10 @@ def pipeline(family, rank):
 
 
 def hand_built_ideal(L, *vectors):
-    """An ideal basis spanned by the given Sym^2 g vectors; projected_span reads only the basis."""
+    """An ideal whose vectors span the given Sym^2 g vectors; projected_span reads only those."""
     n = sym2_dim(L.dim)
-    return IdealDegree2(image_basis(n, [dense(n, v) for v in vectors]), dim_v2theta=0)
+    basis = SimpleNamespace(vectors=image_basis(n, [dense(n, v) for v in vectors]).vectors)
+    return IdealDegree2(basis, dim_v2theta=0)
 
 
 def test_a1_ideal_single_generator():
@@ -223,13 +227,40 @@ def test_block_ranks_sum_to_the_dense_rank(family, rank):
         block_ranks += len(image_basis(s, cols))
     shifted = shifted_casimir(family, rank, c)
     assert block_ranks == dense_rank(to_rows(shifted))
-    # The merged block bases are the canonical basis of the whole image,
-    # as the sparse route finds it with no weight blocks.
+    # The vectors of all blocks span the whole image, as the sparse route
+    # finds it with no weight blocks.
     whole = sparse_image(shifted.nrows, columns(shifted))
     ideal = degree2_ideal(L, Om, c)
     assert ideal.dim == block_ranks
-    assert ideal.basis.pivots == whole.pivots
-    assert ideal.basis.vectors == whole.vectors
+    got = sparse_image(shifted.nrows, ideal.basis.vectors)
+    assert got.pivots == whole.pivots
+    assert got.vectors == whole.vectors
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("D", 4)])
+def test_each_block_gives_as_many_ideal_vectors_as_its_dense_rank(family, rank):
+    # Every vector lies in one weight block, and each shifted block
+    # contributes exactly its rank, by the independent dense elimination.
+    # The zero-weight block, which holds the last monomial H(rank)^2,
+    # contributes its canonical basis.
+    L, Om, c = pipeline(family, rank)
+    blocks = weight_blocks(Om)
+    block_of = {m: b for b, (monos, _) in enumerate(blocks) for m in monos}
+    ideal = degree2_ideal(L, Om, c)
+    by_block = defaultdict(list)
+    for vec in ideal.basis.vectors:
+        (b,) = {block_of[m] for m in vec}
+        by_block[b].append(vec)
+    for b, (monos, data) in enumerate(blocks):
+        s = len(monos)
+        rows = [[data[j * s + i] - c * (i == j) for j in range(s)] for i in range(s)]
+        assert len(by_block[b]) == dense_rank(rows), monos
+    zero = block_of[sym2_dim(L.dim) - 1]
+    monos, data = blocks[zero]
+    s = len(monos)
+    cols = [[data[j * s + i] - c * (i == j) for i in range(s)] for j in range(s)]
+    canonical = [{monos[i]: x for i, x in v.items()} for v in image_basis(s, cols).vectors]
+    assert by_block[zero] == canonical
 
 
 @pytest.mark.parametrize("t", [*ade_types(8), SimpleType("A", 21)], ids=str)
@@ -273,7 +304,20 @@ def test_release_yields_square_blocks_last_key_first(family, rank):
 def test_off_weight_entry_fires_the_block_check():
     bad = misdirect_first_ee_bracket(algebra_of("A", 2))
     with pytest.raises(InvariantViolation, match=(
-        "^the image of monomial x_0 x_1 has an entry on x_6 x_6, outside its weight block$"
+        "^the bracket \\[x_0, x_1\\] has a term on x_6, whose weight is not the sum of theirs$"
+    )):
+        SplitCasimir(bad)
+
+
+def test_dual_off_the_opposite_weight_fires_the_dual_check():
+    # F(alpha_1) given the weight of E(alpha_1): its products with any
+    # root vector would leave their column's block.
+    L = algebra_of("A", 2)
+    weights = list(L.weights_fw)
+    weights[L.npos] = weights[0]
+    bad = LieAlgebra(L.rs, L.brackets, tuple(weights), L.signed_roots)
+    with pytest.raises(InvariantViolation, match=(
+        f"^x_{L.npos}, the dual of x_0, is not of the opposite weight$"
     )):
         SplitCasimir(bad)
 

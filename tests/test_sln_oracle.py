@@ -26,13 +26,13 @@ def test_rejects_tiny_matrices():
 @pytest.mark.parametrize("n,count", [(2, 1), (3, 9), (4, 36)])
 def test_minor_counts(n, count):
     # The minors come first, then the n^2 entries of A^2.
-    minors = matrix_quadrics(n)[: -n * n]
+    minors = list(matrix_quadrics(n))[: -n * n]
     assert len(minors) == count == comb(n, 2) ** 2
     assert all(len(q) == 2 and sorted(q.values()) == [-1, 1] for q in minors)
 
 
 def test_n2_minor_is_determinant():
-    det = matrix_quadrics(2)[0]
+    det = list(matrix_quadrics(2))[0]
     assert det == {
         (((0, 0), (1, 1))): 1,
         (((0, 1), (1, 0))): -1,
@@ -41,7 +41,7 @@ def test_n2_minor_is_determinant():
 
 
 def test_n2_square_entries():
-    gens = matrix_quadrics(2)[1:]
+    gens = list(matrix_quadrics(2))[1:]
     assert len(gens) == 4
     # Entry (1, 1): a11^2 + a12 a21; entry (1, 2): a11 a12 + a12 a22.
     assert gens[0] == {
@@ -55,17 +55,17 @@ def test_n2_square_entries():
 
 
 def test_n3_square_count():
-    assert len(matrix_quadrics(3)) == comb(3, 2) ** 2 + 9
+    assert len(list(matrix_quadrics(3))) == comb(3, 2) ** 2 + 9
 
 
 def test_restrict_n2_minor_to_traceless_diagonal():
     # a11 a22 with a22 = -a11 becomes -a11^2.
-    (poly,) = restrict_to_diagonal(matrix_quadrics(2)[:1], 2)
+    (poly,) = restrict_to_diagonal(list(matrix_quadrics(2))[:1], 2)
     assert poly == {0: -1}
 
 
 def test_restrict_n2_square_entry():
-    gens = matrix_quadrics(2)[1:]
+    gens = list(matrix_quadrics(2))[1:]
     restricted = restrict_to_diagonal(gens, 2)
     assert restricted[0] == {0: 1}
     # Off-diagonal entries die entirely on the diagonal.
