@@ -62,29 +62,25 @@ class LieAlgebra:
     """Bracket table and weight data over a Chevalley basis.
 
     Basis positions are laid out as all E(alpha), then all F(alpha) in
-    the positive-root order, then H(1)..H(rank).  signed_roots[x] is
-    the root of position x in simple-root coordinates: +alpha on E(alpha),
-    -alpha on F(alpha) and zero on the Cartan.  Immutable in practice:
-    nothing mutates the tables after construction.
+    the positive-root order, then H(1)..H(rank).  brackets maps the int
+    i * dim + j to the terms of [x_i, x_j] and holds only the nonzero
+    brackets; bracket(i, j) reads it.  signed_roots[x] is the root of
+    position x in simple-root coordinates: +alpha on E(alpha), -alpha on
+    F(alpha) and zero on the Cartan.  Immutable in practice: nothing
+    mutates the tables after construction.
     """
 
     def __init__(self, rs, brackets, weights_fw, signed_roots):
         self.rs = rs
+        self.npos = len(rs.positive_roots)
+        self.dim = 2 * self.npos + rs.rank
         self.brackets = brackets
         self.weights_fw = weights_fw
         self.signed_roots = signed_roots
 
-    @property
-    def dim(self) -> int:
-        return 2 * self.npos + self.rs.rank
-
-    @property
-    def npos(self) -> int:
-        return len(self.rs.positive_roots)
-
     def bracket(self, i: int, j: int) -> tuple:
         """[x_i, x_j] as a tuple of (position, integer coefficient)."""
-        return self.brackets.get((i, j), ())
+        return self.brackets.get(i * self.dim + j, ())
 
 
 def build_chevalley(rs: RootSystem) -> LieAlgebra:
@@ -95,7 +91,9 @@ def build_chevalley(rs: RootSystem) -> LieAlgebra:
     E and -1 on F.  One loop over position pairs a < b fills every
     root-root bracket: the coroot of s_a when b is the F partner of a,
     otherwise sigma_a sigma_b sigma_k eps(s_a, s_b) x_k when s_a + s_b is
-    the root s_k, and nothing otherwise.
+    the root s_k, and nothing otherwise.  The table keys [x_i, x_j] by
+    the single int i * dim + j, which costs less memory than an (i, j)
+    tuple per entry.
 
     The sum s_a + s_b is looked up by integer key: the balanced digits
     of each signed root in base 4 max(theta) + 1.  Theta dominates every
@@ -105,6 +103,7 @@ def build_chevalley(rs: RootSystem) -> LieAlgebra:
     """
     n = rs.rank
     m = len(rs.positive_roots)
+    dim = 2 * m + n
     c = rs.cartan_matrix
     signed = list(rs.positive_roots) + [tuple(-x for x in u) for u in rs.positive_roots]
     base = 4 * max(rs.positive_roots[-1]) + 1
@@ -123,9 +122,9 @@ def build_chevalley(rs: RootSystem) -> LieAlgebra:
     shared: dict = {}
 
     def put(i: int, j: int, terms: tuple) -> None:
-        brackets[(i, j)] = shared.setdefault(terms, terms)
+        brackets[i * dim + j] = shared.setdefault(terms, terms)
         neg = tuple((k, -s) for k, s in terms)
-        brackets[(j, i)] = shared.setdefault(neg, neg)
+        brackets[j * dim + i] = shared.setdefault(neg, neg)
 
     for a in range(2 * m):
         sa = signed[a]
@@ -196,12 +195,12 @@ class SplitCasimir:
     The blocks are stored flat, in block (weight key) order, in two
     arrays.  _monos, an array('l'), lists the monomials of each block in
     ascending order: block b is _monos[_mono_start[b] : _mono_start[b + 1]].
-    _entries, an array('i') of int32 entries, holds each block's s * s
+    _entries, an array('b') of int8 entries, holds each block's s * s
     entries column by column, s its number of monomials, from
     _entry_start[b] on: row i of column j of block b is
     _entries[_entry_start[b] + j * s + i].  Every entry outside the
-    blocks is zero.  For column(), _block and _local give each
-    monomial's block and its place in that block's monomials.
+    blocks is zero.  For column(), _block, an array('i'), and _local
+    give each monomial's block and its place in that block's monomials.
     degree2_ideal takes the blocks through release(), which frees each
     once the next is asked for; nnz, the number of nonzero entries,
     keeps its count, and column() stops working.
@@ -234,7 +233,7 @@ class SplitCasimir:
         """
         monos, entries = self._monos, self._entries
         mono_start, entry_start = self._mono_start, self._entry_start
-        self._monos, self._entries = array("l"), array("i")
+        self._monos, self._entries = array("l"), array("b")
         self._mono_start, self._entry_start = array("l", [0]), array("l", [0])
         self._block = self._local = None
         return _last_block_first(monos, entries, mono_start, entry_start)
@@ -266,15 +265,17 @@ class SplitCasimir:
         (wt(x_p), wt(x_q)), the dot product of weights_fw[p] and
         signed_roots[q], onto the diagonal.  Each finished column is
         copied into its slot of the entry array.  An entry outside the
-        int32 range raises OverflowError there instead of wrapping; the
-        largest |entry| on E8 is 60.  Before any product, one pass checks
-        that every bracket term has the key of the sum of its two
-        factors' weights, and that the dual of every root vector has the
-        opposite key.  A product [x, x_p] [dual(x), x_q] then has the
-        weight of x_p x_q, so every product lands in its column's block,
-        which makes the rank of the operator exactly the sum of the
-        block ranks.  A failed check is a construction bug, reported
-        fatally.
+        int8 range [-128, 127] raises InvariantViolation there, naming
+        its column, instead of wrapping.  The entries of every type up to
+        rank 8 lie in [-60, 12], E8's range, and those of types A and D
+        stay in [-8, 4] at every rank measured, up to A24 and D16.
+        Before any product, one pass checks that every bracket term has
+        the key of the sum of its two factors' weights, and that the
+        dual of every root vector has the opposite key.  A product
+        [x, x_p] [dual(x), x_q] then has the weight of x_p x_q, so every
+        product lands in its column's block, which makes the rank of the
+        operator exactly the sum of the block ranks.  A failed check is
+        a construction bug, reported fatally.
         """
         L = self.L
         nn = L.dim
@@ -287,7 +288,8 @@ class SplitCasimir:
                 raise InvariantViolation(
                     f"x_{dual[x]}, the dual of x_{x}, is not of the opposite weight"
                 )
-        for (a, b), terms in L.brackets.items():
+        for ab, terms in L.brackets.items():
+            a, b = divmod(ab, nn)
             for k, _ in terms:
                 if key[k] != key[a] + key[b]:
                     raise InvariantViolation(
@@ -301,8 +303,8 @@ class SplitCasimir:
         del key, keys, order
         self._mono_start = array("l", accumulate(sizes, initial=0))
         self._entry_start = entry_start = array("l", accumulate(map(mul, sizes, sizes), initial=0))
-        self._entries = entries = array("i", [0]) * entry_start[-1]
-        self._block = block = [0] * sym2_dim(nn)
+        self._entries = entries = array("b", [0]) * entry_start[-1]
+        self._block = block = array("i", [0]) * sym2_dim(nn)
         self._local = local = [0] * sym2_dim(nn)
         it = iter(monos)
         for b, s in enumerate(sizes):
@@ -324,8 +326,8 @@ class SplitCasimir:
         offset = [i * (2 * nn - i - 1) // 2 for i in range(nn)]
         roots = L.signed_roots
         # Each finished column goes into its slot through buf, by fromlist, which
-        # costs less than a new array per column and raises the same OverflowError.
-        buf = array("i")
+        # costs less than a new array per column and checks the int8 range.
+        buf = array("b")
 
         for p in range(nn):
             # Column (p, q) is monomial op + q; its block and list are indexed by q >= p.
@@ -342,13 +344,21 @@ class SplitCasimir:
                         k = oi + j if i <= j else offset[j] + i
                         cols[q][local[k]] += ci * cj
             wp = L.weights_fw[p]
-            for col, j, b, root in zip(cols[p:], local[op + p : op + nn], cblock[p:], roots[p:]):
+            for q, col, j, b, root in zip(
+                range(p, nn), cols[p:], local[op + p : op + nn], cblock[p:], roots[p:]
+            ):
                 w = sum(map(mul, wp, root))
                 if w:
                     col[j] += w
                 s = len(col)
                 start = entry_start[b] + j * s
-                buf.fromlist(col)
+                try:
+                    buf.fromlist(col)
+                except OverflowError:
+                    x = next(x for x in col if not -128 <= x <= 127)
+                    raise InvariantViolation(
+                        f"column x_{p} x_{q} has the entry {x}, outside the int8 range [-128, 127]"
+                    ) from None
                 entries[start : start + s] = buf
                 del buf[:]
 

@@ -296,26 +296,31 @@ def cartan_pair_generators(L: LieAlgebra, Omega: SplitCasimir, c) -> list[dict]:
     return out
 
 
+def _first_ee_keys(L: LieAlgebra) -> tuple[int, int]:
+    """The table keys of [x_a, x_b] and [x_b, x_a] for the first stored E-E bracket, a < b."""
+    n = L.dim
+    a, b = next((a, b) for a, b in (divmod(k, n) for k in L.brackets) if a < b < L.npos)
+    return a * n + b, b * n + a
+
+
 def misdirect_first_ee_bracket(L: LieAlgebra) -> LieAlgebra:
     """A copy of L whose first E-E bracket, in both orientations, lands on H(1) instead of a root vector.
 
     The bracket keeps its sign but loses its weight, so products of the
     split Casimir that use it leave their column's weight block.
     """
-    a, b = next((i, j) for i, j in L.brackets if i < j < L.npos)
     h1 = 2 * L.npos
     brackets = dict(L.brackets)
-    for key in ((a, b), (b, a)):
+    for key in _first_ee_keys(L):
         brackets[key] = tuple((h1, s) for _, s in brackets[key])
     return LieAlgebra(L.rs, brackets, L.weights_fw, L.signed_roots)
 
 
-def negate_first_ee_constant(L: LieAlgebra) -> LieAlgebra:
-    """A copy of L with one E-E structure constant negated in both orientations."""
-    a, b = next((i, j) for i, j in L.brackets if i < j < L.npos)
+def scale_first_ee_constant(L: LieAlgebra, factor: int) -> LieAlgebra:
+    """A copy of L with one E-E structure constant multiplied by factor in both orientations."""
     brackets = dict(L.brackets)
-    for key in ((a, b), (b, a)):
-        brackets[key] = tuple((k, -s) for k, s in brackets[key])
+    for key in _first_ee_keys(L):
+        brackets[key] = tuple((k, factor * s) for k, s in brackets[key])
     return LieAlgebra(L.rs, brackets, L.weights_fw, L.signed_roots)
 
 

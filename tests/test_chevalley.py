@@ -25,6 +25,7 @@ from helpers import (
     from_entries,
     invariant_form,
     mul,
+    scale_first_ee_constant,
     shift_theta_pairing,
     shifted_casimir,
     transpose,
@@ -125,7 +126,8 @@ def test_structure_constant_sizes(family, rank):
     # the coroot coordinates of [E(a), F(a)] are the marks of a.
     L = algebra_of(family, rank)
     m = L.npos
-    for (i, j), terms in L.brackets.items():
+    for ij, terms in L.brackets.items():
+        i, j = divmod(ij, L.dim)
         for k, c in terms:
             assert isinstance(c, int)
             both_root = i < 2 * m and j < 2 * m
@@ -166,6 +168,16 @@ def test_root_brackets_follow_the_documented_cocycle(family, rank):
             else:
                 expected = ()
             assert L.bracket(a, b) == expected, (a, b)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4), ("E", 6)])
+def test_stored_brackets_are_antisymmetric(family, rank):
+    # The table keys [x_i, x_j] by i * dim + j and stores only nonzero brackets.
+    L = algebra_of(family, rank)
+    for ij, terms in L.brackets.items():
+        i, j = divmod(ij, L.dim)
+        assert terms and 0 <= i < L.dim and L.bracket(i, j) is terms
+        assert L.bracket(j, i) == tuple((k, -c) for k, c in terms), (i, j)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("D", 5), ("E", 8)])
@@ -318,11 +330,38 @@ def test_casimir_top_eigenvalue_is_two(family, rank):
     assert all(type(v) is int for col in cols for v in col.values())
 
 
-def test_entry_outside_int32_raises_instead_of_wrapping():
-    # Block data is int32: an entry that does not fit must stop the
+@pytest.mark.parametrize("family,rank,lo,hi", [
+    ("A", 1, -8, 2),
+    *(("A", r, -8, 4) for r in range(2, 9)),
+    *(("D", r, -8, 4) for r in range(4, 9)),
+    ("E", 6, -12, 6),
+    ("E", 7, -24, 8),
+    ("E", 8, -60, 12),
+])
+def test_entry_range_of_every_type_up_to_rank_eight(family, rank, lo, hi):
+    # Block data is int8; a change that moves entries toward
+    # [-128, 127] shows here first.
+    entries = casimir_of(family, rank)._entries
+    assert (min(entries), max(entries)) == (lo, hi)
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda: scale_first_ee_constant(algebra_of("A", 3), 64), "column x_0 x_13 has the entry 129"),
+    (lambda: shift_theta_pairing(algebra_of("A", 2), -66), "column x_1 x_2 has the entry -130"),
+], ids=["scaled-ee-constant", "shifted-theta-pairing"])
+def test_entry_outside_int8_raises_instead_of_wrapping(corrupt, message):
+    # Block data is int8: an entry that does not fit must stop the
     # assembly, not wrap around to a wrong operator.
-    with pytest.raises(OverflowError):
-        SplitCasimir(shift_theta_pairing(algebra_of("A", 2), 2**31))
+    with pytest.raises(InvariantViolation, match=(
+        rf"^{message}, outside the int8 range \[-128, 127\]$"
+    )):
+        SplitCasimir(corrupt())
+
+
+def test_entries_at_the_int8_edges_fit():
+    # One step short of the corruptions above, the extreme entry is 127 or -128.
+    assert max(SplitCasimir(scale_first_ee_constant(algebra_of("A", 3), 63))._entries) == 127
+    assert min(SplitCasimir(shift_theta_pairing(algebra_of("A", 2), -65))._entries) == -128
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("D", 4), ("E", 6)])

@@ -23,7 +23,7 @@ from minorbit.cli import (
 )
 from minorbit.rootsys import InvariantViolation, SimpleType
 
-from helpers import misdirect_first_ee_bracket, negate_first_ee_constant, shift_theta_pairing
+from helpers import misdirect_first_ee_bracket, scale_first_ee_constant, shift_theta_pairing
 
 
 def test_verify_a1_report_values():
@@ -296,7 +296,7 @@ def test_wrong_weight_pairing_exits_three_at_the_casimir_stage(monkeypatch, caps
 
 def _flip_ee_sign(monkeypatch):
     real = cli.build_chevalley
-    monkeypatch.setattr(cli, "build_chevalley", lambda rs: negate_first_ee_constant(real(rs)))
+    monkeypatch.setattr(cli, "build_chevalley", lambda rs: scale_first_ee_constant(real(rs), -1))
 
 
 def _shift_c_by_one(monkeypatch):
@@ -335,6 +335,18 @@ def test_off_block_product_exits_three_at_the_casimir_stage(monkeypatch, capsys)
     assert capsys.readouterr().err == (
         "internal invariant violation: casimir stage: A2: the bracket [x_0, x_1] "
         "has a term on x_6, whose weight is not the sum of theirs\n"
+    )
+
+
+def test_entry_outside_int8_exits_three_at_the_casimir_stage(monkeypatch, capsys):
+    # The weight blocks hold int8 entries; one that does not fit is a
+    # construction bug, reported like the other casimir-stage checks.
+    real = cli.build_chevalley
+    monkeypatch.setattr(cli, "build_chevalley", lambda rs: scale_first_ee_constant(real(rs), 200))
+    assert main(["--family", "A", "--rank", "3"]) == 3
+    assert capsys.readouterr().err == (
+        "internal invariant violation: casimir stage: A3: column x_0 x_1 has the entry -200, "
+        "outside the int8 range [-128, 127]\n"
     )
 
 

@@ -37,7 +37,7 @@ from helpers import (
     dense,
     dense_rank,
     misdirect_first_ee_bracket,
-    negate_first_ee_constant,
+    scale_first_ee_constant,
     shifted_casimir,
     sparse_image,
     to_rows,
@@ -364,7 +364,7 @@ def test_projected_span_equals_the_span_of_every_restriction(family, rank):
     ("E", 6, 693, 651),
 ])
 def test_negated_structure_constant_fails_the_dimension_check(family, rank, got, expected):
-    bad = negate_first_ee_constant(algebra_of(family, rank))
+    bad = scale_first_ee_constant(algebra_of(family, rank), -1)
     Om = SplitCasimir(bad)
     c = casimir_top_eigenvalue(Om)
     with pytest.raises(InvariantViolation, match=(
