@@ -15,12 +15,12 @@ the brackets are
     [e_a, e_(-a)] = -a^vee,
 
 which yields [E(a), F(a)] = a^vee and the familiar sl2 triples on the
-simple roots.  The invariant form that matches the root normalization
+simple roots; each nonzero bracket is stored once, and its reverse is
+its negation.  The invariant form that matches the root normalization
 (a, a) = 2 puts form(E(a), F(a)) = 1 and form(H(i), H(j)) equal to the
 Cartan matrix.  Nothing here stores it: the Casimir needs only its dual
-pairs (E(a), F(a)) and, on the Cartan, the weight pairing.  The test
-suite builds it as a reference and checks the bracket table and the
-Casimir against it.
+pairs (E(a), F(a)) and, on the Cartan, the weight pairing; the tests
+build it as a reference for the bracket table and the Casimir.
 
 The split Casimir is the sum over the basis of ad(x_a) tensor ad(x^a)
 with x^a the form-dual basis.  On the symmetric square, realized with
@@ -53,7 +53,6 @@ __all__ = [
     "casimir_top_eigenvalue",
     "sym2_dim",
     "sym2_index",
-    "sym2_unrank",
     "sym2_pairs",
 ]
 
@@ -63,11 +62,12 @@ class LieAlgebra:
 
     Basis positions are laid out as all E(alpha), then all F(alpha) in
     the positive-root order, then H(1)..H(rank).  brackets maps the int
-    i * dim + j to the terms of [x_i, x_j] and holds only the nonzero
-    brackets; bracket(i, j) reads it.  signed_roots[x] is the root of
-    position x in simple-root coordinates: +alpha on E(alpha), -alpha on
-    F(alpha) and zero on the Cartan.  Immutable in practice: nothing
-    mutates the tables after construction.
+    i * dim + j, i < j, to the terms of [x_i, x_j] and holds only the
+    nonzero brackets, each once; bracket(i, j) reads it and negates
+    [x_j, x_i] when i > j, so antisymmetry holds by construction.
+    signed_roots[x] is the root of position x in simple-root
+    coordinates: +alpha on E(alpha), -alpha on F(alpha) and zero on the
+    Cartan.  Immutable in practice: nothing mutates the tables.
     """
 
     def __init__(self, rs, brackets, weights_fw, signed_roots):
@@ -79,8 +79,11 @@ class LieAlgebra:
         self.signed_roots = signed_roots
 
     def bracket(self, i: int, j: int) -> tuple:
-        """[x_i, x_j] as a tuple of (position, integer coefficient)."""
-        return self.brackets.get(i * self.dim + j, ())
+        """[x_i, x_j] as a tuple of (position, integer coefficient), negated afresh when i > j."""
+        if i <= j:
+            return self.brackets.get(i * self.dim + j, ())
+        terms = self.brackets.get(j * self.dim + i)
+        return tuple([(k, -c) for k, c in terms]) if terms else ()
 
 
 def build_chevalley(rs: RootSystem) -> LieAlgebra:
@@ -88,12 +91,12 @@ def build_chevalley(rs: RootSystem) -> LieAlgebra:
 
     Root-vector position a carries the signed root s_a, +alpha for E(alpha)
     and -alpha for F(alpha), and x_a = sigma_a e_(s_a) with sigma_a = 1 on
-    E and -1 on F.  One loop over position pairs a < b fills every
-    root-root bracket: the coroot of s_a when b is the F partner of a,
-    otherwise sigma_a sigma_b sigma_k eps(s_a, s_b) x_k when s_a + s_b is
-    the root s_k, and nothing otherwise.  The table keys [x_i, x_j] by
-    the single int i * dim + j, which costs less memory than an (i, j)
-    tuple per entry.
+    E and -1 on F.  One loop over position pairs a < b, a a root vector,
+    fills the table: [x_a, H(i)] = -<wt(x_a), alpha_i^vee> x_a for b =
+    H(i), the coroot of s_a when b is the F partner of a, otherwise
+    sigma_a sigma_b sigma_k eps(s_a, s_b) x_k when s_a + s_b is the root
+    s_k, and nothing otherwise.  Each bracket is keyed once, by the int
+    a * dim + b, which costs less memory than an (a, b) tuple per entry.
 
     The sum s_a + s_b is looked up by integer key: the balanced digits
     of each signed root in base 4 max(theta) + 1.  Theta dominates every
@@ -118,38 +121,30 @@ def build_chevalley(rs: RootSystem) -> LieAlgebra:
         for s in signed
     ]
 
+    weights = [root_to_weight(rs, u) for u in rs.positive_roots]
+    weights += [tuple(-x for x in w) for w in weights]
+    weights += [(0,) * n] * n
     brackets: dict = {}
     shared: dict = {}
-
-    def put(i: int, j: int, terms: tuple) -> None:
-        brackets[i * dim + j] = shared.setdefault(terms, terms)
-        neg = tuple((k, -s) for k, s in terms)
-        brackets[j * dim + i] = shared.setdefault(neg, neg)
-
     for a in range(2 * m):
         sa = signed[a]
         ka = key[a]
-        for b in range(a + 1, 2 * m):
-            if b == a + m:
-                put(a, b, tuple((2 * m + i, x) for i, x in enumerate(sa) if x))
+        wa = weights[a]
+        for b in range(a + 1, dim):
+            if b >= 2 * m:
+                if not (x := wa[b - 2 * m]):
+                    continue
+                terms = ((a, -x),)
+            elif b == a + m:
+                terms = tuple((2 * m + i, x) for i, x in enumerate(sa) if x)
             elif (k := position.get(ka + key[b])) is not None:
                 sign = sigma[a] * sigma[b] * sigma[k]
                 if (masks[a] & bmasks[b]).bit_count() & 1:
                     sign = -sign
-                put(a, b, ((k, sign),))
-
-    # Cartan action on the root vectors: H(i) scales E(a) by the i-th weight coordinate of a.
-    weights = [root_to_weight(rs, u) for u in rs.positive_roots]
-    for i in range(n):
-        hi = 2 * m + i
-        for a in range(m):
-            k = weights[a][i]
-            if k:
-                put(hi, a, ((a, k),))
-                put(hi, m + a, ((m + a, -k),))
-
-    weights += [tuple(-x for x in w) for w in weights]
-    weights += [(0,) * n] * n
+                terms = ((k, sign),)
+            else:
+                continue
+            brackets[a * dim + b] = shared.setdefault(terms, terms)
     return LieAlgebra(rs, brackets, tuple(weights), tuple(signed) + ((0,) * n,) * n)
 
 
@@ -171,17 +166,6 @@ def sym2_index(n: int, p: int, q: int) -> int:
     if p > q:
         p, q = q, p
     return p * (2 * n - p - 1) // 2 + q
-
-
-def sym2_unrank(n: int, k: int) -> tuple[int, int]:
-    """Inverse of sym2_index."""
-    p = 0
-    width = n
-    while k >= width:
-        k -= width
-        p += 1
-        width -= 1
-    return p, p + k
 
 
 def sym2_pairs(n: int) -> Iterator[tuple[int, int]]:
@@ -269,9 +253,10 @@ class SplitCasimir:
         its column, instead of wrapping.  The entries of every type up to
         rank 8 lie in [-60, 12], E8's range, and those of types A and D
         stay in [-8, 4] at every rank measured, up to A24 and D16.
-        Before any product, one pass checks that every bracket term has
-        the key of the sum of its two factors' weights, and that the
-        dual of every root vector has the opposite key.  A product
+        Before any product, one pass checks that every term of every
+        stored bracket, each of which ad reads, has the key of the sum
+        of its two factors' weights, and that the dual of every root
+        vector has the opposite key.  A product
         [x, x_p] [dual(x), x_q] then has the weight of x_p x_q, so every
         product lands in its column's block, which makes the rank of the
         operator exactly the sum of the block ranks.  A failed check is

@@ -21,7 +21,6 @@ from minorbit.chevalley import (
     sym2_dim,
     sym2_index,
     sym2_pairs,
-    sym2_unrank,
 )
 from minorbit.linalgx import EchelonBasis, SparseVec, addmul, append_and_rank
 from minorbit.rootsys import RootSystem, SimpleType, build_root_system
@@ -42,6 +41,17 @@ def casimir_of(family: str, rank: int) -> SplitCasimir:
     """The assembled operator, shared and read-only: degree2_ideal empties
     the operator it is given, so a test that calls it builds its own."""
     return SplitCasimir(algebra_of(family, rank))
+
+
+def sym2_unrank(n: int, k: int) -> tuple[int, int]:
+    """Inverse of sym2_index."""
+    p = 0
+    width = n
+    while k >= width:
+        k -= width
+        p += 1
+        width -= 1
+    return p, p + k
 
 
 def weight_blocks(Om: SplitCasimir) -> list[tuple[list[int], list[int]]]:
@@ -296,31 +306,30 @@ def cartan_pair_generators(L: LieAlgebra, Omega: SplitCasimir, c) -> list[dict]:
     return out
 
 
-def _first_ee_keys(L: LieAlgebra) -> tuple[int, int]:
-    """The table keys of [x_a, x_b] and [x_b, x_a] for the first stored E-E bracket, a < b."""
-    n = L.dim
-    a, b = next((a, b) for a, b in (divmod(k, n) for k in L.brackets) if a < b < L.npos)
-    return a * n + b, b * n + a
+def _first_ee_key(L: LieAlgebra) -> int:
+    """The table key of the first stored E-E bracket [x_a, x_b], a < b."""
+    return next(k for k in L.brackets if k // L.dim < k % L.dim < L.npos)
 
 
 def misdirect_first_ee_bracket(L: LieAlgebra) -> LieAlgebra:
-    """A copy of L whose first E-E bracket, in both orientations, lands on H(1) instead of a root vector.
+    """A copy of L whose first E-E bracket lands on H(1) instead of a root vector.
 
     The bracket keeps its sign but loses its weight, so products of the
-    split Casimir that use it leave their column's weight block.
+    split Casimir that use it leave their column's weight block.  The
+    table stores the bracket once, so its reverse is misdirected too.
     """
     h1 = 2 * L.npos
     brackets = dict(L.brackets)
-    for key in _first_ee_keys(L):
-        brackets[key] = tuple((h1, s) for _, s in brackets[key])
+    key = _first_ee_key(L)
+    brackets[key] = tuple((h1, s) for _, s in brackets[key])
     return LieAlgebra(L.rs, brackets, L.weights_fw, L.signed_roots)
 
 
 def scale_first_ee_constant(L: LieAlgebra, factor: int) -> LieAlgebra:
-    """A copy of L with one E-E structure constant multiplied by factor in both orientations."""
+    """A copy of L with one E-E structure constant, and so its reverse, multiplied by factor."""
     brackets = dict(L.brackets)
-    for key in _first_ee_keys(L):
-        brackets[key] = tuple((k, factor * s) for k, s in brackets[key])
+    key = _first_ee_key(L)
+    brackets[key] = tuple((k, factor * s) for k, s in brackets[key])
     return LieAlgebra(L.rs, brackets, L.weights_fw, L.signed_roots)
 
 

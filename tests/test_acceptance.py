@@ -32,6 +32,7 @@ from helpers import (
     evaluate,
     from_entries,
     invariant_form,
+    scale_first_ee_constant,
     shifted_casimir,
     sparse_image,
     to_rows,
@@ -103,6 +104,70 @@ def test_criterion_1_structure_constant_suite():
             assert not _jacobi_residual(L, i, j, k)
             assert _invariance_residual(L, form, i, j, k) == 0
     print("ACCEPTANCE 1 structure-constant suite: PASS")
+
+
+def _generator_certificate(L):
+    """Derivation failures of ad g for the simple generators g, and the positions they reach.
+
+    For each g = E(alpha_i) or F(alpha_i) and each pair a < b, the pair
+    fails when [g, [a, b]] != [[g, a], b] + [a, [g, b]].  The derivations
+    of g form a Lie algebra, and ad [g, h] = [ad g, ad h] once ad g is a
+    derivation, so if every ad g is one and the generators reach every
+    basis position, the Jacobi identity holds on all of g.  A position
+    counts as reached when it is the single term of [g, x] for a reached
+    x.  The table is read through bracket() only, both orientations.
+    """
+    nn = L.dim
+    m = L.npos
+    tab = [[L.bracket(a, b) for b in range(nn)] for a in range(nn)]
+    simple = [a for a in range(m) if sum(L.rs.positive_roots[a]) == 1]
+    gens = simple + [m + a for a in simple]
+    failures = []
+    for g in gens:
+        adg = tab[g]
+        for a in range(nn):
+            row = tab[a]
+            ga = adg[a]
+            for b in range(a + 1, nn):
+                gb = adg[b]
+                ab = row[b]
+                if not (ab or ga or gb):
+                    continue
+                acc = {}
+                for w, c in ab:
+                    for u, s in adg[w]:
+                        acc[u] = acc.get(u, 0) + c * s
+                for w, c in ga:
+                    for u, s in tab[w][b]:
+                        acc[u] = acc.get(u, 0) - c * s
+                for w, c in gb:
+                    for u, s in row[w]:
+                        acc[u] = acc.get(u, 0) - c * s
+                if any(acc.values()):
+                    failures.append((g, a, b))
+    reached = set(gens)
+    frontier = list(gens)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            terms = tab[g][x]
+            if len(terms) == 1 and terms[0][0] not in reached:
+                reached.add(terms[0][0])
+                frontier.append(terms[0][0])
+    return failures, reached
+
+
+@pytest.mark.parametrize("family,rank,corrupted", [("E", 7, 104), ("E", 8, 176)])
+def test_criterion_1_generator_derivation_certificate(family, rank, corrupted):
+    """Jacobi on all of E7 and E8, through the simple generators: each ad g
+    is a derivation on every pair, and the generators reach every
+    position.  Negating one stored constant breaks the certificate."""
+    L = algebra_of(family, rank)
+    failures, reached = _generator_certificate(L)
+    assert failures == []
+    assert reached == set(range(L.dim))
+    failures, _ = _generator_certificate(scale_first_ee_constant(L, -1))
+    assert len(failures) == corrupted
 
 
 def test_criterion_2_kernel_dimension_matches_weyl_formula():

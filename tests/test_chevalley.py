@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from operator import add
 
 import pytest
 
@@ -11,7 +12,6 @@ from minorbit.chevalley import (
     sym2_dim,
     sym2_index,
     sym2_pairs,
-    sym2_unrank,
 )
 from minorbit.rootsys import InvariantViolation, root_to_weight
 
@@ -28,10 +28,16 @@ from helpers import (
     scale_first_ee_constant,
     shift_theta_pairing,
     shifted_casimir,
+    sym2_unrank,
     transpose,
 )
 
 SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("D", 4)]
+ALL_TYPES = [
+    *(("A", r) for r in range(1, 9)),
+    *(("D", r) for r in range(4, 9)),
+    *(("E", r) for r in range(6, 9)),
+]
 
 
 def jacobi_residual(L, i, j, k):
@@ -137,11 +143,7 @@ def test_structure_constant_sizes(family, rank):
                 assert abs(c) <= 2
 
 
-@pytest.mark.parametrize("family,rank", [
-    *(("A", r) for r in range(1, 9)),
-    *(("D", r) for r in range(4, 9)),
-    *(("E", r) for r in range(6, 9)),
-])
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
 def test_root_brackets_follow_the_documented_cocycle(family, rank):
     # [x_a, x_b] for x_a = sigma_a e_(s_a): the coroot of s_a when
     # s_a + s_b = 0, sigma_a sigma_b sigma_k (-1)^(s_a^T B s_b) x_k when
@@ -170,14 +172,23 @@ def test_root_brackets_follow_the_documented_cocycle(family, rank):
             assert L.bracket(a, b) == expected, (a, b)
 
 
-@pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4), ("E", 6)])
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
 def test_stored_brackets_are_antisymmetric(family, rank):
-    # The table keys [x_i, x_j] by i * dim + j and stores only nonzero brackets.
+    # The table keys [x_i, x_j] by i * dim + j with i < j, stores only
+    # nonzero brackets, and bracket(j, i) is the negation.  It holds one
+    # key per nonzero pair, counted from the root data: the pairs of
+    # signed roots that sum to a root, the coroots [E(a), F(a)], and one
+    # [x_a, H(i)] per nonzero weight coordinate of a root vector.
     L = algebra_of(family, rank)
     for ij, terms in L.brackets.items():
         i, j = divmod(ij, L.dim)
-        assert terms and 0 <= i < L.dim and L.bracket(i, j) is terms
+        assert terms and 0 <= i < j < L.dim and L.bracket(i, j) is terms
         assert L.bracket(j, i) == tuple((k, -c) for k, c in terms), (i, j)
+    signed = L.signed_roots[: 2 * L.npos]
+    roots = set(signed)
+    sums = sum(tuple(map(add, u, v)) in roots for u, v in combinations(signed, 2))
+    cartan = sum(x != 0 for w in L.weights_fw for x in w)
+    assert len(L.brackets) == sums + L.npos + cartan
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("D", 5), ("E", 8)])

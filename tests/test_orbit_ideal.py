@@ -13,7 +13,6 @@ from minorbit.chevalley import (
     sym2_dim,
     sym2_index,
     sym2_pairs,
-    sym2_unrank,
 )
 from minorbit.cli import ade_types
 from minorbit.linalgx import image_basis
@@ -40,6 +39,7 @@ from helpers import (
     scale_first_ee_constant,
     shifted_casimir,
     sparse_image,
+    sym2_unrank,
     to_rows,
     weight_blocks,
 )
@@ -371,6 +371,36 @@ def test_negated_structure_constant_fails_the_dimension_check(family, rank, got,
         f"^degree-2 ideal has dimension {got}, expected {expected}$"
     )):
         degree2_ideal(bad, Om, c)
+
+
+def _stops_before_the_verdict(L: LieAlgebra) -> bool:
+    """Whether the casimir or the ideal stage raises InvariantViolation on L."""
+    try:
+        Om = SplitCasimir(L)
+        degree2_ideal(L, Om, casimir_top_eigenvalue(Om))
+    except InvariantViolation:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("family,rank,factor", [
+    (family, rank, factor) for family, rank in (("A", 3), ("D", 4)) for factor in (-1, 0, 2)
+])
+def test_every_stored_bracket_is_guarded(family, rank, factor):
+    # Each stored bracket in turn, and so its derived reverse, multiplied
+    # by factor; factor 0 deletes it, as the table holds no zero bracket.
+    # Every such mutant must stop at the casimir or the ideal stage.
+    L = algebra_of(family, rank)
+    survivors = []
+    for key, terms in L.brackets.items():
+        brackets = dict(L.brackets)
+        if factor:
+            brackets[key] = tuple((k, factor * c) for k, c in terms)
+        else:
+            del brackets[key]
+        if not _stops_before_the_verdict(LieAlgebra(L.rs, brackets, L.weights_fw, L.signed_roots)):
+            survivors.append(divmod(key, L.dim))
+    assert survivors == []
 
 
 @pytest.mark.parametrize("family,rank", (
