@@ -255,8 +255,9 @@ class SplitCasimir:
         stay in [-8, 4] at every rank measured, up to A24 and D16.
         Before any product, one pass checks that every term of every
         stored bracket, each of which ad reads, has the key of the sum
-        of its two factors' weights, and that the dual of every root
-        vector has the opposite key.  A product
+        of its two factors' weights.  The coroot [E(a), F(a)] is among
+        them, with its terms on the Cartan, of key 0, so the dual of
+        every root vector has the opposite key.  A product
         [x, x_p] [dual(x), x_q] then has the weight of x_p x_q, so every
         product lands in its column's block, which makes the rank of the
         operator exactly the sum of the block ranks.  A failed check is
@@ -268,11 +269,6 @@ class SplitCasimir:
         base = 4 * max(abs(x) for w in L.weights_fw for x in w) + 1
         key = [_balanced_key(w, base) for w in L.weights_fw]
         dual = list(range(m, 2 * m)) + list(range(m))
-        for x in range(2 * m):
-            if key[dual[x]] != -key[x]:
-                raise InvariantViolation(
-                    f"x_{dual[x]}, the dual of x_{x}, is not of the opposite weight"
-                )
         for ab, terms in L.brackets.items():
             a, b = divmod(ab, nn)
             for k, _ in terms:
@@ -364,20 +360,16 @@ def casimir_top_eigenvalue(Omega: SplitCasimir) -> int:
     """Scalar by which the split Casimir acts on the square of a highest-weight vector.
 
     The highest root is last in the positive-root order, so E(theta) is
-    basis position npos - 1.  The image must be exactly a multiple of
-    the same monomial, by (theta, theta) = 2, the squared length that
-    build_root_system checks on every root; anything else means the
+    basis position npos - 1.  E(theta)^2 is the only monomial of weight
+    2 theta, and matrix() keeps every product inside its column's weight
+    block, so the column holds no other entry.  Its diagonal entry must
+    be (theta, theta) = 2, the squared length that build_root_system
+    checks on every root; anything else, 0 included, means the
     construction is broken.
     """
     L = Omega.L
     p = L.npos - 1
-    col = Omega.column(p, p)
-    k = sym2_index(L.dim, p, p)
-    if set(col) != {k}:
-        raise InvariantViolation(
-            "split Casimir does not act as a scalar on the highest-weight square"
-        )
-    value = col[k]
+    value = Omega.column(p, p).get(sym2_index(L.dim, p, p), 0)
     if value != 2:
         raise InvariantViolation(
             f"Casimir scalar {value} on the highest-weight square differs from (theta, theta) = 2"

@@ -43,9 +43,11 @@ class IdealDegree2(namedtuple("IdealDegree2", "basis dim_v2theta")):
     """A basis of the degree-2 ideal component inside Sym^2 g.
 
     basis.vectors lists dim integer vectors over the monomials of
-    Sym^2 g that together span the ideal: the canonical echelon basis of
-    the zero-weight block's part of it, then the pivot rows of every
-    other block, which are independent but not in echelon form.
+    Sym^2 g that together span the ideal, block by block in the order
+    release() hands the blocks over, last key first: the pivot rows of
+    each block, which are independent but not in echelon form, except
+    for the zero-weight block, somewhere mid-list, which gives the
+    canonical echelon basis of its part of the ideal.
     dim_v2theta is the Weyl dimension of V(2 theta), the kernel of the
     shift, which the ideal dimension was checked against.
     """

@@ -124,7 +124,9 @@ def build_root_system(t: SimpleType) -> RootSystem:
     root exactly when (u, alpha_i) = -1 (Humphreys, Introduction to Lie
     Algebras, 9.4).  Enumeration stops once more roots are known than
     type t has, so a diagram whose root system is infinite fails the
-    count check instead of running forever.
+    count check instead of running forever.  Every root must have
+    squared length 2 and lie below the last one, theta, in each
+    coordinate, which leaves theta alone at the greatest height.
     """
     c = cartan_matrix(t)
     n = t.rank
@@ -149,11 +151,6 @@ def build_root_system(t: SimpleType) -> RootSystem:
             raise InvariantViolation(f"root {u} has squared length {norm}, not 2")
 
     theta = ordered[-1]
-    if len(ordered) > 1 and sum(ordered[-2]) == sum(theta):
-        raise InvariantViolation("highest root is not unique by height")
-    fw = tuple(sum(c[i][j] * theta[j] for j in range(n)) for i in range(n))
-    if any(x < 0 for x in fw):
-        raise InvariantViolation("highest root is not dominant")
     for u in ordered:
         if any(a < b for a, b in zip(theta, u)):
             raise InvariantViolation(f"{u} is not below the highest root")

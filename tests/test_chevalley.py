@@ -7,6 +7,7 @@ from operator import add
 import pytest
 
 from minorbit.chevalley import (
+    LieAlgebra,
     SplitCasimir,
     casimir_top_eigenvalue,
     sym2_dim,
@@ -381,3 +382,15 @@ def test_top_eigenvalue_check_fires_on_wrong_weight_pairing(family, rank):
         r"^Casimir scalar 3 on the highest-weight square differs from \(theta, theta\) = 2$"
     )):
         casimir_top_eigenvalue(SplitCasimir(shift_theta_pairing(algebra_of(family, rank), 1)))
+
+
+def test_zero_on_the_highest_weight_square_fires_the_scalar_check():
+    # A1 with the signed root of E(theta) lowered by 1 to 0: the weight
+    # pairing (theta, theta) drops to 0, no bracket product reaches
+    # E(theta)^2, and its column holds no entry at all.
+    L = algebra_of("A", 1)
+    bad = LieAlgebra(L.rs, L.brackets, L.weights_fw, ((0,),) + L.signed_roots[1:])
+    with pytest.raises(InvariantViolation, match=(
+        r"^Casimir scalar 0 on the highest-weight square differs from \(theta, theta\) = 2$"
+    )):
+        casimir_top_eigenvalue(SplitCasimir(bad))

@@ -213,15 +213,19 @@ def test_main_invariant_violation_exits_three(monkeypatch, capsys):
 
 
 def test_euler_mismatch_names_the_stage_and_the_type(monkeypatch, capsys):
-    # One sphere too many: b2 = n + 1 disagrees with the tree's Euler characteristic.
-    monkeypatch.setattr(cli, "betti_numbers", lambda tree: [1, 0, tree.n + 1])
-    for family, rank in (("A", 1), ("D", 5), ("E", 6)):
-        code = main(["--family", family, "--rank", str(rank)])
-        assert code == 3
-        assert capsys.readouterr().err == (
-            f"internal invariant violation: resolution stage: {family}{rank}: "
-            "Euler characteristic mismatch\n"
-        )
+    # One sphere too many: b2 = n + 1 disagrees with the tree's Euler
+    # characteristic.  So does a spurious b1 = 1, and the Euler check is
+    # the only one that sees it: the verdict reads only the even Betti
+    # numbers.
+    for betti in (lambda tree: [1, 0, tree.n + 1], lambda tree: [1, 1, tree.n]):
+        monkeypatch.setattr(cli, "betti_numbers", betti)
+        for family, rank in (("A", 1), ("D", 5), ("E", 6)):
+            code = main(["--family", family, "--rank", str(rank)])
+            assert code == 3
+            assert capsys.readouterr().err == (
+                f"internal invariant violation: resolution stage: {family}{rank}: "
+                "Euler characteristic mismatch\n"
+            )
 
 
 def test_main_rejects_bad_degree(capsys):

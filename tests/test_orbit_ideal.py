@@ -241,16 +241,20 @@ def test_block_ranks_sum_to_the_dense_rank(family, rank):
 def test_each_block_gives_as_many_ideal_vectors_as_its_dense_rank(family, rank):
     # Every vector lies in one weight block, and each shifted block
     # contributes exactly its rank, by the independent dense elimination.
-    # The zero-weight block, which holds the last monomial H(rank)^2,
-    # contributes its canonical basis.
+    # The blocks come in the order release() hands them over, last key
+    # first, so the zero-weight block, which holds the last monomial
+    # H(rank)^2 and contributes its canonical basis, sits mid-list.
     L, Om, c = pipeline(family, rank)
     blocks = weight_blocks(Om)
     block_of = {m: b for b, (monos, _) in enumerate(blocks) for m in monos}
     ideal = degree2_ideal(L, Om, c)
     by_block = defaultdict(list)
+    order = []
     for vec in ideal.basis.vectors:
         (b,) = {block_of[m] for m in vec}
         by_block[b].append(vec)
+        order.append(b)
+    assert order == sorted(order, reverse=True)
     for b, (monos, data) in enumerate(blocks):
         s = len(monos)
         rows = [[data[j * s + i] - c * (i == j) for j in range(s)] for i in range(s)]
@@ -261,6 +265,9 @@ def test_each_block_gives_as_many_ideal_vectors_as_its_dense_rank(family, rank):
     cols = [[data[j * s + i] - c * (i == j) for i in range(s)] for j in range(s)]
     canonical = [{monos[i]: x for i, x in v.items()} for v in image_basis(s, cols).vectors]
     assert by_block[zero] == canonical
+    first = order.index(zero)
+    assert 0 < first and first + len(canonical) < len(order)
+    assert ideal.basis.vectors[first : first + len(canonical)] == canonical
 
 
 @pytest.mark.parametrize("t", [*ade_types(8), SimpleType("A", 21)], ids=str)
@@ -309,15 +316,18 @@ def test_off_weight_entry_fires_the_block_check():
         SplitCasimir(bad)
 
 
-def test_dual_off_the_opposite_weight_fires_the_dual_check():
-    # F(alpha_1) given the weight of E(alpha_1): its products with any
-    # root vector would leave their column's block.
+def test_dual_off_the_opposite_weight_fires_the_bracket_check():
+    # F(alpha_2) given the weight of E(alpha_2): its products with any
+    # root vector would leave their column's block.  The coroot
+    # [E(alpha_2), F(alpha_2)] = H(2) has weight 0, so the bracket
+    # check sees the two weights fail to cancel.
     L = algebra_of("A", 2)
     weights = list(L.weights_fw)
     weights[L.npos] = weights[0]
     bad = LieAlgebra(L.rs, L.brackets, tuple(weights), L.signed_roots)
     with pytest.raises(InvariantViolation, match=(
-        f"^x_{L.npos}, the dual of x_0, is not of the opposite weight$"
+        f"^the bracket \\[x_0, x_{L.npos}\\] has a term on x_7, "
+        "whose weight is not the sum of theirs$"
     )):
         SplitCasimir(bad)
 

@@ -78,3 +78,11 @@ def test_dropped_edge_fails_the_tree_check(monkeypatch):
         "^diagram has 4 edges, expected 5$"
     )):
         dynkin_tree(SimpleType("E", 6))
+
+
+def test_cycle_fails_the_tree_check(monkeypatch):
+    # Three edges on four vertices pass the count, but (0, 2) closes the
+    # triangle 0-1-2 and leaves vertex 3 alone.
+    monkeypatch.setattr(resolution, "dynkin_edges", lambda t: ((0, 1), (1, 2), (0, 2)))
+    with pytest.raises(InvariantViolation, match="^diagram contains a cycle$"):
+        dynkin_tree(SimpleType("A", 4))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from minorbit import rootsys
 from minorbit.rootsys import (
     InvariantViolation,
     SimpleType,
@@ -140,6 +141,32 @@ def test_highest_root_is_dominant_and_maximal():
         assert min(root_to_weight(rs, theta)) >= 0
         for r in rs.positive_roots:
             assert all(a >= b for a, b in zip(theta, r))
+
+
+def test_root_of_the_wrong_length_fires_the_norm_check(monkeypatch):
+    # A2 with Cartan entry (0, 0) lowered to 1 still has three positive
+    # roots, the count A2 expects, but alpha_1 is now too short.
+    real = rootsys.cartan_matrix
+
+    def cartan(t):
+        c = [list(row) for row in real(t)]
+        c[0][0] -= 1
+        return tuple(map(tuple, c))
+
+    monkeypatch.setattr(rootsys, "cartan_matrix", cartan)
+    with pytest.raises(InvariantViolation, match=r"^root \(1, 0\) has squared length 1, not 2$"):
+        build_root_system(SimpleType("A", 2))
+
+
+def test_second_root_of_the_top_height_fires_the_below_theta_check(monkeypatch):
+    # A3 with an extra edge (0, 2) is the affine A2 triangle.  Enumeration
+    # finds three roots of height 2 and none above, six in all, the count
+    # A3 expects, each of squared length 2; but the last of them,
+    # (1, 1, 0), does not dominate alpha_3 = (0, 0, 1).
+    real = rootsys.dynkin_edges
+    monkeypatch.setattr(rootsys, "dynkin_edges", lambda t: real(t) + ((0, 2),))
+    with pytest.raises(InvariantViolation, match=r"^\(0, 0, 1\) is not below the highest root$"):
+        build_root_system(SimpleType("A", 3))
 
 
 def test_pairing_values():
