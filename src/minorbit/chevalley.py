@@ -177,7 +177,7 @@ class SplitCasimir:
     """The split Casimir on the symmetric square, assembled once into its torus-weight blocks.
 
     The blocks are stored flat, in block (weight key) order, in two
-    arrays.  _monos, an array('l'), lists the monomials of each block in
+    arrays.  _monos, an array('i'), lists the monomials of each block in
     ascending order: block b is _monos[_mono_start[b] : _mono_start[b + 1]].
     _entries, an array('b') of int8 entries, holds each block's s * s
     entries column by column, s its number of monomials, from
@@ -185,9 +185,12 @@ class SplitCasimir:
     _entries[_entry_start[b] + j * s + i].  Every entry outside the
     blocks is zero.  For column(), _block, an array('i'), and _local
     give each monomial's block and its place in that block's monomials.
+    int32 holds every monomial index and block offset: they lie below
+    sym2_dim(dim g), 636,756 at D24, the largest type cli.verify takes.
     degree2_ideal takes the blocks through release(), which frees each
-    once the next is asked for; nnz, the number of nonzero entries,
-    keeps its count, and column() stops working.
+    once the next is asked for and drops L, so the bracket table can go
+    before the ideal's vectors are built; nnz, the number of nonzero
+    entries, keeps its count, and column() stops working.
     """
 
     def __init__(self, L: LieAlgebra):
@@ -210,16 +213,18 @@ class SplitCasimir:
     def release(self) -> Iterator[tuple[array, array]]:
         """Hand the blocks over, last key first, as (monomials, entries) pairs of arrays.
 
-        The operator is left at once with no blocks and no column index.
-        The iterator takes the storage over, and each time it is asked
-        for the next block it first cuts the one it handed over last off
-        the end of its arrays, so the entries shrink as the caller goes.
+        The operator is left at once with no blocks, no column index and
+        no Lie algebra, so its bracket table is freed unless the caller
+        still holds it.  The iterator takes the storage over, and each
+        time it is asked for the next block it first cuts the one it
+        handed over last off the end of its arrays, so the entries shrink
+        as the caller goes.
         """
         monos, entries = self._monos, self._entries
         mono_start, entry_start = self._mono_start, self._entry_start
-        self._monos, self._entries = array("l"), array("b")
-        self._mono_start, self._entry_start = array("l", [0]), array("l", [0])
-        self._block = self._local = None
+        self._monos, self._entries = array("i"), array("b")
+        self._mono_start, self._entry_start = array("i", [0]), array("l", [0])
+        self._block = self._local = self.L = None
         return _last_block_first(monos, entries, mono_start, entry_start)
 
     def matrix(self) -> SplitCasimir:
@@ -234,20 +239,19 @@ class SplitCasimir:
         x_p x_q, which is key[p] + key[q], determines its weight.  The
         keys are Python ints, so the encoding is exact at every rank.
         One sort by key orders the monomials block by block, each block
-        in monomial order, and gives the block sizes.  The key and order
-        lists are dropped before the column index and the bracket tables
-        are made, so the memory of their many small ints can go back, and
-        the entry array is made once, at its final size.
+        in monomial order, and gives the block sizes.  The monomials and
+        their block offsets are kept as int32 arrays, and the entry array
+        is made once, at its final size.
 
         The root part of column (p, q) sums [x, x_p] [dual(x), x_q] over
         root vectors x.  ad[p] maps each x with [x, x_p] != 0 to that
-        bracket, and the parallel lists invq[x], invj[x] and invc[x] hold
-        (q, j, c) for every term c x_j of every nonzero [dual(x), x_q],
-        sorted by q, so every product visited is nonzero.  Step p
-        completes the columns (p, q), q >= p: each product is added into
-        a short int list for its column, and the weight pairing
-        (wt(x_p), wt(x_q)), the dot product of weights_fw[p] and
-        signed_roots[q], onto the diagonal.  Each finished column is
+        bracket, and the parallel int32 arrays invq[x], invj[x] and
+        invc[x] hold (q, j, c) for every term c x_j of every nonzero
+        [dual(x), x_q], sorted by q, so every product visited is
+        nonzero.  Step p completes the columns (p, q), q >= p: each
+        product is added into a short int list for its column, and the
+        weight pairing (wt(x_p), wt(x_q)), the dot product of
+        weights_fw[p] and signed_roots[q], onto the diagonal.  Each finished column is
         copied into its slot of the entry array.  An entry outside the
         int8 range [-128, 127] raises InvariantViolation there, naming
         its column, instead of wrapping.  The entries of every type up to
@@ -279,10 +283,10 @@ class SplitCasimir:
                     )
         keys = [key[p] + key[q] for p, q in sym2_pairs(nn)]
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        self._monos = monos = array("l", order)
+        self._monos = monos = array("i", order)
         sizes = array("l", [len(list(g)) for _, g in groupby(order, keys.__getitem__)])
         del key, keys, order
-        self._mono_start = array("l", accumulate(sizes, initial=0))
+        self._mono_start = array("i", accumulate(sizes, initial=0))
         self._entry_start = entry_start = array("l", accumulate(map(mul, sizes, sizes), initial=0))
         self._entries = entries = array("b", [0]) * entry_start[-1]
         self._block = block = array("i", [0]) * sym2_dim(nn)
@@ -295,7 +299,7 @@ class SplitCasimir:
                 local[k] = i
 
         ad = [{x: u for x in range(2 * m) if (u := L.bracket(x, p))} for p in range(nn)]
-        invq, invj, invc = ([[] for _ in range(2 * m)] for _ in range(3))
+        invq, invj, invc = ([array("i") for _ in range(2 * m)] for _ in range(3))
         for q, row in enumerate(ad):
             for x, u in row.items():
                 d = dual[x]

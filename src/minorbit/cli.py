@@ -63,6 +63,8 @@ def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
     casimir stage assembles the operator into its weight blocks, held in
     flat arrays, and the ideal stage takes them over from the last block
     to the first, eliminating each and freeing its entries as it goes.
+    The ideal, projection and quotient stages take only the root system,
+    so the bracket table is dropped after the casimir stage.
     Each stage is timed under its name, and an InvariantViolation raised
     inside it is raised again with the stage and the type in front of
     its message: the stage modules do not know who calls them.
@@ -92,12 +94,14 @@ def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
     with stage("casimir"):
         Omega = SplitCasimir(L)
         c = casimir_top_eigenvalue(Omega)
+    # degree2_ideal's release() drops Omega's reference, which frees the table.
+    del L
     with stage("ideal"):
-        ideal = degree2_ideal(L, Omega, c)
+        ideal = degree2_ideal(rs, Omega, c)
     with stage("projection"):
-        projected_rank, span = projected_span(L, ideal)
+        projected_rank, span = projected_span(rs, ideal)
     with stage("quotient"):
-        qh = quotient_hilbert(L, span, max_degree)
+        qh = quotient_hilbert(rs, span, max_degree)
     with stage("resolution"):
         tree = dynkin_tree(t)
         betti = betti_numbers(tree)

@@ -25,9 +25,9 @@ from collections.abc import Sequence
 from itertools import combinations_with_replacement
 from types import SimpleNamespace
 
-from .chevalley import LieAlgebra, SplitCasimir, sym2_dim, sym2_index
+from .chevalley import SplitCasimir, sym2_dim, sym2_index
 from .linalgx import EchelonBasis, SparseVec, append_and_rank, image_basis, pivot_rows
-from .rootsys import InvariantViolation, root_to_weight, weyl_dim
+from .rootsys import InvariantViolation, RootSystem, root_to_weight, weyl_dim
 
 __all__ = [
     "IdealDegree2",
@@ -59,16 +59,18 @@ class IdealDegree2(namedtuple("IdealDegree2", "basis dim_v2theta")):
         return len(self.basis.vectors)
 
 
-def degree2_ideal(L: LieAlgebra, Omega: SplitCasimir, c) -> IdealDegree2:
+def degree2_ideal(rs: RootSystem, Omega: SplitCasimir, c) -> IdealDegree2:
     """A basis of the image of (Omega - c) on Sym^2 g, with its dimension verified.
 
-    The operator comes assembled in its torus-weight blocks, which
+    rs is the root system of g; the bracket table is not read here.  The
+    operator comes assembled in its torus-weight blocks, which
     Omega.release() hands over from the last to the first, freeing each
     block's entries once the next one is asked for.  Each block in turn
     is read into an int list, has c subtracted on its diagonal, and is
     eliminated in its own coordinates, unless the shift leaves it zero.
-    So this uses the operator up: afterwards its blocks and its column
-    index are gone, and only its nnz keeps the count of its entries.
+    So this uses the operator up: afterwards its blocks, its column
+    index and its Lie algebra are gone, and only its nnz keeps the count
+    of its entries.
     The zero-weight block, the only one that holds the Cartan monomials
     H(i) H(j) that projected_span reads, gives its image_basis; every
     other block gives only its pivot_rows, as many as its rank.  Local
@@ -79,8 +81,8 @@ def degree2_ideal(L: LieAlgebra, Omega: SplitCasimir, c) -> IdealDegree2:
     Weyl dimension of the doubled highest weight is a construction bug,
     reported fatally.
     """
-    nrows = sym2_dim(L.dim)
-    first = _cartan_start(L)
+    nrows = sym2_dim(rs.dim_g)
+    first = _cartan_start(rs)
     vectors = []
     for monos, data in Omega.release():
         s = len(monos)
@@ -94,7 +96,6 @@ def degree2_ideal(L: LieAlgebra, Omega: SplitCasimir, c) -> IdealDegree2:
             vectors += ({monos[i]: x for i, x in v.items()} for v in image_basis(s, cols).vectors)
         else:
             vectors += ({m: x for m, x in zip(monos, row) if x} for row in pivot_rows(s, cols))
-    rs = L.rs
     theta2 = tuple(2 * x for x in root_to_weight(rs, rs.positive_roots[-1]))
     dim_v2theta = weyl_dim(rs, theta2)
     expected = nrows - dim_v2theta
@@ -104,16 +105,17 @@ def degree2_ideal(L: LieAlgebra, Omega: SplitCasimir, c) -> IdealDegree2:
     return IdealDegree2(SimpleNamespace(vectors=vectors), dim_v2theta)
 
 
-def _cartan_start(L: LieAlgebra) -> int:
+def _cartan_start(rs: RootSystem) -> int:
     """Index of the monomial H(1)^2, the first of the Cartan monomials in Sym^2 g."""
-    base = 2 * L.npos
-    return sym2_index(L.dim, base, base)
+    base = 2 * len(rs.positive_roots)
+    return sym2_index(rs.dim_g, base, base)
 
 
-def projected_span(L: LieAlgebra, I2: IdealDegree2) -> tuple[int, EchelonBasis]:
+def projected_span(rs: RootSystem, I2: IdealDegree2) -> tuple[int, EchelonBasis]:
     """Restrict the ideal basis vectors to the Cartan and span inside Sym^2 h.
 
-    The Cartan positions come last, so the monomials H(i) H(j) are the
+    The layout of Sym^2 g depends only on the root system rs.  The
+    Cartan positions come last, so the monomials H(i) H(j) are the
     indices from that of H(1)^2 on, laid out as Sym^2 h: restriction
     drops the lower indices and shifts the rest.  Only a vector whose
     highest coordinate reaches H(1)^2 restricts to a nonzero quadric;
@@ -121,8 +123,8 @@ def projected_span(L: LieAlgebra, I2: IdealDegree2) -> tuple[int, EchelonBasis]:
     falling short is a verification failure for the caller to report,
     not an error here.
     """
-    first = _cartan_start(L)
-    basis = EchelonBasis(sym2_dim(L.rs.rank))
+    first = _cartan_start(rs)
+    basis = EchelonBasis(sym2_dim(rs.rank))
     for vec in I2.basis.vectors:
         if max(vec) >= first:
             append_and_rank(basis, {k - first: c for k, c in vec.items() if k >= first})
@@ -183,8 +185,6 @@ def hilbert_from_quadrics(
     return dims + [0] * (max_degree + 1 - len(dims))
 
 
-def quotient_hilbert(
-    L: LieAlgebra, projected: EchelonBasis, max_degree: int
-) -> list[int]:
-    """Graded dimensions of Sym[h] modulo the projected degree-2 ideal."""
-    return hilbert_from_quadrics(L.rs.rank, projected.vectors, max_degree)
+def quotient_hilbert(rs: RootSystem, projected: EchelonBasis, max_degree: int) -> list[int]:
+    """Graded dimensions of Sym[h] modulo the projected degree-2 ideal, h the Cartan of rs."""
+    return hilbert_from_quadrics(rs.rank, projected.vectors, max_degree)

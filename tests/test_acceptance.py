@@ -196,8 +196,8 @@ def test_criterion_3_projected_span_fills_sym2h():
         L = algebra_of(family, rk)
         Om = SplitCasimir(L)
         c = casimir_top_eigenvalue(Om)
-        ideal = degree2_ideal(L, Om, c)
-        got, _ = projected_span(L, ideal)
+        ideal = degree2_ideal(L.rs, Om, c)
+        got, _ = projected_span(L.rs, ideal)
         assert got == rk * (rk + 1) // 2, (family, rk, got)
     got = [_cached_report(family, rk).projected_rank for family, rk in SAMPLED_TYPES]
     assert got == [28, 36], got
@@ -264,9 +264,9 @@ def test_criterion_5_matrix_model_oracle_agreement():
         L = algebra_of("A", n - 1)
         Om = SplitCasimir(L)
         c = casimir_top_eigenvalue(Om)
-        ideal = degree2_ideal(L, Om, c)
-        _, span = projected_span(L, ideal)
-        abstract = quotient_hilbert(L, span, 4)
+        ideal = degree2_ideal(L.rs, Om, c)
+        _, span = projected_span(L.rs, ideal)
+        abstract = quotient_hilbert(L.rs, span, 4)
         assert oracle_quotient_dims(n, 4) == abstract, n
         point = {(0, n - 1): 1}
         for g in matrix_quadrics(n):
@@ -280,7 +280,7 @@ def test_criterion_6_sl2_anchor():
     L = algebra_of("A", 1)
     Om = SplitCasimir(L)
     c = casimir_top_eigenvalue(Om)
-    ideal = degree2_ideal(L, Om, c)
+    ideal = degree2_ideal(L.rs, Om, c)
     assert ideal.dim == 1
     vec = ideal.basis.vectors[0]
     poly = cartan_restriction(L, vec)

@@ -14,6 +14,7 @@ from minorbit.chevalley import (
     sym2_index,
     sym2_pairs,
 )
+from minorbit.cli import MAX_RANK
 from minorbit.rootsys import InvariantViolation, root_to_weight
 
 from helpers import (
@@ -26,6 +27,7 @@ from helpers import (
     from_entries,
     invariant_form,
     mul,
+    rs_of,
     scale_first_ee_constant,
     shift_theta_pairing,
     shifted_casimir,
@@ -374,6 +376,18 @@ def test_entries_at_the_int8_edges_fit():
     # One step short of the corruptions above, the extreme entry is 127 or -128.
     assert max(SplitCasimir(scale_first_ee_constant(algebra_of("A", 3), 63))._entries) == 127
     assert min(SplitCasimir(shift_theta_pairing(algebra_of("A", 2), -65))._entries) == -128
+
+
+@pytest.mark.parametrize("family", ["A", "D"])
+def test_monomial_indices_of_the_largest_types_fit_int32(family):
+    # _monos and _mono_start hold monomial indices and block offsets,
+    # at most sym2_dim(dim g), in int32; D24 is the largest type that
+    # verify takes.
+    dim = rs_of(family, MAX_RANK).dim_g
+    assert sym2_dim(dim) < 2**31
+    Om = casimir_of("A", 2)
+    assert Om._monos.typecode == Om._mono_start.typecode == "i"
+    assert Om._monos.itemsize == 4
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("D", 4), ("E", 6)])

@@ -1,5 +1,6 @@
 """Degree-2 ideal, Cartan restriction and quotient Hilbert functions."""
 
+import weakref
 from collections import defaultdict
 from operator import add
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ import pytest
 from minorbit.chevalley import (
     LieAlgebra,
     SplitCasimir,
+    build_chevalley,
     casimir_top_eigenvalue,
     sym2_dim,
     sym2_index,
@@ -36,6 +38,7 @@ from helpers import (
     dense,
     dense_rank,
     misdirect_first_ee_bracket,
+    rs_of,
     scale_first_ee_constant,
     shifted_casimir,
     sparse_image,
@@ -62,7 +65,7 @@ def hand_built_ideal(L, *vectors):
 
 def test_a1_ideal_single_generator():
     L, Om, c = pipeline("A", 1)
-    ideal = degree2_ideal(L, Om, c)
+    ideal = degree2_ideal(L.rs, Om, c)
     assert ideal.dim == 1
     ef = sym2_index(3, 0, 1)
     hh = sym2_index(3, 2, 2)
@@ -76,7 +79,7 @@ def test_a1_ideal_single_generator():
 ])
 def test_ideal_dimensions(family, rank, expected):
     L, Om, c = pipeline(family, rank)
-    ideal = degree2_ideal(L, Om, c)
+    ideal = degree2_ideal(L.rs, Om, c)
     assert ideal.dim == expected
     assert ideal.dim_v2theta == {"A": {1: 5, 2: 27}, "D": {4: 300}}[family][rank]
     assert ideal.dim == sym2_dim(L.dim) - ideal.dim_v2theta
@@ -86,9 +89,9 @@ def test_restrict_to_cartan_a1():
     L, _, _ = pipeline("A", 1)
     ef = sym2_index(3, 0, 1)
     hh = sym2_index(3, 2, 2)
-    got, span = projected_span(L, hand_built_ideal(L, {ef: 1}))
+    got, span = projected_span(L.rs, hand_built_ideal(L, {ef: 1}))
     assert got == 0 and span.vectors == []
-    got, span = projected_span(L, hand_built_ideal(L, {hh: 2, ef: 8}))
+    got, span = projected_span(L.rs, hand_built_ideal(L, {hh: 2, ef: 8}))
     assert got == 1 and span.vectors == [{0: 1}]
 
 
@@ -104,15 +107,15 @@ def test_restrict_to_cartan_a2_mixed_monomial():
         sym2_index(L.dim, h1, h2): 4,
         sym2_index(L.dim, h2, h2): -3,
     }
-    got, span = projected_span(L, hand_built_ideal(L, vec))
+    got, span = projected_span(L.rs, hand_built_ideal(L, vec))
     assert got == 1 and span.vectors == [{0: 2, 1: 4, 2: -3}]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("D", 4)])
 def test_projected_span_is_full(family, rank):
     L, Om, c = pipeline(family, rank)
-    ideal = degree2_ideal(L, Om, c)
-    got, _ = projected_span(L, ideal)
+    ideal = degree2_ideal(L.rs, Om, c)
+    got, _ = projected_span(L.rs, ideal)
     assert got == rank * (rank + 1) // 2
 
 
@@ -135,8 +138,8 @@ def test_cartan_pair_a1_value():
 def test_pair_generators_span_equals_projected_span(family, rank):
     # Two independent routes to the same subspace of Sym^2 h.
     L, Om, c = pipeline(family, rank)
-    ideal = degree2_ideal(L, Om, c)
-    _, via_ideal = projected_span(L, ideal)
+    ideal = degree2_ideal(L.rs, Om, c)
+    _, via_ideal = projected_span(L.rs, ideal)
     n = sym2_dim(rank)
     gens = cartan_pair_generators(L, casimir_of(family, rank), c)
     via_pairs = image_basis(n, [dense(n, g) for g in gens])
@@ -151,24 +154,24 @@ def test_pair_generators_span_equals_projected_span(family, rank):
 ])
 def test_quotient_hilbert_values(family, rank, expected):
     L, Om, c = pipeline(family, rank)
-    ideal = degree2_ideal(L, Om, c)
-    _, span = projected_span(L, ideal)
-    assert quotient_hilbert(L, span, 4) == expected
+    ideal = degree2_ideal(L.rs, Om, c)
+    _, span = projected_span(L.rs, ideal)
+    assert quotient_hilbert(L.rs, span, 4) == expected
 
 
 def test_quotient_hilbert_stays_zero_in_higher_degrees():
     L, Om, c = pipeline("A", 2)
-    ideal = degree2_ideal(L, Om, c)
-    _, span = projected_span(L, ideal)
-    assert quotient_hilbert(L, span, 7) == [1, 2, 0, 0, 0, 0, 0, 0]
+    ideal = degree2_ideal(L.rs, Om, c)
+    _, span = projected_span(L.rs, ideal)
+    assert quotient_hilbert(L.rs, span, 7) == [1, 2, 0, 0, 0, 0, 0, 0]
 
 
 def test_quotient_hilbert_rejects_small_degree():
     L, Om, c = pipeline("A", 1)
-    ideal = degree2_ideal(L, Om, c)
-    _, span = projected_span(L, ideal)
+    ideal = degree2_ideal(L.rs, Om, c)
+    _, span = projected_span(L.rs, ideal)
     with pytest.raises(ValueError):
-        quotient_hilbert(L, span, 1)
+        quotient_hilbert(L.rs, span, 1)
 
 
 def test_partial_span_gives_nonzero_quotient():
@@ -187,7 +190,7 @@ def test_ideal_vanishes_on_highest_weight_line(family, rank):
     # As quadratic functions, ideal vectors kill the point dual to
     # E(theta), whose only nonzero coordinate pairs with F(theta).
     L, Om, c = pipeline(family, rank)
-    ideal = degree2_ideal(L, Om, c)
+    ideal = degree2_ideal(L.rs, Om, c)
     f_theta = 2 * L.npos - 1
     k = sym2_index(L.dim, f_theta, f_theta)
     for vec in ideal.basis.vectors:
@@ -199,7 +202,7 @@ def test_sl2_generator_matches_classical_quadric():
     # coefficient vector on the (h^2, ef) plane must be proportional to
     # ours.
     L, Om, c = pipeline("A", 1)
-    ideal = degree2_ideal(L, Om, c)
+    ideal = degree2_ideal(L.rs, Om, c)
     vec = ideal.basis.vectors[0]
     c_hh = vec.get(sym2_index(3, 2, 2), 0)
     c_ef = vec.get(sym2_index(3, 0, 1), 0)
@@ -230,7 +233,7 @@ def test_block_ranks_sum_to_the_dense_rank(family, rank):
     # The vectors of all blocks span the whole image, as the sparse route
     # finds it with no weight blocks.
     whole = sparse_image(shifted.nrows, columns(shifted))
-    ideal = degree2_ideal(L, Om, c)
+    ideal = degree2_ideal(L.rs, Om, c)
     assert ideal.dim == block_ranks
     got = sparse_image(shifted.nrows, ideal.basis.vectors)
     assert got.pivots == whole.pivots
@@ -247,7 +250,7 @@ def test_each_block_gives_as_many_ideal_vectors_as_its_dense_rank(family, rank):
     L, Om, c = pipeline(family, rank)
     blocks = weight_blocks(Om)
     block_of = {m: b for b, (monos, _) in enumerate(blocks) for m in monos}
-    ideal = degree2_ideal(L, Om, c)
+    ideal = degree2_ideal(L.rs, Om, c)
     by_block = defaultdict(list)
     order = []
     for vec in ideal.basis.vectors:
@@ -340,7 +343,7 @@ def test_operator_nnz_survives_the_release_of_its_blocks(family, rank):
     L, Om, c = pipeline(family, rank)
     nnz = sum(map(len, columns(Om)))
     assert Om.nnz == nnz
-    degree2_ideal(L, Om, c)
+    degree2_ideal(L.rs, Om, c)
     assert weight_blocks(Om) == [] and len(Om._entries) == 0 and Om.nnz == nnz
 
 
@@ -350,18 +353,33 @@ def test_column_of_a_released_operator_says_the_blocks_are_gone():
     L, Om, c = pipeline("A", 2)
     p = L.npos - 1
     assert Om.column(p, p) == {sym2_index(L.dim, p, p): 2}
-    degree2_ideal(L, Om, c)
+    degree2_ideal(L.rs, Om, c)
     assert Om._block is None and Om._local is None
     with pytest.raises(RuntimeError, match="^column\\(\\) needs the weight blocks, and this "
                        "operator has released them$"):
         Om.column(p, p)
 
 
+def test_bracket_table_is_freed_before_the_ideal_stage():
+    # The ideal stage takes only the root system, and release() drops the
+    # operator's Lie algebra, so once the caller lets go of it too,
+    # nothing keeps the bracket table alive.
+    rs = rs_of("A", 3)
+    L = build_chevalley(rs)
+    Om = SplitCasimir(L)
+    r = weakref.ref(L)
+    c = casimir_top_eigenvalue(Om)
+    del L
+    degree2_ideal(rs, Om, c)
+    assert r() is None
+    assert Om.L is None
+
+
 @pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4), ("E", 6)])
 def test_projected_span_equals_the_span_of_every_restriction(family, rank):
     L, Om, c = pipeline(family, rank)
-    ideal = degree2_ideal(L, Om, c)
-    _, skipped = projected_span(L, ideal)
+    ideal = degree2_ideal(L.rs, Om, c)
+    _, skipped = projected_span(L.rs, ideal)
     n = sym2_dim(rank)
     every = image_basis(n, [dense(n, cartan_restriction(L, vec)) for vec in ideal.basis.vectors])
     assert skipped.pivots == every.pivots
@@ -380,14 +398,14 @@ def test_negated_structure_constant_fails_the_dimension_check(family, rank, got,
     with pytest.raises(InvariantViolation, match=(
         f"^degree-2 ideal has dimension {got}, expected {expected}$"
     )):
-        degree2_ideal(bad, Om, c)
+        degree2_ideal(bad.rs, Om, c)
 
 
 def _stops_before_the_verdict(L: LieAlgebra) -> bool:
     """Whether the casimir or the ideal stage raises InvariantViolation on L."""
     try:
         Om = SplitCasimir(L)
-        degree2_ideal(L, Om, casimir_top_eigenvalue(Om))
+        degree2_ideal(L.rs, Om, casimir_top_eigenvalue(Om))
     except InvariantViolation:
         return True
     return False
@@ -423,7 +441,7 @@ def test_restrict_to_cartan_keeps_exactly_the_cartan_monomials(family, rank):
     # tuples hilbert_from_quadrics reads the quadrics in.
     L = algebra_of(family, rank)
     base = 2 * L.npos
-    start = _cartan_start(L)
+    start = _cartan_start(L.rs)
     exps = monomial_exponents(rank, 2)
     for k, (p, q) in enumerate(sym2_pairs(L.dim)):
         assert (k >= start) == (p >= base and q >= base), (k, p, q)

@@ -121,7 +121,7 @@ def test_oracle_agrees_with_abstract_route(n):
     L = algebra_of("A", n - 1)
     Om = SplitCasimir(L)
     c = casimir_top_eigenvalue(Om)
-    ideal = degree2_ideal(L, Om, c)
-    _, span = projected_span(L, ideal)
-    abstract = quotient_hilbert(L, span, 4)
+    ideal = degree2_ideal(L.rs, Om, c)
+    _, span = projected_span(L.rs, ideal)
+    abstract = quotient_hilbert(L.rs, span, 4)
     assert oracle_quotient_dims(n, 4) == abstract
