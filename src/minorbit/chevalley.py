@@ -38,7 +38,7 @@ assembles it once, straight into dense blocks of one weight each.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from itertools import accumulate, combinations_with_replacement, groupby
 from operator import mul
@@ -176,46 +176,43 @@ def sym2_pairs(n: int) -> Iterator[tuple[int, int]]:
 class SplitCasimir:
     """The split Casimir on the symmetric square, assembled once into its torus-weight blocks.
 
-    The blocks are stored flat, in block (weight key) order, in two
-    arrays.  _monos, an array('i'), lists the monomials of each block in
-    ascending order: block b is _monos[_mono_start[b] : _mono_start[b + 1]].
-    _entries, an array('b') of int8 entries, holds each block's s * s
-    entries column by column, s its number of monomials, from
-    _entry_start[b] on: row i of column j of block b is
-    _entries[_entry_start[b] + j * s + i].  Every entry outside the
-    blocks is zero.  For column(), _block, an array('i'), and _local
-    give each monomial's block and its place in that block's monomials.
-    int32 holds every monomial index and block offset: they lie below
-    sym2_dim(dim g), 636,756 at D24, the largest type cli.verify takes.
-    degree2_ideal takes the blocks through release(), which frees each
-    once the next is asked for and drops L, so the bracket table can go
-    before the ideal's vectors are built; nnz, the number of nonzero
-    entries, keeps its count, and column() stops working.
+    dim is dim g and npos the number of positive roots; nothing else of
+    the Lie algebra is kept.  The blocks are stored flat, in block
+    (weight key) order, in two arrays.  _monos, an array('i'), lists the
+    monomials of each block in ascending order: block b is
+    _monos[_mono_start[b] : _mono_start[b + 1]].  _entries, an
+    array('b') of int8 entries, holds each block's s * s entries column
+    by column, s its number of monomials, from _entry_start[b] on: row
+    i of column j of block b is _entries[_entry_start[b] + j * s + i].
+    Every entry outside the blocks is zero.  int32 holds every monomial
+    index and block offset: they lie below sym2_dim(dim g), 636,756 at
+    D24, the largest type cli.verify takes.  degree2_ideal takes the
+    blocks through release(), which frees each once the next is asked
+    for; nnz, the number of nonzero entries, keeps its count, and
+    column() stops working.
     """
 
     def __init__(self, L: LieAlgebra):
-        self.L = L
-        self.matrix()
+        self.matrix(L)
 
     def column(self, p: int, q: int) -> SparseVec:
-        """Image of the monomial x_p x_q, as a fresh sparse vector over monomials."""
-        if self._block is None:
+        """Image of the monomial x_p x_q, looked up in the blocks, as a fresh sparse vector."""
+        if not self._monos:
             raise RuntimeError(
                 "column() needs the weight blocks, and this operator has released them"
             )
-        j = sym2_index(self.L.dim, p, q)
-        b = self._block[j]
+        i = self._monos.index(sym2_index(self.dim, p, q))
+        b = bisect_right(self._mono_start, i) - 1
         lo, hi = self._mono_start[b], self._mono_start[b + 1]
-        start = self._entry_start[b] + self._local[j] * (hi - lo)
+        start = self._entry_start[b] + (i - lo) * (hi - lo)
         entries = self._entries[start : start + hi - lo]
         return {k: x for k, x in zip(self._monos[lo:hi], entries) if x}
 
     def release(self) -> Iterator[tuple[array, array]]:
         """Hand the blocks over, last key first, as (monomials, entries) pairs of arrays.
 
-        The operator is left at once with no blocks, no column index and
-        no Lie algebra, so its bracket table is freed unless the caller
-        still holds it.  The iterator takes the storage over, and each
+        The operator is left at once with empty storage, and only dim,
+        npos and nnz.  The iterator takes the storage over, and each
         time it is asked for the next block it first cuts the one it
         handed over last off the end of its arrays, so the entries shrink
         as the caller goes.
@@ -224,24 +221,26 @@ class SplitCasimir:
         mono_start, entry_start = self._mono_start, self._entry_start
         self._monos, self._entries = array("i"), array("b")
         self._mono_start, self._entry_start = array("i", [0]), array("l", [0])
-        self._block = self._local = self.L = None
         return _last_block_first(monos, entries, mono_start, entry_start)
 
-    def matrix(self) -> SplitCasimir:
-        """Assemble the operator on the monomial basis straight into its torus-weight blocks.
+    def matrix(self, L: LieAlgebra) -> SplitCasimir:
+        """Assemble the operator of L on the monomial basis straight into its torus-weight blocks.
 
-        The monomial x_p x_q has weight wt(x_p) + wt(x_q), and Omega
-        commutes with the torus, so the image of a monomial only involves
-        monomials of the same weight.  A weight is encoded as one integer,
-        its coordinates read as balanced digits in base 4 top + 1, where
-        top is the largest |coordinate| of a weight of g: a coordinate of
-        a sum of two weights lies in [-2 top, 2 top], so the key of
-        x_p x_q, which is key[p] + key[q], determines its weight.  The
-        keys are Python ints, so the encoding is exact at every rank.
-        One sort by key orders the monomials block by block, each block
-        in monomial order, and gives the block sizes.  The monomials and
-        their block offsets are kept as int32 arrays, and the entry array
-        is made once, at its final size.
+        L is read here and not kept.  The monomial x_p x_q has weight
+        wt(x_p) + wt(x_q), and Omega commutes with the torus, so the image
+        of a monomial only involves monomials of the same weight.  A
+        weight is encoded as one integer, its coordinates read as balanced
+        digits in base 4 top + 1, where top is the largest |coordinate| of
+        a weight of g: a coordinate of a sum of two weights lies in
+        [-2 top, 2 top], so the key of x_p x_q, which is key[p] + key[q],
+        determines its weight.  The keys are Python ints, so the encoding
+        is exact at every rank.  One sort by key orders the monomials
+        block by block, each block in monomial order, and gives the block
+        sizes.  The monomials and their block offsets are kept as int32
+        arrays, and the entry array is made once, at its final size.
+        block and local, each monomial's block and its place in that
+        block's monomials, index the columns while they are filled and go
+        when this returns.
 
         The root part of column (p, q) sums [x, x_p] [dual(x), x_q] over
         root vectors x.  ad[p] maps each x with [x, x_p] != 0 to that
@@ -267,9 +266,8 @@ class SplitCasimir:
         operator exactly the sum of the block ranks.  A failed check is
         a construction bug, reported fatally.
         """
-        L = self.L
-        nn = L.dim
-        m = L.npos
+        self.dim = nn = L.dim
+        self.npos = m = L.npos
         base = 4 * max(abs(x) for w in L.weights_fw for x in w) + 1
         key = [_balanced_key(w, base) for w in L.weights_fw]
         dual = list(range(m, 2 * m)) + list(range(m))
@@ -289,8 +287,8 @@ class SplitCasimir:
         self._mono_start = array("i", accumulate(sizes, initial=0))
         self._entry_start = entry_start = array("l", accumulate(map(mul, sizes, sizes), initial=0))
         self._entries = entries = array("b", [0]) * entry_start[-1]
-        self._block = block = array("i", [0]) * sym2_dim(nn)
-        self._local = local = [0] * sym2_dim(nn)
+        block = array("i", [0]) * sym2_dim(nn)
+        local = [0] * sym2_dim(nn)
         it = iter(monos)
         for b, s in enumerate(sizes):
             # zip stops on the range before it takes from the next block.
@@ -371,9 +369,8 @@ def casimir_top_eigenvalue(Omega: SplitCasimir) -> int:
     checks on every root; anything else, 0 included, means the
     construction is broken.
     """
-    L = Omega.L
-    p = L.npos - 1
-    value = Omega.column(p, p).get(sym2_index(L.dim, p, p), 0)
+    p = Omega.npos - 1
+    value = Omega.column(p, p).get(sym2_index(Omega.dim, p, p), 0)
     if value != 2:
         raise InvariantViolation(
             f"Casimir scalar {value} on the highest-weight square differs from (theta, theta) = 2"

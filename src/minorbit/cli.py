@@ -63,8 +63,9 @@ def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
     casimir stage assembles the operator into its weight blocks, held in
     flat arrays, and the ideal stage takes them over from the last block
     to the first, eliminating each and freeing its entries as it goes.
-    The ideal, projection and quotient stages take only the root system,
-    so the bracket table is dropped after the casimir stage.
+    The operator keeps no reference to the Lie algebra, and the ideal,
+    projection and quotient stages take only the root system, so the
+    bracket table is dropped after the casimir stage.
     Each stage is timed under its name, and an InvariantViolation raised
     inside it is raised again with the stage and the type in front of
     its message: the stage modules do not know who calls them.
@@ -94,7 +95,7 @@ def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
     with stage("casimir"):
         Omega = SplitCasimir(L)
         c = casimir_top_eigenvalue(Omega)
-    # degree2_ideal's release() drops Omega's reference, which frees the table.
+    # Omega holds no reference to L, so this frees the bracket table.
     del L
     with stage("ideal"):
         ideal = degree2_ideal(rs, Omega, c)

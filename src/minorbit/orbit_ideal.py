@@ -68,9 +68,8 @@ def degree2_ideal(rs: RootSystem, Omega: SplitCasimir, c) -> IdealDegree2:
     block's entries once the next one is asked for.  Each block in turn
     is read into an int list, has c subtracted on its diagonal, and is
     eliminated in its own coordinates, unless the shift leaves it zero.
-    So this uses the operator up: afterwards its blocks, its column
-    index and its Lie algebra are gone, and only its nnz keeps the count
-    of its entries.
+    So this uses the operator up: afterwards its blocks are gone, and
+    only dim, npos and nnz, the count of its entries, are left.
     The zero-weight block, the only one that holds the Cartan monomials
     H(i) H(j) that projected_span reads, gives its image_basis; every
     other block gives only its pivot_rows, as many as its rank.  Local

@@ -27,15 +27,15 @@ class DynkinTree(namedtuple("DynkinTree", "n edges")):
 
 
 def dynkin_tree(t: SimpleType) -> DynkinTree:
-    """Tree of exceptional spheres for type t, checked to be a tree.
+    """Tree of exceptional spheres for type t, checked to have no cycle.
 
-    A graph on n vertices with n - 1 edges and no cycle is a forest of
-    n - (n - 1) = 1 component, so these two checks leave it connected.
+    A graph on n vertices with k edges and no cycle is a forest of
+    n - k components.  cli.verify checks its Euler characteristic,
+    2n - k, against the Betti sum 1 + n, which holds only at k = n - 1,
+    one component: so a diagram that passes both checks is a tree.
     """
     n = t.rank
     edges = dynkin_edges(t)
-    if len(edges) != n - 1:
-        raise InvariantViolation(f"diagram has {len(edges)} edges, expected {n - 1}")
     parent = list(range(n))
 
     def find(x: int) -> int:

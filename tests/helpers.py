@@ -131,7 +131,7 @@ def columns(m) -> tuple[dict, ...]:
     of the rows packed inside a column.
     """
     if isinstance(m, SplitCasimir):
-        return tuple(m.column(p, q) for p, q in sym2_pairs(m.L.dim))
+        return tuple(m.column(p, q) for p, q in sym2_pairs(m.dim))
     return tuple(map(m.column, range(m.ncols)))
 
 
@@ -226,12 +226,11 @@ def shifted_casimir(family: str, rank: int, c: int = 2) -> SparseMatrix:
             col[d] = v
         else:
             col.pop(d, None)
-    return SparseMatrix.from_columns(sym2_dim(Om.L.dim), cols)
+    return SparseMatrix.from_columns(sym2_dim(Om.dim), cols)
 
 
-def all_pairs_column(Omega: SplitCasimir, p: int, q: int) -> dict:
-    """Omega(x_p x_q) summed over every dual pair (E(r), F(r)), empty brackets included."""
-    L = Omega.L
+def all_pairs_column(L: LieAlgebra, p: int, q: int) -> dict:
+    """Omega(x_p x_q) of L, summed over every dual pair (E(r), F(r)), empty brackets included."""
     nn = L.dim
     m = L.npos
     out: dict = {}

@@ -258,7 +258,7 @@ def test_column_matches_the_all_pairs_sum(family, rank):
     L = algebra_of(family, rank)
     Om = casimir_of(family, rank)
     for p, q in sym2_pairs(L.dim):
-        assert Om.column(p, q) == all_pairs_column(Om, p, q), (p, q)
+        assert Om.column(p, q) == all_pairs_column(L, p, q), (p, q)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("D", 4), ("E", 6)])
@@ -267,10 +267,10 @@ def test_matrix_packs_every_column_in_monomial_order(family, rank):
     # column, and assembling again rebuilds the same operator.
     L = algebra_of(family, rank)
     Om = SplitCasimir(L)
-    cols = tuple(all_pairs_column(Om, p, q) for p, q in sym2_pairs(L.dim))
+    cols = tuple(all_pairs_column(L, p, q) for p, q in sym2_pairs(L.dim))
     assert columns(Om) == cols
     assert Om.nnz == sum(map(len, cols))
-    assert Om.matrix() is Om
+    assert Om.matrix(L) is Om
     assert columns(Om) == cols and Om.nnz == sum(map(len, cols))
     # No column keeps an entry whose sum cancelled to zero.
     assert not any(0 in col.values() for col in columns(Om))
@@ -287,7 +287,7 @@ def test_casimir_well_defined_on_monomials(family, rank):
     for _ in range(25):
         p = rng.randrange(L.dim)
         q = rng.randrange(L.dim)
-        assert Om.column(p, q) == all_pairs_column(Om, q, p), (p, q)
+        assert Om.column(p, q) == all_pairs_column(L, q, p), (p, q)
 
 
 def _sym2_ad(L, x):

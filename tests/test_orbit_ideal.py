@@ -348,31 +348,43 @@ def test_operator_nnz_survives_the_release_of_its_blocks(family, rank):
 
 
 def test_column_of_a_released_operator_says_the_blocks_are_gone():
-    # degree2_ideal drops the column index with the blocks, and column()
-    # then names what happened instead of failing on an empty list.
+    # degree2_ideal empties the operator's storage, and column() then
+    # names what happened instead of failing on an empty array.
     L, Om, c = pipeline("A", 2)
     p = L.npos - 1
     assert Om.column(p, p) == {sym2_index(L.dim, p, p): 2}
     degree2_ideal(L.rs, Om, c)
-    assert Om._block is None and Om._local is None
     with pytest.raises(RuntimeError, match="^column\\(\\) needs the weight blocks, and this "
                        "operator has released them$"):
         Om.column(p, p)
 
 
+def test_top_eigenvalue_of_a_released_operator_says_the_blocks_are_gone():
+    # casimir_top_eigenvalue reads only dim and npos, which outlive the
+    # blocks, so a used-up operator gets column()'s message.
+    L, Om, c = pipeline("A", 2)
+    degree2_ideal(L.rs, Om, c)
+    with pytest.raises(RuntimeError, match="^column\\(\\) needs the weight blocks, and this "
+                       "operator has released them$"):
+        casimir_top_eigenvalue(Om)
+
+
 def test_bracket_table_is_freed_before_the_ideal_stage():
-    # The ideal stage takes only the root system, and release() drops the
-    # operator's Lie algebra, so once the caller lets go of it too,
-    # nothing keeps the bracket table alive.
+    # The operator holds only its blocks, dim, npos and nnz, never its
+    # Lie algebra, so the bracket table dies as soon as the caller lets
+    # go of it, while the blocks wait for the ideal stage.
     rs = rs_of("A", 3)
     L = build_chevalley(rs)
-    Om = SplitCasimir(L)
     r = weakref.ref(L)
+    Om = SplitCasimir(L)
+    assert sorted(vars(Om)) == [
+        "_entries", "_entry_start", "_mono_start", "_monos", "dim", "nnz", "npos",
+    ]
     c = casimir_top_eigenvalue(Om)
     del L
-    degree2_ideal(rs, Om, c)
     assert r() is None
-    assert Om.L is None
+    assert len(Om._entries) > 0 and Om.nnz > 0
+    assert degree2_ideal(rs, Om, c).dim == 36
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4), ("E", 6)])

@@ -3,6 +3,7 @@
 import pytest
 
 from minorbit import resolution
+from minorbit.cli import verify
 from minorbit.resolution import betti_numbers, dynkin_tree, euler_characteristic
 from minorbit.rootsys import InvariantViolation, SimpleType, cartan_matrix
 
@@ -71,18 +72,23 @@ def test_euler_matches_betti_alternating_sum(family, rank):
     assert euler_characteristic(tr) == rank + 1
 
 
-def test_dropped_edge_fails_the_tree_check(monkeypatch):
+def test_dropped_edge_fails_the_euler_check(monkeypatch):
+    # A5 without its first edge has no cycle, so dynkin_tree passes it:
+    # it is a forest of two trees, whose Euler characteristic 2 * 5 - 3
+    # is one more than the Betti sum 1 + 5.  verify stops it at the
+    # resolution stage; the root system still reads the real diagram.
     real = resolution.dynkin_edges
     monkeypatch.setattr(resolution, "dynkin_edges", lambda t: real(t)[1:])
+    assert dynkin_tree(SimpleType("A", 5)).edges == real(SimpleType("A", 5))[1:]
     with pytest.raises(InvariantViolation, match=(
-        "^diagram has 4 edges, expected 5$"
+        "^resolution stage: A5: Euler characteristic mismatch$"
     )):
-        dynkin_tree(SimpleType("E", 6))
+        verify(SimpleType("A", 5))
 
 
 def test_cycle_fails_the_tree_check(monkeypatch):
-    # Three edges on four vertices pass the count, but (0, 2) closes the
-    # triangle 0-1-2 and leaves vertex 3 alone.
+    # Three edges on four vertices: (0, 2) closes the triangle 0-1-2
+    # and leaves vertex 3 alone.
     monkeypatch.setattr(resolution, "dynkin_edges", lambda t: ((0, 1), (1, 2), (0, 2)))
     with pytest.raises(InvariantViolation, match="^diagram contains a cycle$"):
         dynkin_tree(SimpleType("A", 4))
