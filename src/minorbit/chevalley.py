@@ -33,6 +33,15 @@ where the Cartan part of the sum collapses to the weight pairing
 on the square of a highest-weight vector the operator is the scalar
 (theta, theta) = 2.  It commutes with the torus, so SplitCasimir
 assembles it once, straight into dense blocks of one weight each.
+
+The Chevalley involution, E(a) -> -F(a), F(a) -> -E(a), H(i) -> -H(i),
+is an automorphism of g that preserves the form, so it commutes with
+the operator.  On Sym^2 g it sends each monomial to a monomial of the
+opposite weight, with sign +1.  So the block of weight -mu is the block
+of mu with its monomials relabelled: SplitCasimir stores the two side
+by side, the monomials of one listed as the images of the other's, and
+the ideal stage compares them byte for byte and eliminates the pair
+once.
 """
 
 from __future__ import annotations
@@ -40,8 +49,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
-from itertools import accumulate, combinations_with_replacement, groupby
-from operator import mul
+from itertools import accumulate, combinations_with_replacement, groupby, pairwise, repeat
+from operator import add, itemgetter, mul
 
 from .linalgx import SparseVec
 from .rootsys import InvariantViolation, RootSystem, root_to_weight
@@ -54,6 +63,7 @@ __all__ = [
     "sym2_dim",
     "sym2_index",
     "sym2_pairs",
+    "sym2_unrank",
 ]
 
 
@@ -168,6 +178,15 @@ def sym2_index(n: int, p: int, q: int) -> int:
     return p * (2 * n - p - 1) // 2 + q
 
 
+def sym2_unrank(n: int, k: int) -> tuple[int, int]:
+    """The pair (p, q), p <= q, of the monomial of flat index k: the inverse of sym2_index."""
+    p = 0
+    while k >= n - p:
+        k -= n - p
+        p += 1
+    return p, p + k
+
+
 def sym2_pairs(n: int) -> Iterator[tuple[int, int]]:
     """Every pair p <= q, lazily, in sym2_index order."""
     return combinations_with_replacement(range(n), 2)
@@ -177,18 +196,24 @@ class SplitCasimir:
     """The split Casimir on the symmetric square, assembled once into its torus-weight blocks.
 
     dim is dim g and npos the number of positive roots; nothing else of
-    the Lie algebra is kept.  The blocks are stored flat, in block
-    (weight key) order, in two arrays.  _monos, an array('i'), lists the
-    monomials of each block in ascending order: block b is
-    _monos[_mono_start[b] : _mono_start[b + 1]].  _entries, an
-    array('b') of int8 entries, holds each block's s * s entries column
-    by column, s its number of monomials, from _entry_start[b] on: row
-    i of column j of block b is _entries[_entry_start[b] + j * s + i].
-    Every entry outside the blocks is zero.  int32 holds every monomial
-    index and block offset: they lie below sym2_dim(dim g), 636,756 at
-    D24, the largest type cli.verify takes.  degree2_ideal takes the
-    blocks through release(), which frees each once the next is asked
-    for; nnz, the number of nonzero entries, keeps its count, and
+    the Lie algebra is kept.  The blocks are stored flat, in two arrays:
+    the zero-weight block first, then each pair of blocks of weight keys
+    -k and k side by side, the partner of key -k first, by ascending
+    |k|.  _monos, an array('i'), lists the monomials of each block:
+    block b is _monos[_mono_start[b] : _mono_start[b + 1]].  The
+    zero-weight block and each block of key k > 0 list theirs in
+    ascending order; the partner of key -k lists the Chevalley images of
+    its block's monomials, in the same order, so on a correct
+    construction the two blocks of a pair hold the same entries.
+    _entries, an array('b') of int8 entries, holds each block's s * s
+    entries column by column, s its number of monomials, from
+    _entry_start[b] on: row i of column j of block b is
+    _entries[_entry_start[b] + j * s + i].  Every entry outside the
+    blocks is zero.  int32 holds every monomial index and block offset:
+    they lie below sym2_dim(dim g), 636,756 at D24, the largest type
+    cli.verify takes.  degree2_ideal takes the blocks through
+    release(), which checks each pair and frees it once the next is
+    asked for; nnz, the number of nonzero entries, keeps its count, and
     column() stops working.
     """
 
@@ -208,20 +233,26 @@ class SplitCasimir:
         entries = self._entries[start : start + hi - lo]
         return {k: x for k, x in zip(self._monos[lo:hi], entries) if x}
 
-    def release(self) -> Iterator[tuple[array, array]]:
-        """Hand the blocks over, last key first, as (monomials, entries) pairs of arrays.
+    def release(self) -> Iterator[tuple[tuple[array, ...], array]]:
+        """Hand over the zero-weight block, then each pair of blocks, as (monomial lists, entries).
 
-        The operator is left at once with empty storage, and only dim,
-        npos and nnz.  The iterator takes the storage over, and each
-        time it is asked for the next block it first cuts the one it
-        handed over last off the end of its arrays, so the entries shrink
-        as the caller goes.
+        The zero-weight block comes with its one monomial list.  Then each
+        pair of blocks of keys k and -k, from the last pair to the first,
+        comes as the entries of the block of key k and two monomial lists:
+        its own and its partner's, the Chevalley images of its monomials
+        in the same order.  Before a pair is handed over, its two int8
+        runs are compared byte for byte, and a difference, a construction
+        bug, raises InvariantViolation naming a column of each block.  The
+        operator is left at once with empty storage, and only dim, npos
+        and nnz.  The iterator takes the storage over, and each time it is
+        asked for the next pair it first cuts the one it handed over last
+        off the end of its arrays, so the entries shrink as the caller goes.
         """
         monos, entries = self._monos, self._entries
         mono_start, entry_start = self._mono_start, self._entry_start
         self._monos, self._entries = array("i"), array("b")
         self._mono_start, self._entry_start = array("i", [0]), array("l", [0])
-        return _last_block_first(monos, entries, mono_start, entry_start)
+        return _blocks_by_pair(self.dim, monos, entries, mono_start, entry_start)
 
     def matrix(self, L: LieAlgebra) -> SplitCasimir:
         """Assemble the operator of L on the monomial basis straight into its torus-weight blocks.
@@ -236,11 +267,18 @@ class SplitCasimir:
         determines its weight.  The keys are Python ints, so the encoding
         is exact at every rank.  One sort by key orders the monomials
         block by block, each block in monomial order, and gives the block
-        sizes.  The monomials and their block offsets are kept as int32
-        arrays, and the entry array is made once, at its final size.
-        block and local, each monomial's block and its place in that
-        block's monomials, index the columns while they are filled and go
-        when this returns.
+        sizes.  In key order the blocks of negative key come first and the
+        zero-weight block sits in the middle; the monomials are then laid
+        out again in place.  The zero-weight block moves to the front, and
+        each block of key k > 0 moves left to follow its partner of key
+        -k, which is written anew as the Chevalley images of the block's
+        monomials, read from a table that _chevalley_images builds one
+        row segment at a time.  The monomials and their block offsets are
+        kept as int32 arrays, and the entry array is made once, at its
+        final size.  block and local, each monomial's block and its place
+        in that block's monomials, index the columns while they are
+        filled and go when this returns; block reuses the image table's
+        storage.
 
         The root part of column (p, q) sums [x, x_p] [dual(x), x_q] over
         root vectors x.  ad[p] maps each x with [x, x_p] != 0 to that
@@ -250,27 +288,29 @@ class SplitCasimir:
         nonzero.  Step p completes the columns (p, q), q >= p: each
         product is added into a short int list for its column, and the
         weight pairing (wt(x_p), wt(x_q)), the dot product of
-        weights_fw[p] and signed_roots[q], onto the diagonal.  Each finished column is
-        copied into its slot of the entry array.  An entry outside the
-        int8 range [-128, 127] raises InvariantViolation there, naming
-        its column, instead of wrapping.  The entries of every type up to
-        rank 8 lie in [-60, 12], E8's range, and those of types A and D
-        stay in [-8, 4] at every rank measured, up to A24 and D16.
+        weights_fw[p] and signed_roots[q], onto the diagonal.  Each
+        finished column is copied into its slot of the entry array.  An
+        entry outside the int8 range [-128, 127] raises InvariantViolation
+        there, naming its column, instead of wrapping.  The entries of
+        every type up to rank 8 lie in [-60, 12], E8's range, and those of
+        types A and D stay in [-8, 4] at every rank measured, up to A24
+        and D16.
         Before any product, one pass checks that every term of every
         stored bracket, each of which ad reads, has the key of the sum
-        of its two factors' weights.  The coroot [E(a), F(a)] is among
-        them, with its terms on the Cartan, of key 0, so the dual of
-        every root vector has the opposite key.  A product
-        [x, x_p] [dual(x), x_q] then has the weight of x_p x_q, so every
-        product lands in its column's block, which makes the rank of the
-        operator exactly the sum of the block ranks.  A failed check is
-        a construction bug, reported fatally.
+        of its two factors' weights, and a second that the Chevalley
+        image of every position has the opposite key: F(a) that of E(a),
+        and H(i), its own image, key 0.  On a root vector the image is
+        the dual, so a product [x, x_p] [dual(x), x_q] has the weight of
+        x_p x_q, and every product lands in its column's block, which
+        makes the rank of the operator exactly the sum of the block
+        ranks.  The images of the monomials of key k are then exactly
+        those of key -k, so the blocks pair up.  A failed check is a
+        construction bug, reported fatally.
         """
         self.dim = nn = L.dim
         self.npos = m = L.npos
         base = 4 * max(abs(x) for w in L.weights_fw for x in w) + 1
         key = [_balanced_key(w, base) for w in L.weights_fw]
-        dual = list(range(m, 2 * m)) + list(range(m))
         for ab, terms in L.brackets.items():
             a, b = divmod(ab, nn)
             for k, _ in terms:
@@ -279,15 +319,41 @@ class SplitCasimir:
                         f"the bracket [x_{a}, x_{b}] has a term on x_{k}, "
                         "whose weight is not the sum of theirs"
                     )
+        # omega[x] is the position of the Chevalley image of basis vector x: F(a)
+        # for E(a), E(a) for F(a), H(i) for H(i).  On a root vector it is the dual.
+        omega = list(range(m, 2 * m)) + list(range(m)) + list(range(2 * m, nn))
+        for x, y in enumerate(omega):
+            if key[y] != -key[x]:
+                raise InvariantViolation(
+                    f"x_{x} and its Chevalley image x_{y} do not have opposite weights"
+                )
         keys = [key[p] + key[q] for p, q in sym2_pairs(nn)]
         order = sorted(range(len(keys)), key=keys.__getitem__)
         self._monos = monos = array("i", order)
         sizes = array("l", [len(list(g)) for _, g in groupby(order, keys.__getitem__)])
         del key, keys, order
+        # In key order the blocks of negative key come first and the zero-weight
+        # block sits in the middle.  It moves to the front, and each block of key
+        # k > 0 moves left, after its partner of key -k, which is written anew as
+        # the Chevalley images of the block's monomials, in the same order.
+        half = sizes[len(sizes) // 2 :]
+        sizes[0], sizes[1::2], sizes[2::2] = half[0], half[1:], half[1:]
+        z = half[0]
+        own = monos[(len(monos) - z) // 2 :]
+        # sym2_index(nn, i, j) == offset[i] + j for i <= j.
+        offset = [i * (2 * nn - i - 1) // 2 for i in range(nn)]
+        # block takes the image table's storage over once the images are read.
+        block = image = _chevalley_images(nn, m, offset)
+        images = array("i", itemgetter(*own)(image))
+        monos[:z] = own[:z]
+        for lo, hi in pairwise(accumulate(half)):
+            t = 2 * lo - z
+            monos[t : t + hi - lo] = images[lo:hi]
+            monos[t + hi - lo : 2 * hi - z] = own[lo:hi]
+        del half, own, images
         self._mono_start = array("i", accumulate(sizes, initial=0))
         self._entry_start = entry_start = array("l", accumulate(map(mul, sizes, sizes), initial=0))
         self._entries = entries = array("b", [0]) * entry_start[-1]
-        block = array("i", [0]) * sym2_dim(nn)
         local = [0] * sym2_dim(nn)
         it = iter(monos)
         for b, s in enumerate(sizes):
@@ -300,13 +366,11 @@ class SplitCasimir:
         invq, invj, invc = ([array("i") for _ in range(2 * m)] for _ in range(3))
         for q, row in enumerate(ad):
             for x, u in row.items():
-                d = dual[x]
+                d = omega[x]
                 for j, c in u:
                     invq[d].append(q)
                     invj[d].append(j)
                     invc[d].append(c)
-        # sym2_index(nn, i, j) == offset[i] + j for i <= j.
-        offset = [i * (2 * nn - i - 1) // 2 for i in range(nn)]
         roots = L.signed_roots
         # Each finished column goes into its slot through buf, by fromlist, which
         # costs less than a new array per column and checks the int8 range.
@@ -349,13 +413,50 @@ class SplitCasimir:
         return self
 
 
-def _last_block_first(
-    monos: array, entries: array, mono_start: array, entry_start: array
-) -> Iterator[tuple[array, array]]:
-    """Yield each block of the flat storage, last first, then cut it off the arrays."""
-    for b in reversed(range(len(mono_start) - 1)):
-        yield monos[mono_start[b] :], entries[entry_start[b] :]
-        del monos[mono_start[b] :], entries[entry_start[b] :]
+def _chevalley_images(nn: int, m: int, offset: list[int]) -> array:
+    """image[k] is the index of the Chevalley image of monomial k, built one row segment at a time.
+
+    The image of x_p x_q is x_p' x_q', with p' and q' the images of
+    positions p and q: E(a) and F(a) swap, and H(i) stays.  Row p, the
+    monomials x_p x_q with q >= p, maps in at most three runs: its E or
+    F part and its H part onto consecutive indices of row p', and the F
+    part of an E row onto the column x_j x_p', j < m.
+    """
+    image = array("i")
+    column = offset[:m]
+    for p in range(nn):
+        if p < m:
+            o = offset[p + m]
+            image.extend(range(o + p + m, o + 2 * m))
+            image.extend(map(add, column, repeat(p + m)))
+            image.extend(range(o + 2 * m, o + nn))
+        elif p < 2 * m:
+            o = offset[p - m]
+            image.extend(range(o + p - m, o + m))
+            image.extend(range(o + 2 * m, o + nn))
+        else:
+            image.extend(range(offset[p] + p, offset[p] + nn))
+    return image
+
+
+def _blocks_by_pair(
+    nn: int, monos: array, entries: array, mono_start: array, entry_start: array
+) -> Iterator[tuple[tuple[array, ...], array]]:
+    """Yield the zero-weight block, then each checked pair, last first, cutting each off."""
+    yield (monos[: mono_start[1]],), entries[: entry_start[1]]
+    for b in reversed(range(2, len(mono_start) - 1, 2)):
+        lo, mid = entry_start[b - 1], entry_start[b]
+        own, partner = entries[mid:], entries[lo:mid]
+        if own != partner:
+            s = mono_start[b + 1] - mono_start[b]
+            j = next(i for i, (x, y) in enumerate(zip(own, partner)) if x != y) // s
+            p, q = sym2_unrank(nn, monos[mono_start[b] + j])
+            r, t = sym2_unrank(nn, monos[mono_start[b - 1] + j])
+            raise InvariantViolation(
+                f"column x_{p} x_{q} differs from column x_{r} x_{t}, its Chevalley image"
+            )
+        yield (monos[mono_start[b] :], monos[mono_start[b - 1] : mono_start[b]]), own
+        del monos[mono_start[b - 1] :], entries[lo:]
 
 
 def casimir_top_eigenvalue(Omega: SplitCasimir) -> int:

@@ -61,8 +61,11 @@ def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
     symmetric square, with its dimension checked against the Weyl
     formula, so a broken construction raises for every rank.  The
     casimir stage assembles the operator into its weight blocks, held in
-    flat arrays, and the ideal stage takes them over from the last block
-    to the first, eliminating each and freeing its entries as it goes.
+    flat arrays, and the ideal stage takes them over: the zero-weight
+    block first, then each pair of blocks of opposite weights, from the
+    last pair to the first, checking that the two blocks of a pair are
+    the same matrix, eliminating it once and freeing its entries as it
+    goes.
     The operator keeps no reference to the Lie algebra, and the ideal,
     projection and quotient stages take only the root system, so the
     bracket table is dropped after the casimir stage.

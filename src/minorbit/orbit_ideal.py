@@ -44,10 +44,11 @@ class IdealDegree2(namedtuple("IdealDegree2", "basis dim_v2theta")):
 
     basis.vectors lists dim integer vectors over the monomials of
     Sym^2 g that together span the ideal, block by block in the order
-    release() hands the blocks over, last key first: the pivot rows of
-    each block, which are independent but not in echelon form, except
-    for the zero-weight block, somewhere mid-list, which gives the
-    canonical echelon basis of its part of the ideal.
+    release() hands the blocks over: first the canonical echelon basis
+    of the zero-weight block's part of the ideal, then, for each pair of
+    blocks of keys k and -k from the last pair to the first, the pivot
+    rows of the block of key k, which are independent but not in echelon
+    form, and the same rows over its partner's monomials.
     dim_v2theta is the Weyl dimension of V(2 theta), the kernel of the
     shift, which the ideal dimension was checked against.
     """
@@ -64,37 +65,44 @@ def degree2_ideal(rs: RootSystem, Omega: SplitCasimir, c) -> IdealDegree2:
 
     rs is the root system of g; the bracket table is not read here.  The
     operator comes assembled in its torus-weight blocks, which
-    Omega.release() hands over from the last to the first, freeing each
-    block's entries once the next one is asked for.  Each block in turn
-    is read into an int list, has c subtracted on its diagonal, and is
+    Omega.release() hands over: the zero-weight block first, then each
+    pair of blocks of opposite weights, from the last pair to the first,
+    once their entries are found equal byte for byte, freeing each pair
+    once the next one is asked for.  Each block or pair in turn is read
+    into an int list, has c subtracted on its diagonal, and is
     eliminated in its own coordinates, unless the shift leaves it zero.
     So this uses the operator up: afterwards its blocks are gone, and
     only dim, npos and nnz, the count of its entries, are left.
     The zero-weight block, the only one that holds the Cartan monomials
-    H(i) H(j) that projected_span reads, gives its image_basis; every
-    other block gives only its pivot_rows, as many as its rank.  Local
-    coordinates map back through the block's ascending monomial list,
-    made once per block, so the block's vectors share its monomial ints.
-    The block supports are disjoint, so the vectors of all blocks
-    together are independent.  A count other than dim Sym^2 g minus the
-    Weyl dimension of the doubled highest weight is a construction bug,
-    reported fatally.
+    H(i) H(j) that projected_span reads, gives its image_basis.  A pair
+    gives the pivot_rows of one block, as many as its rank, each row
+    emitted twice: once over the block's monomials and once over its
+    partner's, the Chevalley images of the same monomials in the same
+    order, since the two blocks are the same matrix.  Local coordinates
+    map back through each monomial list, made once per list, so the
+    vectors of a block share its monomial ints.  The block supports are
+    disjoint, so the vectors of all blocks together are independent.  A
+    count other than dim Sym^2 g minus the Weyl dimension of the
+    doubled highest weight is a construction bug, reported fatally, as
+    is a pair whose blocks differ.
     """
     nrows = sym2_dim(rs.dim_g)
-    first = _cartan_start(rs)
     vectors = []
-    for monos, data in Omega.release():
-        s = len(monos)
+    for lists, data in Omega.release():
+        s = len(lists[0])
         data = data.tolist()
         data[:: s + 1] = [x - c for x in data[:: s + 1]]
         if not any(data):
             continue
         cols = [data[j : j + s] for j in range(0, s * s, s)]
-        monos = monos.tolist()
-        if monos[-1] >= first:
+        if len(lists) == 1:
+            monos = lists[0].tolist()
             vectors += ({monos[i]: x for i, x in v.items()} for v in image_basis(s, cols).vectors)
         else:
-            vectors += ({m: x for m, x in zip(monos, row) if x} for row in pivot_rows(s, cols))
+            rows = pivot_rows(s, cols)
+            for monos in lists:
+                monos = monos.tolist()
+                vectors += ({m: x for m, x in zip(monos, row) if x} for row in rows)
     theta2 = tuple(2 * x for x in root_to_weight(rs, rs.positive_roots[-1]))
     dim_v2theta = weyl_dim(rs, theta2)
     expected = nrows - dim_v2theta

@@ -21,6 +21,7 @@ from minorbit.chevalley import (
     sym2_dim,
     sym2_index,
     sym2_pairs,
+    sym2_unrank,
 )
 from minorbit.linalgx import EchelonBasis, SparseVec, addmul, append_and_rank
 from minorbit.rootsys import RootSystem, SimpleType, build_root_system
@@ -43,28 +44,32 @@ def casimir_of(family: str, rank: int) -> SplitCasimir:
     return SplitCasimir(algebra_of(family, rank))
 
 
-def sym2_unrank(n: int, k: int) -> tuple[int, int]:
-    """Inverse of sym2_index."""
-    p = 0
-    width = n
-    while k >= width:
-        k -= width
-        p += 1
-        width -= 1
-    return p, p + k
-
-
 def weight_blocks(Om: SplitCasimir) -> list[tuple[list[int], list[int]]]:
-    """The operator's stored blocks, in key order, as (monomials, entries) int lists.
+    """The operator's stored blocks, in storage order, as (monomials, entries) int lists.
 
-    Read straight from the flat storage by its offsets, so that a test
-    can check the layout and still hand the operator to degree2_ideal.
+    Storage order is the zero-weight block, then each pair of blocks of
+    keys -k and k, the partner of key -k first, by ascending |k|.  Read
+    straight from the flat storage by its offsets, so that a test can
+    check the layout and still hand the operator to degree2_ideal.
     """
     ms, es = Om._mono_start, Om._entry_start
     return [
         (Om._monos[ms[b] : ms[b + 1]].tolist(), Om._entries[es[b] : es[b + 1]].tolist())
         for b in range(len(ms) - 1)
     ]
+
+
+def chevalley_images(L: LieAlgebra) -> list[int]:
+    """For each monomial index, the index of its image under the Chevalley involution.
+
+    The involution sends E(a) to -F(a), F(a) to -E(a) and H(i) to -H(i),
+    so x_p x_q goes to x_p' x_q' with sign +1, where p' swaps E(a) and
+    F(a) and fixes H(i).  Built pair by pair over sym2_pairs, not from
+    the row segments that SplitCasimir reads.
+    """
+    m = L.npos
+    swap = [x + m if x < m else x - m if x < 2 * m else x for x in range(L.dim)]
+    return [sym2_index(L.dim, swap[p], swap[q]) for p, q in sym2_pairs(L.dim)]
 
 
 # -- reference matrix operations --------------------------------------------
@@ -329,6 +334,21 @@ def scale_first_ee_constant(L: LieAlgebra, factor: int) -> LieAlgebra:
     brackets = dict(L.brackets)
     key = _first_ee_key(L)
     brackets[key] = tuple((k, factor * s) for k, s in brackets[key])
+    return LieAlgebra(L.rs, brackets, L.weights_fw, L.signed_roots)
+
+
+def negate_first_ee_constant_and_its_mirror(L: LieAlgebra) -> LieAlgebra:
+    """A copy of L with one E-E constant and its mirror [F(a), F(b)] negated together.
+
+    With both negated, the Chevalley involution is still an automorphism
+    of the table, so the operator stays equivariant and every block
+    equals its partner; the ideal dimension is what changes.
+    """
+    brackets = dict(L.brackets)
+    key = _first_ee_key(L)
+    a, b = divmod(key, L.dim)
+    for k in (key, (a + L.npos) * L.dim + b + L.npos):
+        brackets[k] = tuple((j, -s) for j, s in brackets[k])
     return LieAlgebra(L.rs, brackets, L.weights_fw, L.signed_roots)
 
 

@@ -23,7 +23,12 @@ from minorbit.cli import (
 )
 from minorbit.rootsys import InvariantViolation, SimpleType
 
-from helpers import misdirect_first_ee_bracket, scale_first_ee_constant, shift_theta_pairing
+from helpers import (
+    misdirect_first_ee_bracket,
+    negate_first_ee_constant_and_its_mirror,
+    scale_first_ee_constant,
+    shift_theta_pairing,
+)
 
 
 def test_verify_a1_report_values():
@@ -303,15 +308,41 @@ def _flip_ee_sign(monkeypatch):
     monkeypatch.setattr(cli, "build_chevalley", lambda rs: scale_first_ee_constant(real(rs), -1))
 
 
+def _flip_ee_sign_and_mirror(monkeypatch):
+    real = cli.build_chevalley
+    monkeypatch.setattr(
+        cli, "build_chevalley", lambda rs: negate_first_ee_constant_and_its_mirror(real(rs))
+    )
+
+
 def _shift_c_by_one(monkeypatch):
     real = cli.casimir_top_eigenvalue
     monkeypatch.setattr(cli, "casimir_top_eigenvalue", lambda Omega: real(Omega) + 1)
 
 
+@pytest.mark.parametrize("family,rank,column,image", [
+    ("A", 8, "x_0 x_8", "x_36 x_44"),
+    ("D", 7, "x_0 x_7", "x_42 x_49"),
+    ("E", 7, "x_0 x_7", "x_63 x_70"),
+], ids=["A8", "D7", "E7"])
+def test_negated_constant_exits_three_at_the_partner_check(
+    monkeypatch, capsys, family, rank, column, image
+):
+    # One negated E-E constant breaks the operator's symmetry under the
+    # Chevalley involution, and the ideal stage compares each block with
+    # its partner before it eliminates the pair.
+    _flip_ee_sign(monkeypatch)
+    assert main(["--family", family, "--rank", str(rank)]) == 3
+    assert capsys.readouterr().err == (
+        f"internal invariant violation: ideal stage: {family}{rank}: column {column} "
+        f"differs from column {image}, its Chevalley image\n"
+    )
+
+
 @pytest.mark.parametrize("corrupt,family,rank,got,expected", [
-    (_flip_ee_sign, "A", 8, 1326, 1296),
-    (_flip_ee_sign, "D", 7, 1148, 1106),
-    (_flip_ee_sign, "E", 7, 1606, 1540),
+    (_flip_ee_sign_and_mirror, "A", 8, 1354, 1296),
+    (_flip_ee_sign_and_mirror, "D", 7, 1188, 1106),
+    (_flip_ee_sign_and_mirror, "E", 7, 1670, 1540),
     (_shift_c_by_one, "A", 8, 3240, 1296),
     (_shift_c_by_one, "D", 7, 4186, 1106),
     (_shift_c_by_one, "E", 7, 8911, 1540),
@@ -319,7 +350,8 @@ def _shift_c_by_one(monkeypatch):
 def test_broken_construction_exits_three_at_rank_seven_and_up(
     monkeypatch, capsys, corrupt, family, rank, got, expected
 ):
-    # No stage before the ideal notices either corruption; its dimension check must.
+    # No stage before the ideal notices either corruption, and neither
+    # breaks the symmetry the partner check reads; the dimension check must.
     corrupt(monkeypatch)
     code = main(["--family", family, "--rank", str(rank)])
     err = capsys.readouterr().err

@@ -32,12 +32,14 @@ from minorbit.rootsys import InvariantViolation, SimpleType
 from helpers import (
     algebra_of,
     cartan_pair_generators,
+    chevalley_images,
     cartan_restriction,
     casimir_of,
     columns,
     dense,
     dense_rank,
     misdirect_first_ee_bracket,
+    negate_first_ee_constant_and_its_mirror,
     rs_of,
     scale_first_ee_constant,
     shifted_casimir,
@@ -244,9 +246,12 @@ def test_block_ranks_sum_to_the_dense_rank(family, rank):
 def test_each_block_gives_as_many_ideal_vectors_as_its_dense_rank(family, rank):
     # Every vector lies in one weight block, and each shifted block
     # contributes exactly its rank, by the independent dense elimination.
-    # The blocks come in the order release() hands them over, last key
-    # first, so the zero-weight block, which holds the last monomial
-    # H(rank)^2 and contributes its canonical basis, sits mid-list.
+    # The blocks come in the order release() hands them over: first the
+    # zero-weight block, stored first, which holds the last monomial
+    # H(rank)^2 and contributes its canonical basis; then each pair from
+    # the last to the first, the block of key k (stored at an even place)
+    # and then its partner of key -k (stored just before it), whose
+    # vectors are the block's own, relabelled by the Chevalley involution.
     L, Om, c = pipeline(family, rank)
     blocks = weight_blocks(Om)
     block_of = {m: b for b, (monos, _) in enumerate(blocks) for m in monos}
@@ -257,58 +262,88 @@ def test_each_block_gives_as_many_ideal_vectors_as_its_dense_rank(family, rank):
         (b,) = {block_of[m] for m in vec}
         by_block[b].append(vec)
         order.append(b)
-    assert order == sorted(order, reverse=True)
+    assert order == sorted(order, key=lambda b: (b > 0, -((b + 1) // 2), b % 2))
     for b, (monos, data) in enumerate(blocks):
         s = len(monos)
         rows = [[data[j * s + i] - c * (i == j) for j in range(s)] for i in range(s)]
         assert len(by_block[b]) == dense_rank(rows), monos
-    zero = block_of[sym2_dim(L.dim) - 1]
-    monos, data = blocks[zero]
+    assert block_of[sym2_dim(L.dim) - 1] == 0
+    monos, data = blocks[0]
     s = len(monos)
     cols = [[data[j * s + i] - c * (i == j) for i in range(s)] for j in range(s)]
     canonical = [{monos[i]: x for i, x in v.items()} for v in image_basis(s, cols).vectors]
-    assert by_block[zero] == canonical
-    first = order.index(zero)
-    assert 0 < first and first + len(canonical) < len(order)
-    assert ideal.basis.vectors[first : first + len(canonical)] == canonical
+    assert ideal.basis.vectors[: len(canonical)] == canonical
+    image = chevalley_images(L)
+    for b in range(2, len(blocks), 2):
+        relabelled = [{image[m]: x for m, x in v.items()} for v in by_block[b]]
+        assert by_block[b - 1] == relabelled, blocks[b][0]
 
 
 @pytest.mark.parametrize("t", [*ade_types(8), SimpleType("A", 21)], ids=str)
 def test_weight_blocks_partition_the_monomials_by_weight_tuple(t):
     # The integer key must group the monomials exactly as the weight
-    # tuples do, each block in monomial order and square.  At rank 21
-    # the keys of the weight sums pass 2^63.
+    # tuples do, each block square.  At rank 21 the keys of the weight
+    # sums pass 2^63.  The zero-weight block is stored first, then each
+    # pair of opposite weights, the block of key k, in monomial order,
+    # just after its partner of key -k.  Balanced digits order the keys
+    # as the weight tuples read from their last coordinate, so those of
+    # the blocks of key k must ascend, from above the zero weight.
     L = algebra_of(t.family, t.rank)
     wt = L.weights_fw
     by_tuple: dict = {}
     for k, (p, q) in enumerate(sym2_pairs(L.dim)):
         by_tuple.setdefault(tuple(map(add, wt[p], wt[q])), []).append(k)
-    Om = SplitCasimir(L)
+    Om = casimir_of(t.family, t.rank)
     blocks = weight_blocks(Om)
-    assert sorted(monos for monos, _ in blocks) == sorted(by_tuple.values())
+    assert sorted(sorted(monos) for monos, _ in blocks) == sorted(by_tuple.values())
     for monos, data in blocks:
         assert len(data) == len(monos) ** 2
+    weights = []
+    for monos, _ in blocks:
+        p, q = sym2_unrank(L.dim, monos[0])
+        weights.append(tuple(map(add, wt[p], wt[q]))[::-1])
+    zero = (0,) * t.rank
+    assert weights[0] == zero and len(blocks) % 2 == 1
+    for partner, own in zip(weights[1::2], weights[2::2]):
+        assert partner == tuple(-x for x in own)
+    assert all(a < b for a, b in zip([zero] + weights[2::2], weights[2::2]))
+    assert all(monos == sorted(monos) for monos, _ in blocks[::2])
     # The offsets tile both arrays, with nothing left over.
     assert Om._mono_start[-1] == len(Om._monos) and Om._entry_start[-1] == len(Om._entries)
 
 
+@pytest.mark.parametrize("t", [*ade_types(8), SimpleType("A", 21)], ids=str)
+def test_each_partner_is_the_chevalley_image_of_its_block(t):
+    # The positive control of the partner check: on a correct table the
+    # operator commutes with the Chevalley involution, so each partner's
+    # monomials are the images of its block's, in the same order, and
+    # the two int8 runs release() compares are equal byte for byte.
+    L = algebra_of(t.family, t.rank)
+    image = chevalley_images(L)
+    blocks = weight_blocks(casimir_of(t.family, t.rank))
+    assert len(blocks) > 1
+    for (partner, partner_data), (own, data) in zip(blocks[1::2], blocks[2::2]):
+        assert partner == [image[k] for k in own]
+        assert partner_data == data, own
+
+
 @pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4), ("E", 6)])
 def test_release_yields_square_blocks_last_key_first(family, rank):
-    # release() empties the operator at once and hands the stored blocks
-    # over in reverse.  Balanced digits order the keys as the weight
-    # tuples read from their last coordinate, so those must descend.
+    # release() empties the operator at once.  It hands the zero-weight
+    # block over first, alone, then the stored pairs from the last key to
+    # the first, each as the entries of the block of key k with two
+    # monomial lists, the block's own and its partner's.
     L = algebra_of(family, rank)
     Om = SplitCasimir(L)
     stored = weight_blocks(Om)
     released = Om.release()
     assert weight_blocks(Om) == [] and len(Om._monos) == len(Om._entries) == 0
-    got = [(monos.tolist(), data.tolist()) for monos, data in released]
-    assert got == stored[::-1]
-    assert all(len(data) == len(monos) ** 2 for monos, data in got)
-    wt = L.weights_fw
-    pq = [sym2_unrank(L.dim, monos[0]) for monos, _ in got]
-    weights = [tuple(map(add, wt[p], wt[q]))[::-1] for p, q in pq]
-    assert all(a > b for a, b in zip(weights, weights[1:]))
+    got = [([monos.tolist() for monos in lists], data.tolist()) for lists, data in released]
+    pairs = list(zip(stored[1::2], stored[2::2]))[::-1]
+    assert got == [([stored[0][0]], stored[0][1])] + [
+        ([own, partner], data) for (partner, _), (own, data) in pairs
+    ]
+    assert all(len(data) == len(lists[0]) ** 2 for lists, data in got)
 
 
 def test_off_weight_entry_fires_the_block_check():
@@ -333,6 +368,20 @@ def test_dual_off_the_opposite_weight_fires_the_bracket_check():
         "whose weight is not the sum of theirs$"
     )):
         SplitCasimir(bad)
+
+
+def test_weight_off_the_chevalley_image_fires_the_opposite_weight_check():
+    # A1 without its coroot bracket [E, F], and with F given the weight of
+    # E.  The brackets left, [E, H] and [F, H], have consistent weights,
+    # so the bracket check passes; only the check that the involution
+    # negates every weight, which the block pairing rests on, sees it.
+    L = algebra_of("A", 1)
+    brackets = {k: v for k, v in L.brackets.items() if k != 0 * L.dim + 1}
+    weights = (L.weights_fw[0],) * 2 + L.weights_fw[2:]
+    with pytest.raises(InvariantViolation, match=(
+        "^x_0 and its Chevalley image x_1 do not have opposite weights$"
+    )):
+        SplitCasimir(LieAlgebra(L.rs, brackets, weights, L.signed_roots))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("D", 4), ("E", 6)])
@@ -398,13 +447,35 @@ def test_projected_span_equals_the_span_of_every_restriction(family, rank):
     assert skipped.vectors == every.vectors
 
 
-@pytest.mark.parametrize("family,rank,got,expected", [
-    ("A", 3, 46, 36),
-    ("D", 5, 291, 265),
-    ("E", 6, 693, 651),
-])
-def test_negated_structure_constant_fails_the_dimension_check(family, rank, got, expected):
+@pytest.mark.parametrize("family,rank,column,image", [
+    ("A", 3, "x_0 x_3", "x_6 x_9"),
+    ("D", 5, "x_0 x_5", "x_20 x_25"),
+    ("E", 6, "x_0 x_6", "x_36 x_42"),
+], ids=["A3", "D5", "E6"])
+def test_negated_structure_constant_fails_the_partner_check(family, rank, column, image):
+    # One E-E constant negated, and so its reverse, but not its mirror
+    # [F(a), F(b)]: the Chevalley involution no longer preserves the
+    # table, and a block stops matching its partner.  The check names a
+    # column of each, before any pair is eliminated.
     bad = scale_first_ee_constant(algebra_of(family, rank), -1)
+    Om = SplitCasimir(bad)
+    c = casimir_top_eigenvalue(Om)
+    with pytest.raises(InvariantViolation, match=(
+        f"^column {column} differs from column {image}, its Chevalley image$"
+    )):
+        degree2_ideal(bad.rs, Om, c)
+
+
+@pytest.mark.parametrize("family,rank,got,expected", [
+    ("A", 3, 54, 36),
+    ("D", 5, 315, 265),
+    ("E", 6, 733, 651),
+])
+def test_negated_constant_and_its_mirror_fail_the_dimension_check(family, rank, got, expected):
+    # Negated together, the constant and its mirror keep the table
+    # equivariant, so every block matches its partner and the partner
+    # check passes; the ideal dimension must still come out wrong.
+    bad = negate_first_ee_constant_and_its_mirror(algebra_of(family, rank))
     Om = SplitCasimir(bad)
     c = casimir_top_eigenvalue(Om)
     with pytest.raises(InvariantViolation, match=(

@@ -9,6 +9,7 @@ looks up at run time:
 * one entry of the Cartan matrix, through rootsys.cartan_matrix;
 * one coordinate of a weight or a signed root, through
   cli.build_chevalley;
+* one stored entry of the assembled operator, through cli.SplitCasimir;
 * one Betti number, through cli.betti_numbers.
 
 The survey asserts the stage that stops each mutant, not the message,
@@ -20,16 +21,17 @@ fault and must PASS, or PASS today for a known reason; each test says
 which and why.
 """
 
+from bisect import bisect_right
 from itertools import combinations
 
 import pytest
 
 from minorbit import cli, resolution, rootsys
-from minorbit.chevalley import LieAlgebra, SplitCasimir
+from minorbit.chevalley import LieAlgebra, SplitCasimir, sym2_index
 from minorbit.cli import ade_types, verify
 from minorbit.rootsys import InvariantViolation, SimpleType
 
-from helpers import algebra_of
+from helpers import algebra_of, casimir_of
 
 # Types small enough to run the whole pipeline once per mutant.
 SMALL = [SimpleType("A", 1), SimpleType("A", 2), SimpleType("A", 3), SimpleType("D", 4)]
@@ -262,6 +264,29 @@ def test_signed_root_mutants_stop_at_the_casimir_or_the_ideal_stage(monkeypatch,
                     assert stage in ("casimir", "ideal"), (x, i, d, stage)
                 kinds.add(stage)
     assert kinds == ({"casimir", "ideal", "PASS"} if t == SimpleType("A", 3) else {"casimir", "ideal"})
+
+
+@pytest.mark.parametrize("t", SMALL[:3], ids=str)
+def test_assembly_mutants_stop_at_the_ideal_stage(monkeypatch, t):
+    # Every stored entry of every block that has a partner, off by one
+    # either way once the operator is assembled, as a slip in the index
+    # arithmetic that places the products would leave it.  Each must stop
+    # at the ideal stage, except the entry of E(theta)^2, alone in its
+    # block, which the scalar check reads first, at the casimir stage.
+    real = cli.SplitCasimir
+    Om = casimir_of(t.family, t.rank)
+    at = Om._monos.index(sym2_index(Om.dim, Om.npos - 1, Om.npos - 1))
+    top = Om._entry_start[bisect_right(Om._mono_start, at) - 1]
+    for i in range(Om._entry_start[1], len(Om._entries)):
+        for d in (-1, 1):
+
+            def build(L, i=i, d=d):
+                Om = real(L)
+                Om._entries[i] += d
+                return Om
+
+            monkeypatch.setattr(cli, "SplitCasimir", build)
+            assert outcome(t) == ("casimir" if i == top else "ideal"), (i, d)
 
 
 @pytest.mark.parametrize("t", [SimpleType("A", 1), SimpleType("A", 2), SimpleType("D", 4)], ids=str)
