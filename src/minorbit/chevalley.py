@@ -41,7 +41,8 @@ opposite weight, with sign +1.  So the block of weight -mu is the block
 of mu with its monomials relabelled: SplitCasimir stores the two side
 by side, the monomials of one listed as the images of the other's, and
 the ideal stage compares them byte for byte and eliminates the pair
-once.
+once.  The involution is written once, as a list of basis positions,
+and the weight check, the duals and the partner layout all read it.
 """
 
 from __future__ import annotations
@@ -49,10 +50,9 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
-from itertools import accumulate, combinations_with_replacement, groupby, pairwise, repeat
-from operator import add, itemgetter, mul
+from itertools import accumulate, combinations_with_replacement, groupby, pairwise
+from operator import itemgetter, mul
 
-from .linalgx import SparseVec
 from .rootsys import InvariantViolation, RootSystem, root_to_weight
 
 __all__ = [
@@ -203,7 +203,8 @@ class SplitCasimir:
     block b is _monos[_mono_start[b] : _mono_start[b + 1]].  The
     zero-weight block and each block of key k > 0 list theirs in
     ascending order; the partner of key -k lists the Chevalley images of
-    its block's monomials, in the same order, so on a correct
+    its block's monomials, in the same order, read through the position
+    list that matrix() checks to negate every weight, so on a correct
     construction the two blocks of a pair hold the same entries.
     _entries, an array('b') of int8 entries, holds each block's s * s
     entries column by column, s its number of monomials, from
@@ -220,7 +221,7 @@ class SplitCasimir:
     def __init__(self, L: LieAlgebra):
         self.matrix(L)
 
-    def column(self, p: int, q: int) -> SparseVec:
+    def column(self, p: int, q: int) -> dict:
         """Image of the monomial x_p x_q, looked up in the blocks, as a fresh sparse vector."""
         if not self._monos:
             raise RuntimeError(
@@ -272,8 +273,9 @@ class SplitCasimir:
         out again in place.  The zero-weight block moves to the front, and
         each block of key k > 0 moves left to follow its partner of key
         -k, which is written anew as the Chevalley images of the block's
-        monomials, read from a table that _chevalley_images builds one
-        row segment at a time.  The monomials and their block offsets are
+        monomials, read from a table built one row at a time from omega,
+        the images of the basis positions: x_p x_q maps to
+        x_omega(p) x_omega(q).  The monomials and their block offsets are
         kept as int32 arrays, and the entry array is made once, at its
         final size.  block and local, each monomial's block and its place
         in that block's monomials, index the columns while they are
@@ -299,13 +301,14 @@ class SplitCasimir:
         stored bracket, each of which ad reads, has the key of the sum
         of its two factors' weights, and a second that the Chevalley
         image of every position has the opposite key: F(a) that of E(a),
-        and H(i), its own image, key 0.  On a root vector the image is
-        the dual, so a product [x, x_p] [dual(x), x_q] has the weight of
-        x_p x_q, and every product lands in its column's block, which
-        makes the rank of the operator exactly the sum of the block
-        ranks.  The images of the monomials of key k are then exactly
-        those of key -k, so the blocks pair up.  A failed check is a
-        construction bug, reported fatally.
+        and H(i), its own image, key 0.  The inverted bracket index and
+        the image table both read omega, so this check covers both.  On a
+        root vector the image is the dual, so a product [x, x_p]
+        [dual(x), x_q] has the weight of x_p x_q, and every product lands
+        in its column's block, which makes the rank of the operator
+        exactly the sum of the block ranks.  The images of the monomials
+        of key k are then exactly those of key -k, so the blocks pair up.
+        A failed check is a construction bug, reported fatally.
         """
         self.dim = nn = L.dim
         self.npos = m = L.npos
@@ -342,8 +345,11 @@ class SplitCasimir:
         own = monos[(len(monos) - z) // 2 :]
         # sym2_index(nn, i, j) == offset[i] + j for i <= j.
         offset = [i * (2 * nn - i - 1) // 2 for i in range(nn)]
-        # block takes the image table's storage over once the images are read.
-        block = image = _chevalley_images(nn, m, offset)
+        # image[k] is the Chevalley image of monomial k.  block takes the table's
+        # storage over once the images are read.
+        block = image = array("i")
+        for p, a in enumerate(omega):
+            image.extend([offset[a] + b if a <= b else offset[b] + a for b in omega[p:]])
         images = array("i", itemgetter(*own)(image))
         monos[:z] = own[:z]
         for lo, hi in pairwise(accumulate(half)):
@@ -411,32 +417,6 @@ class SplitCasimir:
 
         self.nnz = len(entries) - entries.count(0)
         return self
-
-
-def _chevalley_images(nn: int, m: int, offset: list[int]) -> array:
-    """image[k] is the index of the Chevalley image of monomial k, built one row segment at a time.
-
-    The image of x_p x_q is x_p' x_q', with p' and q' the images of
-    positions p and q: E(a) and F(a) swap, and H(i) stays.  Row p, the
-    monomials x_p x_q with q >= p, maps in at most three runs: its E or
-    F part and its H part onto consecutive indices of row p', and the F
-    part of an E row onto the column x_j x_p', j < m.
-    """
-    image = array("i")
-    column = offset[:m]
-    for p in range(nn):
-        if p < m:
-            o = offset[p + m]
-            image.extend(range(o + p + m, o + 2 * m))
-            image.extend(map(add, column, repeat(p + m)))
-            image.extend(range(o + 2 * m, o + nn))
-        elif p < 2 * m:
-            o = offset[p - m]
-            image.extend(range(o + p - m, o + m))
-            image.extend(range(o + 2 * m, o + nn))
-        else:
-            image.extend(range(offset[p] + p, offset[p] + nn))
-    return image
 
 
 def _blocks_by_pair(

@@ -26,17 +26,14 @@ from math import gcd, lcm
 from operator import add, sub
 
 __all__ = [
-    "SparseVec",
     "EchelonBasis",
-    "addmul",
     "append_and_rank",
     "image_basis",
     "pivot_rows",
 ]
 
-SparseVec = dict
 
-def addmul(target: SparseVec, src: Mapping[int, int], scale: int) -> None:
+def _addmul(target: dict, src: Mapping[int, int], scale: int) -> None:
     """target += scale * src in place, dropping entries that cancel."""
     if not scale:
         return
@@ -48,7 +45,7 @@ def addmul(target: SparseVec, src: Mapping[int, int], scale: int) -> None:
             target.pop(i, None)
 
 
-def _primitive(w: SparseVec) -> SparseVec:
+def _primitive(w: dict) -> dict:
     """Nonzero integer w divided by its content, signed so its lowest coordinate is positive."""
     g = gcd(*w.values())
     if w[min(w)] < 0:
@@ -71,14 +68,14 @@ class EchelonBasis:
         if dim < 0:
             raise ValueError("ambient dimension must be nonnegative")
         self.dim = dim
-        self.vectors: list[SparseVec] = []
+        self.vectors: list[dict] = []
         self.pivots: list[int] = []
         self._by_pivot: dict = {}
 
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def reduce(self, v: Mapping[int, int]) -> SparseVec:
+    def reduce(self, v: Mapping[int, int]) -> dict:
         """Remainder of v after eliminating every pivot coordinate, as a primitive integer vector.
 
         The basis is reduced, so clearing one pivot coordinate of v
@@ -98,7 +95,7 @@ class EchelonBasis:
                 w = {i: scale * x for i, x in w.items()}
             for p, x in hits:
                 vec = by_pivot[p]
-                addmul(w, vec, -(scale * x // vec[p]))
+                _addmul(w, vec, -(scale * x // vec[p]))
         return _primitive(w) if w else w
 
 
@@ -126,7 +123,7 @@ def append_and_rank(basis: EchelonBasis, v: Mapping[int, int]) -> tuple[EchelonB
         if c:
             g = gcd(a, c)
             vec = {i: (a // g) * x for i, x in vec.items()}
-            addmul(vec, w, -(c // g))
+            _addmul(vec, w, -(c // g))
             vec = _primitive(vec)
             basis.vectors[k] = vec
             basis._by_pivot[basis.pivots[k]] = vec

@@ -26,7 +26,7 @@ from itertools import combinations_with_replacement
 from types import SimpleNamespace
 
 from .chevalley import SplitCasimir, sym2_dim, sym2_index
-from .linalgx import EchelonBasis, SparseVec, append_and_rank, image_basis, pivot_rows
+from .linalgx import EchelonBasis, append_and_rank, image_basis, pivot_rows
 from .rootsys import InvariantViolation, RootSystem, root_to_weight, weyl_dim
 
 __all__ = [
@@ -150,7 +150,7 @@ def monomial_exponents(n: int, d: int) -> list[tuple[int, ...]]:
 
 
 def hilbert_from_quadrics(
-    n: int, quadrics: Sequence[SparseVec], max_degree: int
+    n: int, quadrics: Sequence[dict], max_degree: int
 ) -> list[int]:
     """Hilbert function of Sym[h] modulo the ideal generated by the quadrics.
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from itertools import chain
 
-from .linalgx import SparseVec
 from .orbit_ideal import hilbert_from_quadrics, monomial_exponents
 
 __all__ = ["matrix_quadrics", "restrict_to_diagonal", "oracle_quotient_dims"]
@@ -38,7 +37,7 @@ def matrix_quadrics(n: int) -> Iterator[dict]:
     return chain(minors, squares)
 
 
-def restrict_to_diagonal(quadrics: Iterable[dict], n: int) -> list[SparseVec]:
+def restrict_to_diagonal(quadrics: Iterable[dict], n: int) -> list[dict]:
     """Set off-diagonal entries to zero, then eliminate the last diagonal entry.
 
     Traceless coordinates are the first n-1 diagonal entries, with

@@ -23,7 +23,7 @@ from minorbit.chevalley import (
     sym2_pairs,
     sym2_unrank,
 )
-from minorbit.linalgx import EchelonBasis, SparseVec, addmul, append_and_rank
+from minorbit.linalgx import EchelonBasis, append_and_rank
 from minorbit.rootsys import RootSystem, SimpleType, build_root_system
 
 
@@ -119,7 +119,7 @@ class SparseMatrix:
     def nnz(self) -> int:
         return len(self._vals)
 
-    def column(self, j: int) -> SparseVec:
+    def column(self, j: int) -> dict:
         """Column j as a fresh dict that the caller owns."""
         if not 0 <= j < self.ncols:
             raise IndexError(f"column {j} out of range for {self.ncols} columns")
@@ -184,6 +184,20 @@ def transpose(m: SparseMatrix) -> SparseMatrix:
     )
 
 
+def add_scaled(target: dict, src: Mapping, scale) -> None:
+    """target += scale * src in place, dropping entries that cancel.
+
+    Written here, not imported from linalgx, so that the references do not
+    share the kernel they check.
+    """
+    for i, x in src.items():
+        v = target.get(i, 0) + scale * x
+        if v:
+            target[i] = v
+        else:
+            target.pop(i, None)
+
+
 def mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     if a.ncols != b.nrows:
         raise ValueError("shape mismatch in matrix product")
@@ -192,7 +206,7 @@ def mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     for col in columns(b):
         acc: dict = {}
         for k, x in col.items():
-            addmul(acc, a_cols[k], x)
+            add_scaled(acc, a_cols[k], x)
         out.append(acc)
     return SparseMatrix.from_columns(a.nrows, out)
 
@@ -368,6 +382,7 @@ def shift_theta_pairing(L: LieAlgebra, by: int) -> LieAlgebra:
 
 # -- rational echelon reference ----------------------------------------------
 
+
 def fraction_echelon(columns) -> tuple[list[int], list[dict]]:
     """Monic reduced echelon basis of the span of the columns, in Fraction arithmetic.
 
@@ -381,7 +396,7 @@ def fraction_echelon(columns) -> tuple[list[int], list[dict]]:
         for pivot, vec in zip(pivots, vectors):
             c = w.get(pivot)
             if c:
-                addmul(w, vec, -c)
+                add_scaled(w, vec, -c)
         if not w:
             continue
         pivot = min(w)
@@ -390,7 +405,7 @@ def fraction_echelon(columns) -> tuple[list[int], list[dict]]:
         for vec in vectors:
             c = vec.get(pivot)
             if c:
-                addmul(vec, w, -c)
+                add_scaled(vec, w, -c)
         at = sum(1 for p in pivots if p < pivot)
         pivots.insert(at, pivot)
         vectors.insert(at, w)
