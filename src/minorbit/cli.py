@@ -21,7 +21,7 @@ from contextlib import contextmanager
 
 from .chevalley import SplitCasimir, build_chevalley, casimir_top_eigenvalue, sym2_dim
 from .orbit_ideal import degree2_ideal, projected_span, quotient_hilbert
-from .resolution import betti_numbers, dynkin_tree, euler_characteristic
+from .resolution import betti_numbers, dynkin_tree
 from .rootsys import InvariantViolation, SimpleType, build_root_system
 from .sln_oracle import oracle_quotient_dims
 
@@ -29,7 +29,6 @@ __all__ = [
     "VerificationReport",
     "ade_types",
     "verify",
-    "verify_all",
     "emit_report",
     "main",
 ]
@@ -109,7 +108,7 @@ def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
     with stage("resolution"):
         tree = dynkin_tree(t)
         betti = betti_numbers(tree)
-        if euler_characteristic(tree) != sum((-1) ** k * b for k, b in enumerate(betti)):
+        if sum((-1) ** k * b for k, b in enumerate(betti)) != tree.n + 1:
             raise InvariantViolation("Euler characteristic mismatch")
         # Cohomological degree 2d is polynomial degree d: the ring dimensions
         # are the even Betti numbers, zero above the top one.
@@ -148,11 +147,6 @@ def ade_types(max_rank: int) -> list[SimpleType]:
     types += [SimpleType("D", r) for r in range(4, max_rank + 1)]
     types += [SimpleType("E", r) for r in (6, 7, 8) if r <= max_rank]
     return types
-
-
-def verify_all(max_rank: int, max_degree: int = 4) -> list:
-    """Reports for every ADE type with rank up to max_rank."""
-    return [verify(t, max_degree) for t in ade_types(max_rank)]
 
 
 def _poincare_str(coeffs: list) -> str:
@@ -209,10 +203,8 @@ def main(argv: list | None = None) -> int:
         parser.error("--all cannot be combined with --family or --rank")
 
     try:
-        if args.all is not None:
-            reports = verify_all(args.all, args.max_degree)
-        else:
-            reports = [verify(SimpleType(args.family, args.rank), args.max_degree)]
+        types = [SimpleType(args.family, args.rank)] if args.all is None else ade_types(args.all)
+        reports = [verify(t, args.max_degree) for t in types]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)
@@ -222,10 +214,8 @@ def main(argv: list | None = None) -> int:
         return 3
 
     if args.format == "json":
-        if args.all is not None:
-            payload = {"reports": [r._asdict() for r in reports]}
-        else:
-            payload = reports[0]._asdict()
+        rows = [r._asdict() for r in reports]
+        payload = rows[0] if args.all is None else {"reports": rows}
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         sys.stdout.write("\n".join(emit_report(r) for r in reports))

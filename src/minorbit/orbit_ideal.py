@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from itertools import combinations_with_replacement
 from types import SimpleNamespace
 
-from .chevalley import SplitCasimir, sym2_dim, sym2_index
+from .chevalley import SplitCasimir, sym2_dim
 from .linalgx import EchelonBasis, append_and_rank, image_basis, pivot_rows
 from .rootsys import InvariantViolation, RootSystem, root_to_weight, weyl_dim
 
@@ -112,25 +112,18 @@ def degree2_ideal(rs: RootSystem, Omega: SplitCasimir, c) -> IdealDegree2:
     return IdealDegree2(SimpleNamespace(vectors=vectors), dim_v2theta)
 
 
-def _cartan_start(rs: RootSystem) -> int:
-    """Index of the monomial H(1)^2, the first of the Cartan monomials in Sym^2 g."""
-    base = 2 * len(rs.positive_roots)
-    return sym2_index(rs.dim_g, base, base)
-
-
 def projected_span(rs: RootSystem, I2: IdealDegree2) -> tuple[int, EchelonBasis]:
     """Restrict the ideal basis vectors to the Cartan and span inside Sym^2 h.
 
-    The layout of Sym^2 g depends only on the root system rs.  The
-    Cartan positions come last, so the monomials H(i) H(j) are the
-    indices from that of H(1)^2 on, laid out as Sym^2 h: restriction
-    drops the lower indices and shifts the rest.  Only a vector whose
-    highest coordinate reaches H(1)^2 restricts to a nonzero quadric;
-    the others are skipped.  The expected rank is rank(rank+1)/2;
+    The Cartan monomials H(i) H(j) are the last rank(rank+1)/2
+    monomials of Sym^2 g, in the order of Sym^2 h, so restriction drops
+    the lower indices and shifts the rest.  Only a vector whose highest
+    coordinate reaches H(1)^2 restricts to a nonzero quadric; the
+    others are skipped.  The expected rank is rank(rank+1)/2;
     falling short is a verification failure for the caller to report,
     not an error here.
     """
-    first = _cartan_start(rs)
+    first = sym2_dim(rs.dim_g) - sym2_dim(rs.rank)
     basis = EchelonBasis(sym2_dim(rs.rank))
     for vec in I2.basis.vectors:
         if max(vec) >= first:

@@ -17,7 +17,7 @@ from collections import namedtuple
 
 from .rootsys import InvariantViolation, SimpleType, dynkin_edges
 
-__all__ = ["DynkinTree", "dynkin_tree", "betti_numbers", "euler_characteristic"]
+__all__ = ["DynkinTree", "dynkin_tree", "betti_numbers"]
 
 
 class DynkinTree(namedtuple("DynkinTree", "n edges")):
@@ -27,28 +27,19 @@ class DynkinTree(namedtuple("DynkinTree", "n edges")):
 
 
 def dynkin_tree(t: SimpleType) -> DynkinTree:
-    """Tree of exceptional spheres for type t, checked to have no cycle.
+    """Tree of exceptional spheres for type t, checked to be a tree.
 
-    A graph on n vertices with k edges and no cycle is a forest of
-    n - k components.  cli.verify checks its Euler characteristic,
-    2n - k, against the Betti sum 1 + n, which holds only at k = n - 1,
-    one component: so a diagram that passes both checks is a tree.
+    It must have n - 1 edges that reach all n vertices from vertex 0.
+    Its n spheres then meet in n - 1 points, for an Euler characteristic
+    of n + 1, which cli.verify checks against the Betti numbers.
     """
     n = t.rank
     edges = dynkin_edges(t)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            raise InvariantViolation("diagram contains a cycle")
-        parent[ri] = rj
+    reached = {0}
+    for _ in range(n):
+        reached |= {v for e in edges if not reached.isdisjoint(e) for v in e}
+    if len(edges) != n - 1 or reached != set(range(n)):
+        raise InvariantViolation("diagram is not a tree")
     return DynkinTree(n, edges)
 
 
@@ -62,7 +53,3 @@ def betti_numbers(tr: DynkinTree) -> list[int]:
     """
     return [1, 0, tr.n]
 
-
-def euler_characteristic(tr: DynkinTree) -> int:
-    """Euler characteristic of the tree of spheres: n spheres, one double point per edge."""
-    return 2 * tr.n - len(tr.edges)

@@ -19,7 +19,6 @@ from minorbit.cli import (
     emit_report,
     main,
     verify,
-    verify_all,
 )
 from minorbit.rootsys import InvariantViolation, SimpleType
 
@@ -99,7 +98,7 @@ def test_text_reports_are_separated_by_a_blank_line(capsys):
     assert main(["--all", "2"]) == 0
     blocks = capsys.readouterr().out.split("\n\n")
     assert [_without_timings(b) for b in blocks] == [
-        _without_timings(emit_report(r)) for r in verify_all(2)
+        _without_timings(emit_report(verify(t))) for t in ade_types(2)
     ]
     assert all(": " in line for b in blocks for line in b.splitlines())
 
@@ -131,12 +130,6 @@ def test_ade_type_enumeration():
         ade_types(0)
 
 
-def test_verify_all_small():
-    reports = verify_all(2)
-    assert [r.family + str(r.rank) for r in reports] == ["A1", "A2"]
-    assert all(r.passed for r in reports)
-
-
 def test_main_single_type_exit_zero(capsys):
     code = main(["--family", "A", "--rank", "1"])
     out = capsys.readouterr().out
@@ -164,7 +157,7 @@ def test_main_usage_errors():
     ["--family", "E", "--rank", "8"], ["--family", "E"], ["--rank", "8"],
 ])
 def test_all_with_a_single_type_flag_is_a_usage_error(capsys, monkeypatch, extra):
-    monkeypatch.setattr(cli, "verify_all", lambda *a: pytest.fail("verified despite the usage error"))
+    monkeypatch.setattr(cli, "verify", lambda *a: pytest.fail("verified despite the usage error"))
     with pytest.raises(SystemExit) as exc:
         main(["--all", "2", *extra])
     assert exc.value.code == 2

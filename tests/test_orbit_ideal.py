@@ -20,7 +20,6 @@ from minorbit.cli import ade_types
 from minorbit.linalgx import image_basis
 from minorbit.orbit_ideal import (
     IdealDegree2,
-    _cartan_start,
     degree2_ideal,
     hilbert_from_quadrics,
     monomial_exponents,
@@ -519,12 +518,13 @@ def test_every_stored_bracket_is_guarded(family, rank, factor):
 ))
 def test_restrict_to_cartan_keeps_exactly_the_cartan_monomials(family, rank):
     # The layout the index shift in projected_span rests on: the monomials
-    # with both factors Cartan are exactly the indices from H(1)^2 on,
-    # in the order of Sym^2 h, which is also the order of the exponent
-    # tuples hilbert_from_quadrics reads the quadrics in.
+    # with both factors Cartan are exactly the last rank(rank+1)/2, in the
+    # order of Sym^2 h, which is also the order of the exponent tuples
+    # hilbert_from_quadrics reads the quadrics in.
     L = algebra_of(family, rank)
     base = 2 * L.npos
-    start = _cartan_start(L.rs)
+    start = sym2_dim(L.dim) - sym2_dim(rank)
+    assert start == sym2_index(L.dim, base, base)
     exps = monomial_exponents(rank, 2)
     for k, (p, q) in enumerate(sym2_pairs(L.dim)):
         assert (k >= start) == (p >= base and q >= base), (k, p, q)

@@ -4,7 +4,7 @@ import pytest
 
 from minorbit import resolution
 from minorbit.cli import verify
-from minorbit.resolution import betti_numbers, dynkin_tree, euler_characteristic
+from minorbit.resolution import betti_numbers, dynkin_tree
 from minorbit.rootsys import InvariantViolation, SimpleType, cartan_matrix
 
 ALL_TYPES = (
@@ -58,37 +58,38 @@ def test_betti_small_cases():
     assert betti_numbers(dynkin_tree(SimpleType("E", 8))) == [1, 0, 8]
 
 
-def test_euler_characteristic_values():
-    assert euler_characteristic(dynkin_tree(SimpleType("A", 1))) == 2
-    assert euler_characteristic(dynkin_tree(SimpleType("A", 2))) == 3
-    assert euler_characteristic(dynkin_tree(SimpleType("E", 6))) == 7
-
-
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
 def test_euler_matches_betti_alternating_sum(family, rank):
-    tr = dynkin_tree(SimpleType(family, rank))
-    b0, b1, b2 = betti_numbers(tr)
-    assert euler_characteristic(tr) == b0 - b1 + b2
-    assert euler_characteristic(tr) == rank + 1
+    # n spheres meeting in n - 1 points: Euler characteristic 2n - (n - 1).
+    b0, b1, b2 = betti_numbers(dynkin_tree(SimpleType(family, rank)))
+    assert b0 - b1 + b2 == rank + 1
 
 
-def test_dropped_edge_fails_the_euler_check(monkeypatch):
-    # A5 without its first edge has no cycle, so dynkin_tree passes it:
-    # it is a forest of two trees, whose Euler characteristic 2 * 5 - 3
-    # is one more than the Betti sum 1 + 5.  verify stops it at the
-    # resolution stage; the root system still reads the real diagram.
+def test_dropped_edge_fails_the_tree_check(monkeypatch):
+    # A5 without its first edge is a forest of two trees.  verify stops it
+    # at the resolution stage; the root system still reads the real diagram.
     real = resolution.dynkin_edges
     monkeypatch.setattr(resolution, "dynkin_edges", lambda t: real(t)[1:])
-    assert dynkin_tree(SimpleType("A", 5)).edges == real(SimpleType("A", 5))[1:]
     with pytest.raises(InvariantViolation, match=(
-        "^resolution stage: A5: Euler characteristic mismatch$"
+        "^resolution stage: A5: diagram is not a tree$"
     )):
         verify(SimpleType("A", 5))
 
 
-def test_cycle_fails_the_tree_check(monkeypatch):
-    # Three edges on four vertices: (0, 2) closes the triangle 0-1-2
-    # and leaves vertex 3 alone.
-    monkeypatch.setattr(resolution, "dynkin_edges", lambda t: ((0, 1), (1, 2), (0, 2)))
-    with pytest.raises(InvariantViolation, match="^diagram contains a cycle$"):
+# Each non-tree on A4, whose diagram is the path (0, 1), (1, 2), (2, 3).
+NON_TREES = {
+    # (0, 2) closes the triangle 0-1-2 and leaves vertex 3 alone.
+    "cycle": ((0, 1), (1, 2), (0, 2)),
+    "dropped-edge": ((0, 1), (1, 2)),
+    "added-edge": ((0, 1), (1, 2), (2, 3), (0, 3)),
+    # Three edges, as in a tree, but (3, 3) reaches no new vertex.
+    "self-loop": ((0, 1), (1, 2), (3, 3)),
+}
+
+
+@pytest.mark.parametrize("edges", NON_TREES.values(), ids=NON_TREES.keys())
+def test_non_tree_fails_the_tree_check(monkeypatch, edges):
+    assert resolution.dynkin_edges(SimpleType("A", 4)) == ((0, 1), (1, 2), (2, 3))
+    monkeypatch.setattr(resolution, "dynkin_edges", lambda t: edges)
+    with pytest.raises(InvariantViolation, match="^diagram is not a tree$"):
         dynkin_tree(SimpleType("A", 4))
