@@ -51,7 +51,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from itertools import accumulate, combinations_with_replacement, groupby, pairwise
-from operator import itemgetter, mul
+from operator import mul
 
 from .rootsys import InvariantViolation, RootSystem, root_to_weight
 
@@ -268,14 +268,13 @@ class SplitCasimir:
         determines its weight.  The keys are Python ints, so the encoding
         is exact at every rank.  One sort by key orders the monomials
         block by block, each block in monomial order, and gives the block
-        sizes.  In key order the blocks of negative key come first and the
-        zero-weight block sits in the middle; the monomials are then laid
-        out again in place.  The zero-weight block moves to the front, and
-        each block of key k > 0 moves left to follow its partner of key
-        -k, which is written anew as the Chevalley images of the block's
-        monomials, read from a table built one row at a time from omega,
-        the images of the basis positions: x_p x_q maps to
-        x_omega(p) x_omega(q).  The monomials and their block offsets are
+        sizes; its upper half is the zero-weight block, then the blocks of
+        key k > 0.  The layout appends that zero-weight block and then,
+        for each block of key k > 0, its partner of key -k, the Chevalley
+        images of the block's monomials in the same order, followed by the
+        block itself; the images are read from a table built one row at a
+        time from omega, the images of the basis positions: x_p x_q maps
+        to x_omega(p) x_omega(q).  The monomials and their block offsets are
         kept as int32 arrays, and the entry array is made once, at its
         final size.  block and local, each monomial's block and its place
         in that block's monomials, index the columns while they are
@@ -332,17 +331,10 @@ class SplitCasimir:
                 )
         keys = [key[p] + key[q] for p, q in sym2_pairs(nn)]
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        self._monos = monos = array("i", order)
-        sizes = array("l", [len(list(g)) for _, g in groupby(order, keys.__getitem__)])
+        half = [len(list(g)) for _, g in groupby(order, keys.__getitem__)]
+        half = half[len(half) // 2 :]
+        own = array("i", order[len(order) - sum(half) :])
         del key, keys, order
-        # In key order the blocks of negative key come first and the zero-weight
-        # block sits in the middle.  It moves to the front, and each block of key
-        # k > 0 moves left, after its partner of key -k, which is written anew as
-        # the Chevalley images of the block's monomials, in the same order.
-        half = sizes[len(sizes) // 2 :]
-        sizes[0], sizes[1::2], sizes[2::2] = half[0], half[1:], half[1:]
-        z = half[0]
-        own = monos[(len(monos) - z) // 2 :]
         # sym2_index(nn, i, j) == offset[i] + j for i <= j.
         offset = [i * (2 * nn - i - 1) // 2 for i in range(nn)]
         # image[k] is the Chevalley image of monomial k.  block takes the table's
@@ -350,13 +342,13 @@ class SplitCasimir:
         block = image = array("i")
         for p, a in enumerate(omega):
             image.extend([offset[a] + b if a <= b else offset[b] + a for b in omega[p:]])
-        images = array("i", itemgetter(*own)(image))
-        monos[:z] = own[:z]
+        self._monos = monos = own[: half[0]]
+        sizes = half[:1]
         for lo, hi in pairwise(accumulate(half)):
-            t = 2 * lo - z
-            monos[t : t + hi - lo] = images[lo:hi]
-            monos[t + hi - lo : 2 * hi - z] = own[lo:hi]
-        del half, own, images
+            monos.extend([image[k] for k in own[lo:hi]])
+            monos.extend(own[lo:hi])
+            sizes += [hi - lo] * 2
+        del half, own
         self._mono_start = array("i", accumulate(sizes, initial=0))
         self._entry_start = entry_start = array("l", accumulate(map(mul, sizes, sizes), initial=0))
         self._entries = entries = array("b", [0]) * entry_start[-1]

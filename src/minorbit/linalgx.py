@@ -35,8 +35,6 @@ __all__ = [
 
 def _addmul(target: dict, src: Mapping[int, int], scale: int) -> None:
     """target += scale * src in place, dropping entries that cancel."""
-    if not scale:
-        return
     for i, x in src.items():
         v = target.get(i, 0) + scale * x
         if v:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from types import SimpleNamespace
 
 from .chevalley import SplitCasimir, sym2_dim
@@ -166,18 +166,13 @@ def hilbert_from_quadrics(
         pos = {e: i for i, e in enumerate(monos)}
         extras = monomial_exponents(n, d - 2)
         basis = EchelonBasis(len(monos))
-        full = False
-        for g in gens:
-            for extra in extras:
-                vec = {}
-                for e, c in g:
-                    key = tuple(a + b for a, b in zip(e, extra))
-                    vec[pos[key]] = c
-                append_and_rank(basis, vec)
-                if len(basis) == len(monos):
-                    full = True
-                    break
-            if full:
+        for g, extra in product(gens, extras):
+            vec = {}
+            for e, c in g:
+                key = tuple(a + b for a, b in zip(e, extra))
+                vec[pos[key]] = c
+            append_and_rank(basis, vec)
+            if len(basis) == len(monos):
                 break
         dims.append(len(monos) - len(basis))
         if dims[-1] == 0:

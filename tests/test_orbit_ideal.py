@@ -2,10 +2,12 @@
 
 import weakref
 from collections import defaultdict
+from itertools import combinations_with_replacement
 from operator import add
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minorbit.chevalley import (
     LieAlgebra,
@@ -184,6 +186,38 @@ def test_partial_span_gives_nonzero_quotient():
     # the first that the ideal fills.
     squares = [{h1h1: 1}, {h2h2: 1}]
     assert hilbert_from_quadrics(2, squares, 8) == [1, 2, 1, 0, 0, 0, 0, 0, 0]
+
+
+@st.composite
+def quadric_systems(draw):
+    """n <= 3 variables, up to 4 integer quadrics over sym2_index order, some empty, and a top degree."""
+    n = draw(st.integers(1, 3))
+    coefficient = st.sampled_from([1, -1, 2, -3, 4])
+    quadric = st.dictionaries(st.integers(0, sym2_dim(n) - 1), coefficient, max_size=4)
+    return n, draw(st.lists(quadric, max_size=4)), draw(st.integers(2, 5))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(quadric_systems())
+def test_hilbert_from_quadrics_matches_the_dense_rank_of_every_product(case):
+    # Reference: in every degree d, the dense rank of all products q m over
+    # every degree d-2 monomial m, with no early stop.  A monomial is the
+    # sorted tuple of its variables; a quadric's k-th coordinate is the k-th
+    # pair i <= j in row-major order.
+    n, quadrics, max_degree = case
+    pairs = list(combinations_with_replacement(range(n), 2))
+    expected = [1, n]
+    for d in range(2, max_degree + 1):
+        column = {m: i for i, m in enumerate(combinations_with_replacement(range(n), d))}
+        rows = []
+        for q in quadrics:
+            for m in combinations_with_replacement(range(n), d - 2):
+                row = [0] * len(column)
+                for k, c in q.items():
+                    row[column[tuple(sorted(m + pairs[k]))]] = c
+                rows.append(row)
+        expected.append(len(column) - dense_rank(rows))
+    assert hilbert_from_quadrics(n, quadrics, max_degree) == expected
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("D", 4)])
