@@ -179,7 +179,12 @@ def sym2_index(n: int, p: int, q: int) -> int:
 
 
 def sym2_unrank(n: int, k: int) -> tuple[int, int]:
-    """The pair (p, q), p <= q, of the monomial of flat index k: the inverse of sym2_index."""
+    """The pair (p, q), p <= q, of the monomial of flat index k: the inverse of sym2_index.
+
+    An index outside [0, sym2_dim(n)) raises ValueError.
+    """
+    if not 0 <= k < sym2_dim(n):
+        raise ValueError(f"flat index {k} out of range for Sym^2 of dimension {n}")
     p = 0
     while k >= n - p:
         k -= n - p
@@ -283,13 +288,15 @@ class SplitCasimir:
 
         The root part of column (p, q) sums [x, x_p] [dual(x), x_q] over
         root vectors x.  ad[p] maps each x with [x, x_p] != 0 to that
-        bracket, and the parallel int32 arrays invq[x], invj[x] and
-        invc[x] hold (q, j, c) for every term c x_j of every nonzero
-        [dual(x), x_q], sorted by q, so every product visited is
-        nonzero.  Step p completes the columns (p, q), q >= p: each
-        product is added into a short int list for its column, and the
-        weight pairing (wt(x_p), wt(x_q)), the dot product of
-        weights_fw[p] and signed_roots[q], onto the diagonal.  Each
+        bracket.  One pass over the stored keys fills it, reading a bracket
+        once for each end of its key that is a root vector: 14,592 reads on
+        E8, not one per root vector and position, 59,520.  The parallel
+        int32 arrays invq[x], invj[x] and invc[x] hold (q, j, c) for every
+        term c x_j of every nonzero [dual(x), x_q], sorted by q, so every
+        product visited is nonzero.  Step p completes the columns (p, q),
+        q >= p: each product is added into a short int list for its
+        column, and the weight pairing (wt(x_p), wt(x_q)), the dot product
+        of weights_fw[p] and signed_roots[q], onto the diagonal.  Each
         finished column is copied into its slot of the entry array.  An
         entry outside the int8 range [-128, 127] raises InvariantViolation
         there, naming its column, instead of wrapping.  The entries of
@@ -360,7 +367,13 @@ class SplitCasimir:
                 block[k] = b
                 local[k] = i
 
-        ad = [{x: u for x in range(2 * m) if (u := L.bracket(x, p))} for p in range(nn)]
+        ad = [{} for _ in range(nn)]
+        for ab in L.brackets:
+            a, b = divmod(ab, nn)
+            if a < 2 * m:
+                ad[b][a] = L.bracket(a, b)
+            if b < 2 * m:
+                ad[a][b] = L.bracket(b, a)
         invq, invj, invc = ([array("i") for _ in range(2 * m)] for _ in range(3))
         for q, row in enumerate(ad):
             for x, u in row.items():

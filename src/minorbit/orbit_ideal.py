@@ -20,6 +20,7 @@ exactly that order, so restriction is a shift of the index.
 
 from __future__ import annotations
 
+from array import array
 from collections import namedtuple
 from collections.abc import Sequence
 from itertools import combinations_with_replacement, product
@@ -48,7 +49,9 @@ class IdealDegree2(namedtuple("IdealDegree2", "basis dim_v2theta")):
     of the zero-weight block's part of the ideal, then, for each pair of
     blocks of keys k and -k from the last pair to the first, the pivot
     rows of the block of key k, which are independent but not in echelon
-    form, and the same rows over its partner's monomials.
+    form, and the same rows over its partner's monomials.  Pairs whose
+    entries are equal byte for byte get the same rows, each pair over
+    its own monomials.
     dim_v2theta is the Weyl dimension of V(2 theta), the kernel of the
     shift, which the ideal dimension was checked against.
     """
@@ -68,41 +71,57 @@ def degree2_ideal(rs: RootSystem, Omega: SplitCasimir, c) -> IdealDegree2:
     Omega.release() hands over: the zero-weight block first, then each
     pair of blocks of opposite weights, from the last pair to the first,
     once their entries are found equal byte for byte, freeing each pair
-    once the next one is asked for.  Each block or pair in turn is read
-    into an int list, has c subtracted on its diagonal, and is
-    eliminated in its own coordinates, unless the shift leaves it zero.
-    So this uses the operator up: afterwards its blocks are gone, and
-    only dim, npos and nnz, the count of its entries, are left.
+    once the next one is asked for.  So this uses the operator up:
+    afterwards its blocks are gone, and only dim, npos and nnz, the
+    count of its entries, are left.  A block is read into int lists,
+    one per column, with c subtracted on its diagonal, and eliminated
+    in its own coordinates.
     The zero-weight block, the only one that holds the Cartan monomials
     H(i) H(j) that projected_span reads, gives its image_basis.  A pair
     gives the pivot_rows of one block, as many as its rank, each row
     emitted twice: once over the block's monomials and once over its
     partner's, the Chevalley images of the same monomials in the same
-    order, since the two blocks are the same matrix.  Local coordinates
-    map back through each monomial list, made once per list, so the
-    vectors of a block share its monomial ints.  The block supports are
-    disjoint, so the vectors of all blocks together are independent.  A
-    count other than dim Sym^2 g minus the Weyl dimension of the
-    doubled highest weight is a construction bug, reported fatally, as
-    is a pair whose blocks differ.
+    order, since the two blocks are the same matrix.  Most pairs repeat
+    another's int8 entries byte for byte (E8's 1,200 pairs that the
+    shift leaves nonzero hold 177 distinct runs), and pivot_rows is
+    deterministic, so a pair's rows depend on its bytes alone.  A pair
+    is eliminated the first and the second time its run is met; the
+    second time its rows are kept, keyed by the bytes, and every later
+    pair with that run reuses them over its own two monomial lists.  A
+    run met once leaves only its hash, so rows are kept just for the
+    runs that recur.  E8 makes 236 eliminations for its 4,680 pairs,
+    3,480 of them 1 x 1 blocks that the shift leaves zero, and keeps
+    the rows of 58 runs.
+    Local coordinates map back through each monomial list, made once
+    per list, so the vectors of a block share its monomial ints.  The
+    block supports are disjoint, so the vectors of all blocks together
+    are independent.  A count other than dim Sym^2 g minus the Weyl
+    dimension of the doubled highest weight is a construction bug,
+    reported fatally, as is a pair whose blocks differ.
     """
     nrows = sym2_dim(rs.dim_g)
-    vectors = []
-    for lists, data in Omega.release():
-        s = len(lists[0])
-        data = data.tolist()
-        data[:: s + 1] = [x - c for x in data[:: s + 1]]
-        if not any(data):
+    blocks = Omega.release()
+    (monos,), data = next(blocks)
+    s = len(monos)
+    monos = monos.tolist()
+    basis = image_basis(s, _shifted_columns(data, s, c))
+    vectors = [{monos[i]: x for i, x in v.items()} for v in basis.vectors]
+    # The hashes of the entry runs met once, and the rows of the runs met again.
+    seen, known = set(), {}
+    for lists, data in blocks:
+        raw = data.tobytes()
+        rows = known.get(raw)
+        if rows is None:
+            s = len(lists[0])
+            rows = pivot_rows(s, _shifted_columns(data, s, c))
+            if (h := hash(raw)) in seen:
+                known[raw] = rows
+            seen.add(h)
+        if not rows:
             continue
-        cols = [data[j : j + s] for j in range(0, s * s, s)]
-        if len(lists) == 1:
-            monos = lists[0].tolist()
-            vectors += ({monos[i]: x for i, x in v.items()} for v in image_basis(s, cols).vectors)
-        else:
-            rows = pivot_rows(s, cols)
-            for monos in lists:
-                monos = monos.tolist()
-                vectors += ({m: x for m, x in zip(monos, row) if x} for row in rows)
+        for monos in lists:
+            monos = monos.tolist()
+            vectors += ({m: x for m, x in zip(monos, row) if x} for row in rows)
     theta2 = tuple(2 * x for x in root_to_weight(rs, rs.positive_roots[-1]))
     dim_v2theta = weyl_dim(rs, theta2)
     expected = nrows - dim_v2theta
@@ -110,6 +129,13 @@ def degree2_ideal(rs: RootSystem, Omega: SplitCasimir, c) -> IdealDegree2:
     if dim != expected:
         raise InvariantViolation(f"degree-2 ideal has dimension {dim}, expected {expected}")
     return IdealDegree2(SimpleNamespace(vectors=vectors), dim_v2theta)
+
+
+def _shifted_columns(data: array, s: int, c) -> list[list[int]]:
+    """The int8 entries of an s x s block, c subtracted on the diagonal, as s int list columns."""
+    data = data.tolist()
+    data[:: s + 1] = [x - c for x in data[:: s + 1]]
+    return [data[j : j + s] for j in range(0, s * s, s)]
 
 
 def projected_span(rs: RootSystem, I2: IdealDegree2) -> tuple[int, EchelonBasis]:

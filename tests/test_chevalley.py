@@ -243,6 +243,29 @@ def test_sym2_indexing_roundtrip():
         assert sym2_unrank(n, flat) == (p, q)
 
 
+@pytest.mark.parametrize("family,rank,reads", [("A", 3, 90), ("D", 4, 288), ("E", 6, 1764)])
+def test_casimir_reads_each_bracket_once_per_root_vector_end(family, rank, reads, monkeypatch):
+    # The assembly reads [x, x_p] only where the table stores a key for x
+    # and p, x a root vector: once for each root-vector end of each key,
+    # not once for every root vector and every position.
+    L = algebra_of(family, rank)
+    ends = sum((a < 2 * L.npos) + (b < 2 * L.npos) for a, b in (divmod(k, L.dim) for k in L.brackets))
+    assert ends == reads < 2 * L.npos * L.dim
+    calls = []
+    bracket = LieAlgebra.bracket
+    monkeypatch.setattr(LieAlgebra, "bracket", lambda self, i, j: calls.append(i) or bracket(self, i, j))
+    SplitCasimir(L)
+    assert len(calls) == reads
+
+
+@pytest.mark.parametrize("n,k", [(3, -1), (3, 6), (3, 7), (1, 1), (0, 0)])
+def test_sym2_unrank_rejects_an_index_outside_the_square(n, k):
+    # sym2_dim(3) is 6: flat indices run 0..5.  Past the end the walk
+    # over the rows would never stop, and below 0 it would return (0, -1).
+    with pytest.raises(ValueError, match=f"^flat index {k} out of range for Sym\\^2 of dimension {n}$"):
+        sym2_unrank(n, k)
+
+
 def test_casimir_a1_columns():
     L = algebra_of("A", 1)
     Om = casimir_of("A", 1)

@@ -1,7 +1,7 @@
 """Degree-2 ideal, Cartan restriction and quotient Hilbert functions."""
 
 import weakref
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import combinations_with_replacement
 from operator import add
 from types import SimpleNamespace
@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import minorbit.orbit_ideal
 from minorbit.chevalley import (
     LieAlgebra,
     SplitCasimir,
@@ -19,7 +20,7 @@ from minorbit.chevalley import (
     sym2_pairs,
 )
 from minorbit.cli import ade_types
-from minorbit.linalgx import image_basis
+from minorbit.linalgx import image_basis, pivot_rows
 from minorbit.orbit_ideal import (
     IdealDegree2,
     degree2_ideal,
@@ -377,6 +378,119 @@ def test_release_yields_square_blocks_last_key_first(family, rank):
         ([own, partner], data) for (partner, _), (own, data) in pairs
     ]
     assert all(len(data) == len(lists[0]) ** 2 for lists, data in got)
+
+
+def _shifted_columns(data, c):
+    """The columns of a stored block's entries with c subtracted on the diagonal, as int lists."""
+    s = int(len(data) ** 0.5)
+    return [[data[j * s + i] - c * (i == j) for i in range(s)] for j in range(s)]
+
+
+def _counted_pivot_rows(monkeypatch):
+    """Replace the ideal stage's pivot_rows by one that records the columns of every call."""
+    calls = []
+
+    def counted(nrows, cols):
+        calls.append(cols)
+        return pivot_rows(nrows, cols)
+
+    monkeypatch.setattr(minorbit.orbit_ideal, "pivot_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family,rank", [("A", 5), ("D", 5), ("E", 6)])
+def test_every_pair_emits_the_fresh_pivot_rows_of_its_own_entries(family, rank):
+    # Pairs whose int8 runs are equal byte for byte share one elimination,
+    # so the vectors of each pair must still be exactly those a fresh
+    # pivot_rows of its own shifted entries gives, over its own two
+    # monomial lists, in the order release() hands the pairs over.
+    L, Om, c = pipeline(family, rank)
+    blocks = weight_blocks(Om)
+    assert max(Counter(tuple(data) for _, data in blocks[2::2]).values()) > 1
+    monos, data = blocks[0]
+    expected = [
+        {monos[i]: x for i, x in v.items()}
+        for v in image_basis(len(monos), _shifted_columns(data, c)).vectors
+    ]
+    for (partner, _), (own, data) in reversed(list(zip(blocks[1::2], blocks[2::2]))):
+        rows = pivot_rows(len(own), _shifted_columns(data, c))
+        for monos in (own, partner):
+            expected += [{m: x for m, x in zip(monos, row) if x} for row in rows]
+    assert degree2_ideal(L.rs, Om, c).basis.vectors == expected
+
+
+def test_each_distinct_run_is_eliminated_at_most_twice(monkeypatch):
+    # A run is eliminated when it is first met and again when it recurs,
+    # where its rows are kept for every later pair with the same bytes:
+    # E6's 567 pairs hold 45 distinct runs, 9 of which recur, so 54
+    # eliminations replace 567.  One of the runs is the 1 x 1 block [2],
+    # which the shift leaves zero, met 396 times.
+    L, Om, c = pipeline("E", 6)
+    runs = Counter(tuple(data) for _, data in weight_blocks(Om)[2::2])
+    calls = _counted_pivot_rows(monkeypatch)
+    degree2_ideal(L.rs, Om, c)
+    recurring = sum(n > 1 for n in runs.values())
+    assert (sum(runs.values()), len(runs), recurring) == (567, 45, 9)
+    assert len(calls) == len(runs) + recurring
+
+
+def test_pairs_with_equal_runs_emit_rows_over_their_own_monomials():
+    # Two pairs of E6 with byte-identical entries but different weights:
+    # the rows they share must land on each pair's own monomials.
+    L, Om, c = pipeline("E", 6)
+    blocks = weight_blocks(Om)
+    runs = Counter(tuple(data) for _, data in blocks[2::2])
+    first = next(
+        b for b in range(2, len(blocks), 2)
+        if len(blocks[b][0]) > 1 and runs[tuple(blocks[b][1])] > 1
+    )
+    data = blocks[first][1]
+    second = next(b for b in range(first + 2, len(blocks), 2) if blocks[b][1] == data)
+    assert blocks[first][0] != blocks[second][0]
+    block_of = {m: b for b, (monos, _) in enumerate(blocks) for m in monos}
+    by_block = defaultdict(list)
+    for vec in degree2_ideal(L.rs, Om, c).basis.vectors:
+        (b,) = {block_of[m] for m in vec}
+        by_block[b].append(vec)
+    rows = pivot_rows(len(blocks[first][0]), _shifted_columns(data, c))
+    assert rows
+    for b in (first, first - 1, second, second - 1):
+        monos = blocks[b][0]
+        assert by_block[b] == [{m: x for m, x in zip(monos, row) if x} for row in rows]
+
+
+@pytest.mark.parametrize("family,rank,got,expected", [
+    ("A", 3, 38, 36),
+    ("D", 4, 108, 106),
+    ("E", 6, 653, 651),
+])
+def test_a_run_one_byte_off_is_eliminated_afresh(family, rank, got, expected, monkeypatch):
+    # Negative control of the reuse: one entry of a recurring pair raised
+    # by 1, in the block and in its partner alike, so the partner check
+    # passes.  The changed pair must be eliminated in its own right, as
+    # must the pairs it used to equal: its rank goes up by one, and the
+    # dimension check sees the two extra vectors, where rows reused from
+    # the unchanged run would have hidden the change.
+    L, Om, c = pipeline(family, rank)
+    blocks = weight_blocks(Om)
+    runs = Counter(tuple(data) for _, data in blocks[2::2])
+    b = next(
+        b for b in range(2, len(blocks), 2)
+        if len(blocks[b][0]) > 1 and runs[tuple(blocks[b][1])] > 1
+    )
+    changed = list(blocks[b][1])
+    changed[0] += 1
+    assert tuple(changed) not in runs
+    es = Om._entry_start
+    Om._entries[es[b]] += 1
+    Om._entries[es[b - 1]] += 1
+    calls = _counted_pivot_rows(monkeypatch)
+    with pytest.raises(InvariantViolation, match=(
+        f"^degree-2 ideal has dimension {got}, expected {expected}$"
+    )):
+        degree2_ideal(L.rs, Om, c)
+    assert _shifted_columns(changed, c) in calls
+    assert _shifted_columns(blocks[b][1], c) in calls
 
 
 def test_off_weight_entry_fires_the_block_check():
