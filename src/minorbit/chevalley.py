@@ -108,20 +108,16 @@ def build_chevalley(rs: RootSystem) -> LieAlgebra:
     s_k, and nothing otherwise.  Each bracket is keyed once, by the int
     a * dim + b, which costs less memory than an (a, b) tuple per entry.
 
-    The sum s_a + s_b is looked up by integer key: the balanced digits
-    of each signed root in base 4 max(theta) + 1.  Theta dominates every
-    root, so each coordinate of a sum of two roots lies in
-    [-2 max(theta), 2 max(theta)], and the key of the sum, key[a] +
-    key[b], determines the sum.  Equal term tuples are stored once.
+    The sum s_a + s_b is looked up by the _weight_keys of the weights:
+    the key of the sum of two weights, key[a] + key[b], determines that
+    sum, and a root is determined by its weight, so it names the root
+    s_a + s_b when there is one.  Equal term tuples are stored once.
     """
     n = rs.rank
     m = len(rs.positive_roots)
     dim = 2 * m + n
     c = rs.cartan_matrix
     signed = list(rs.positive_roots) + [tuple(-x for x in u) for u in rs.positive_roots]
-    base = 4 * max(rs.positive_roots[-1]) + 1
-    key = [_balanced_key(s, base) for s in signed]
-    position = {k: a for a, k in enumerate(key)}
     sigma = [1] * m + [-1] * m
     # Bit i of masks[a] is s_a[i] mod 2 and of bmasks[a] is (B s_a)[i] mod 2,
     # so eps(s_a, s_b) = -1 exactly when masks[a] & bmasks[b] has odd parity.
@@ -134,6 +130,8 @@ def build_chevalley(rs: RootSystem) -> LieAlgebra:
     weights = [root_to_weight(rs, u) for u in rs.positive_roots]
     weights += [tuple(-x for x in w) for w in weights]
     weights += [(0,) * n] * n
+    key = _weight_keys(weights)
+    position = {k: a for a, k in enumerate(key[: 2 * m])}
     brackets: dict = {}
     shared: dict = {}
     for a in range(2 * m):
@@ -158,13 +156,16 @@ def build_chevalley(rs: RootSystem) -> LieAlgebra:
     return LieAlgebra(rs, brackets, tuple(weights), tuple(signed) + ((0,) * n,) * n)
 
 
-def _balanced_key(v: Sequence[int], base: int) -> int:
-    """The int tuple v as one integer, its coordinates read as balanced digits in base.
+def _weight_keys(weights: Sequence[Sequence[int]]) -> list[int]:
+    """Each weight as one integer, its coordinates read as balanced digits in base 4 top + 1.
 
-    Tuples whose coordinates all lie in [-(base - 1) / 2, (base - 1) / 2]
-    get distinct keys, and the key of a sum is the sum of the keys.
+    top is the largest |coordinate| of the given weights, so each
+    coordinate of a sum of two of them lies in [-2 top, 2 top]: the key
+    of such a sum is the sum of the two keys, and equal keys mean equal
+    sums.  The keys are Python ints, exact at every rank.
     """
-    return sum(x * base**i for i, x in enumerate(v))
+    base = 4 * max(abs(x) for w in weights for x in w) + 1
+    return [sum(x * base**i for i, x in enumerate(w)) for w in weights]
 
 
 def sym2_dim(n: int) -> int:
@@ -212,15 +213,15 @@ class SplitCasimir:
     list that matrix() checks to negate every weight, so on a correct
     construction the two blocks of a pair hold the same entries.
     _entries, an array('b') of int8 entries, holds each block's s * s
-    entries column by column, s its number of monomials, from
-    _entry_start[b] on: row i of column j of block b is
-    _entries[_entry_start[b] + j * s + i].  Every entry outside the
-    blocks is zero.  int32 holds every monomial index and block offset:
-    they lie below sym2_dim(dim g), 636,756 at D24, the largest type
-    cli.verify takes.  degree2_ideal takes the blocks through
-    release(), which checks each pair and frees it once the next is
-    asked for; nnz, the number of nonzero entries, keeps its count, and
-    column() stops working.
+    entries column by column, s its number of monomials, in the same
+    order: block b starts at the sum of the squared sizes of the blocks
+    before it, and row i of its column j lies j * s + i past that start.
+    Every entry outside the blocks is zero.  int32 holds every monomial
+    index and block offset: they lie below sym2_dim(dim g), 636,756 at
+    D24, the largest type cli.verify takes.  degree2_ideal takes the
+    blocks through release(), which checks each pair and frees it once
+    the next is asked for; nnz, the number of nonzero entries, keeps its
+    count, and column() stops working.
     """
 
     def __init__(self, L: LieAlgebra):
@@ -233,9 +234,12 @@ class SplitCasimir:
                 "column() needs the weight blocks, and this operator has released them"
             )
         i = self._monos.index(sym2_index(self.dim, p, q))
-        b = bisect_right(self._mono_start, i) - 1
-        lo, hi = self._mono_start[b], self._mono_start[b + 1]
-        start = self._entry_start[b] + (i - lo) * (hi - lo)
+        ms = self._mono_start
+        b = bisect_right(ms, i) - 1
+        lo, hi = ms[b], ms[b + 1]
+        # Block b and the blocks after it fill the end of the entries: count back.
+        start = len(self._entries) - sum((y - x) ** 2 for x, y in pairwise(ms[b:]))
+        start += (i - lo) * (hi - lo)
         entries = self._entries[start : start + hi - lo]
         return {k: x for k, x in zip(self._monos[lo:hi], entries) if x}
 
@@ -252,57 +256,54 @@ class SplitCasimir:
         operator is left at once with empty storage, and only dim, npos
         and nnz.  The iterator takes the storage over, and each time it is
         asked for the next pair it first cuts the one it handed over last
-        off the end of its arrays, so the entries shrink as the caller goes.
+        off the end of its arrays, so the entries shrink as the caller goes
+        and the pair it checks next is always the last 2 s * s entries
+        left, s the size of its blocks.
         """
-        monos, entries = self._monos, self._entries
-        mono_start, entry_start = self._mono_start, self._entry_start
-        self._monos, self._entries = array("i"), array("b")
-        self._mono_start, self._entry_start = array("i", [0]), array("l", [0])
-        return _blocks_by_pair(self.dim, monos, entries, mono_start, entry_start)
+        monos, entries, mono_start = self._monos, self._entries, self._mono_start
+        self._monos, self._entries, self._mono_start = array("i"), array("b"), array("i", [0])
+        return _blocks_by_pair(self.dim, monos, entries, mono_start)
 
     def matrix(self, L: LieAlgebra) -> SplitCasimir:
         """Assemble the operator of L on the monomial basis straight into its torus-weight blocks.
 
         L is read here and not kept.  The monomial x_p x_q has weight
         wt(x_p) + wt(x_q), and Omega commutes with the torus, so the image
-        of a monomial only involves monomials of the same weight.  A
-        weight is encoded as one integer, its coordinates read as balanced
-        digits in base 4 top + 1, where top is the largest |coordinate| of
-        a weight of g: a coordinate of a sum of two weights lies in
-        [-2 top, 2 top], so the key of x_p x_q, which is key[p] + key[q],
-        determines its weight.  The keys are Python ints, so the encoding
-        is exact at every rank.  One sort by key orders the monomials
-        block by block, each block in monomial order, and gives the block
-        sizes; its upper half is the zero-weight block, then the blocks of
-        key k > 0.  The layout appends that zero-weight block and then,
-        for each block of key k > 0, its partner of key -k, the Chevalley
-        images of the block's monomials in the same order, followed by the
-        block itself; the images are read from a table built one row at a
-        time from omega, the images of the basis positions: x_p x_q maps
-        to x_omega(p) x_omega(q).  The monomials and their block offsets are
-        kept as int32 arrays, and the entry array is made once, at its
-        final size.  block and local, each monomial's block and its place
-        in that block's monomials, index the columns while they are
-        filled and go when this returns; block reuses the image table's
-        storage.
+        of a monomial only involves monomials of the same weight.  The
+        _weight_keys of the weights of g, the keys that build_chevalley
+        finds root sums by, check the brackets, and the key of x_p x_q,
+        key[p] + key[q], determines its weight.  One sort by key orders
+        the monomials block by block, each block in monomial order, and
+        gives the block sizes; its upper half is the zero-weight block,
+        then the blocks of key k > 0.  The layout appends that zero-weight
+        block and then, for each block of key k > 0, its partner of key -k,
+        the Chevalley images of the block's monomials in the same order,
+        followed by the block itself; the images are read from a table
+        built one row at a time from omega, the images of the basis
+        positions: x_p x_q maps to x_omega(p) x_omega(q).  The monomials
+        and their block offsets are kept as int32 arrays, and the entry
+        array is made once, at its final size.  block and local, int32
+        arrays of each monomial's block and its place in that block's
+        monomials, and entry_start, where each block's entries start,
+        index the columns while they are filled and go when this returns;
+        block reuses the image table's storage.
 
         The root part of column (p, q) sums [x, x_p] [dual(x), x_q] over
         root vectors x.  ad[p] maps each x with [x, x_p] != 0 to that
         bracket.  One pass over the stored keys fills it, reading a bracket
         once for each end of its key that is a root vector: 14,592 reads on
-        E8, not one per root vector and position, 59,520.  The parallel
-        int32 arrays invq[x], invj[x] and invc[x] hold (q, j, c) for every
-        term c x_j of every nonzero [dual(x), x_q], sorted by q, so every
-        product visited is nonzero.  Step p completes the columns (p, q),
-        q >= p: each product is added into a short int list for its
-        column, and the weight pairing (wt(x_p), wt(x_q)), the dot product
-        of weights_fw[p] and signed_roots[q], onto the diagonal.  Each
-        finished column is copied into its slot of the entry array.  An
-        entry outside the int8 range [-128, 127] raises InvariantViolation
-        there, naming its column, instead of wrapping.  The entries of
-        every type up to rank 8 lie in [-60, 12], E8's range, and those of
-        types A and D stay in [-8, 4] at every rank measured, up to A24
-        and D16.
+        E8.  The parallel int32 arrays invq[x], invj[x] and invc[x] hold
+        (q, j, c) for every term c x_j of every nonzero [dual(x), x_q],
+        sorted by q, so every product visited is nonzero.  Step p completes
+        the columns (p, q), q >= p: each product is added into a short int
+        list for its column, and the weight pairing (wt(x_p), wt(x_q)),
+        the dot product of weights_fw[p] and signed_roots[q], onto the
+        diagonal.  Each finished column is copied into its slot of the
+        entry array.  An entry outside the int8 range [-128, 127] raises
+        InvariantViolation there, naming its column, instead of wrapping.
+        The entries of every type up to rank 8 lie in [-60, 12], E8's
+        range, and those of types A and D stay in [-8, 4] at every rank
+        measured, up to A24 and D16.
         Before any product, one pass checks that every term of every
         stored bracket, each of which ad reads, has the key of the sum
         of its two factors' weights, and a second that the Chevalley
@@ -318,8 +319,7 @@ class SplitCasimir:
         """
         self.dim = nn = L.dim
         self.npos = m = L.npos
-        base = 4 * max(abs(x) for w in L.weights_fw for x in w) + 1
-        key = [_balanced_key(w, base) for w in L.weights_fw]
+        key = _weight_keys(L.weights_fw)
         for ab, terms in L.brackets.items():
             a, b = divmod(ab, nn)
             for k, _ in terms:
@@ -357,9 +357,9 @@ class SplitCasimir:
             sizes += [hi - lo] * 2
         del half, own
         self._mono_start = array("i", accumulate(sizes, initial=0))
-        self._entry_start = entry_start = array("l", accumulate(map(mul, sizes, sizes), initial=0))
+        entry_start = array("l", accumulate(map(mul, sizes, sizes), initial=0))
         self._entries = entries = array("b", [0]) * entry_start[-1]
-        local = [0] * sym2_dim(nn)
+        local = array("i", [0]) * sym2_dim(nn)
         it = iter(monos)
         for b, s in enumerate(sizes):
             # zip stops on the range before it takes from the next block.
@@ -425,15 +425,17 @@ class SplitCasimir:
 
 
 def _blocks_by_pair(
-    nn: int, monos: array, entries: array, mono_start: array, entry_start: array
+    nn: int, monos: array, entries: array, mono_start: array
 ) -> Iterator[tuple[tuple[array, ...], array]]:
-    """Yield the zero-weight block, then each checked pair, last first, cutting each off."""
-    yield (monos[: mono_start[1]],), entries[: entry_start[1]]
+    """Yield the zero-weight block, then each checked pair, last first, cutting each off the end."""
+    s = mono_start[1]
+    yield (monos[:s],), entries[: s * s]
     for b in reversed(range(2, len(mono_start) - 1, 2)):
-        lo, mid = entry_start[b - 1], entry_start[b]
+        s = mono_start[b + 1] - mono_start[b]
+        mid = len(entries) - s * s
+        lo = mid - s * s
         own, partner = entries[mid:], entries[lo:mid]
         if own != partner:
-            s = mono_start[b + 1] - mono_start[b]
             j = next(i for i, (x, y) in enumerate(zip(own, partner)) if x != y) // s
             p, q = sym2_unrank(nn, monos[mono_start[b] + j])
             r, t = sym2_unrank(nn, monos[mono_start[b - 1] + j])

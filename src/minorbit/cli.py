@@ -68,6 +68,9 @@ def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
     The operator keeps no reference to the Lie algebra, and the ideal,
     projection and quotient stages take only the root system, so the
     bracket table is dropped after the casimir stage.
+    The resolution stage takes n, the number of spheres, from
+    dynkin_tree once the diagram is checked to be a tree, and checks the
+    Betti numbers of n spheres against their Euler characteristic n + 1.
     Each stage is timed under its name, and an InvariantViolation raised
     inside it is raised again with the stage and the type in front of
     its message: the stage modules do not know who calls them.
@@ -106,9 +109,9 @@ def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
     with stage("quotient"):
         qh = quotient_hilbert(rs, span, max_degree)
     with stage("resolution"):
-        tree = dynkin_tree(t)
-        betti = betti_numbers(tree)
-        if sum((-1) ** k * b for k, b in enumerate(betti)) != tree.n + 1:
+        n = dynkin_tree(t)
+        betti = betti_numbers(n)
+        if sum((-1) ** k * b for k, b in enumerate(betti)) != n + 1:
             raise InvariantViolation("Euler characteristic mismatch")
         # Cohomological degree 2d is polynomial degree d: the ring dimensions
         # are the even Betti numbers, zero above the top one.

@@ -56,10 +56,12 @@ def _primitive(w: dict) -> dict:
 class EchelonBasis:
     """Reduced echelon basis of a subspace of Q^dim, stored over the integers.
 
-    Pivot columns are strictly increasing, each vector's pivot is its
-    lowest coordinate and is positive, each vector is primitive, and
-    each pivot coordinate is zero in every other basis vector, so the
-    basis is the canonical reduced form of the subspace it spans.
+    pivots[k] is the pivot of vectors[k], and the two lists are the
+    whole state.  Pivot columns are strictly increasing, each vector's
+    pivot is its lowest coordinate and is positive, each vector is
+    primitive, and each pivot coordinate is zero in every other basis
+    vector, so the basis is the canonical reduced form of the subspace
+    it spans.
     """
 
     def __init__(self, dim: int):
@@ -68,7 +70,6 @@ class EchelonBasis:
         self.dim = dim
         self.vectors: list[dict] = []
         self.pivots: list[int] = []
-        self._by_pivot: dict = {}
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -82,17 +83,15 @@ class EchelonBasis:
         that makes every elimination step integral.
         """
         w = {i: x for i, x in v.items() if x}
-        by_pivot = self._by_pivot
-        hits = [(p, x) for p, x in w.items() if p in by_pivot]
+        hits = [(p, w[p], vec) for p, vec in zip(self.pivots, self.vectors) if p in w]
         if hits:
             scale = 1
-            for p, x in hits:
-                b = by_pivot[p][p]
+            for p, x, vec in hits:
+                b = vec[p]
                 scale = lcm(scale, b // gcd(b, x))
             if scale != 1:
                 w = {i: scale * x for i, x in w.items()}
-            for p, x in hits:
-                vec = by_pivot[p]
+            for p, x, vec in hits:
                 _addmul(w, vec, -(scale * x // vec[p]))
         return _primitive(w) if w else w
 
@@ -122,12 +121,9 @@ def append_and_rank(basis: EchelonBasis, v: Mapping[int, int]) -> tuple[EchelonB
             g = gcd(a, c)
             vec = {i: (a // g) * x for i, x in vec.items()}
             _addmul(vec, w, -(c // g))
-            vec = _primitive(vec)
-            basis.vectors[k] = vec
-            basis._by_pivot[basis.pivots[k]] = vec
+            basis.vectors[k] = _primitive(vec)
     basis.pivots.insert(at, pivot)
     basis.vectors.insert(at, w)
-    basis._by_pivot[pivot] = w
     return basis, True
 
 

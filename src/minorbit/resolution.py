@@ -13,25 +13,18 @@ higher, recorded here under the convention that cohomological degree
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .rootsys import InvariantViolation, SimpleType, dynkin_edges
 
-__all__ = ["DynkinTree", "dynkin_tree", "betti_numbers"]
+__all__ = ["dynkin_tree", "betti_numbers"]
 
 
-class DynkinTree(namedtuple("DynkinTree", "n edges")):
-    """The Dynkin diagram as a plain tree on vertices 0..n-1, with its edges as (i, j) pairs."""
+def dynkin_tree(t: SimpleType) -> int:
+    """The number n of exceptional spheres for type t, once its diagram is checked to be a tree.
 
-    __slots__ = ()
-
-
-def dynkin_tree(t: SimpleType) -> DynkinTree:
-    """Tree of exceptional spheres for type t, checked to be a tree.
-
-    It must have n - 1 edges that reach all n vertices from vertex 0.
-    Its n spheres then meet in n - 1 points, for an Euler characteristic
-    of n + 1, which cli.verify checks against the Betti numbers.
+    The diagram, dynkin_edges(t) on the vertices 0..n-1, must have
+    n - 1 edges that reach all n vertices from vertex 0.  Its n spheres
+    then meet in n - 1 points, for an Euler characteristic of n + 1,
+    which cli.verify checks against the Betti numbers.
     """
     n = t.rank
     edges = dynkin_edges(t)
@@ -40,16 +33,16 @@ def dynkin_tree(t: SimpleType) -> DynkinTree:
         reached |= {v for e in edges if not reached.isdisjoint(e) for v in e}
     if len(edges) != n - 1 or reached != set(range(n)):
         raise InvariantViolation("diagram is not a tree")
-    return DynkinTree(n, edges)
+    return n
 
 
-def betti_numbers(tr: DynkinTree) -> list[int]:
-    """Betti numbers [b0, b1, b2] of the resolution.
+def betti_numbers(n: int) -> list[int]:
+    """Betti numbers [b0, b1, b2] of the resolution of a tree of n spheres.
 
     b0 = 1 (connected), b1 = 0 (tree of simply connected spheres glued
     at points), b2 = n (one class per sphere), nothing above.  The
     Poincare polynomial is 1 + n t^2, so the cohomology ring, halved in
     grading, has dimensions b0, b2 and then zero in every degree.
     """
-    return [1, 0, tr.n]
+    return [1, 0, n]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from array import array
 from fractions import Fraction
 from functools import lru_cache
+from itertools import pairwise
 from math import gcd
 from typing import Callable, Iterable, Mapping
 
@@ -49,14 +50,19 @@ def weight_blocks(Om: SplitCasimir) -> list[tuple[list[int], list[int]]]:
 
     Storage order is the zero-weight block, then each pair of blocks of
     keys -k and k, the partner of key -k first, by ascending |k|.  Read
-    straight from the flat storage by its offsets, so that a test can
-    check the layout and still hand the operator to degree2_ideal.
+    straight from the flat storage, so that a test can check the layout
+    and still hand the operator to degree2_ideal: block b's monomials lie
+    between _mono_start[b] and _mono_start[b + 1], and its s * s entries,
+    s its number of monomials, follow those of the blocks before it.
+    This is the one place the tests read that layout; a test that needs
+    a flat entry offset sums the entry counts of the blocks before it.
     """
-    ms, es = Om._mono_start, Om._entry_start
-    return [
-        (Om._monos[ms[b] : ms[b + 1]].tolist(), Om._entries[es[b] : es[b + 1]].tolist())
-        for b in range(len(ms) - 1)
-    ]
+    blocks, at = [], 0
+    for lo, hi in pairwise(Om._mono_start):
+        end = at + (hi - lo) ** 2
+        blocks.append((Om._monos[lo:hi].tolist(), Om._entries[at:end].tolist()))
+        at = end
+    return blocks
 
 
 def chevalley_images(L: LieAlgebra) -> list[int]:

@@ -1,7 +1,7 @@
 """Structure constants, invariant form and the split Casimir."""
 
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from operator import add
 
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from minorbit.chevalley import (
     LieAlgebra,
     SplitCasimir,
+    _weight_keys,
     casimir_top_eigenvalue,
     sym2_dim,
     sym2_index,
@@ -173,6 +174,46 @@ def test_root_brackets_follow_the_documented_cocycle(family, rank):
             else:
                 expected = ()
             assert L.bracket(a, b) == expected, (a, b)
+
+
+def weight_key_faults(weights, keys) -> list:
+    """The pairs (p, q), p <= q, whose summed key does not stand for their summed weight.
+
+    keys[p] + keys[q] must name one summed weight only, and where that
+    sum is itself one of the weights, equal its key.
+    """
+    key_of = dict(zip(weights, keys))
+    named: dict = {}
+    faults = []
+    for p, q in combinations_with_replacement(range(len(weights)), 2):
+        k = keys[p] + keys[q]
+        w = tuple(map(add, weights[p], weights[q]))
+        if named.setdefault(k, w) != w or key_of.get(w, k) != k:
+            faults.append((p, q))
+    return faults
+
+
+@pytest.mark.parametrize("family,rank", [*ALL_TYPES, ("A", 21)])
+def test_weight_keys_add_and_tell_summed_weights_apart(family, rank):
+    # build_chevalley finds s_a + s_b by key[a] + key[b], and matrix()
+    # groups and checks the monomials x_p x_q by key[p] + key[q]: both
+    # need the key of a sum of two weights to be the sum of their keys
+    # and to determine that sum.  A21's keys pass 2^63 and stay exact.
+    weights = algebra_of(family, rank).weights_fw
+    keys = _weight_keys(weights)
+    assert all(type(k) is int for k in keys)
+    assert weight_key_faults(weights, keys) == []
+    if rank == 21:
+        assert max(map(abs, keys)) > 2**63
+
+
+@pytest.mark.parametrize("family,rank,base", [("A", 3, 6), ("E", 8, 4)])
+def test_weight_key_check_fires_on_too_small_a_base(family, rank, base):
+    # Negative control: balanced digits in a base too small for the sums
+    # of two weights make two different sums share a key.
+    weights = algebra_of(family, rank).weights_fw
+    keys = [sum(x * base**i for i, x in enumerate(w)) for w in weights]
+    assert weight_key_faults(weights, keys)
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)

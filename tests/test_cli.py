@@ -215,7 +215,7 @@ def test_euler_mismatch_names_the_stage_and_the_type(monkeypatch, capsys):
     # characteristic.  So does a spurious b1 = 1, and the Euler check is
     # the only one that sees it: the verdict reads only the even Betti
     # numbers.
-    for betti in (lambda tree: [1, 0, tree.n + 1], lambda tree: [1, 1, tree.n]):
+    for betti in (lambda n: [1, 0, n + 1], lambda n: [1, 1, n]):
         monkeypatch.setattr(cli, "betti_numbers", betti)
         for family, rank in (("A", 1), ("D", 5), ("E", 6)):
             code = main(["--family", family, "--rank", str(rank)])

@@ -342,8 +342,9 @@ def test_weight_blocks_partition_the_monomials_by_weight_tuple(t):
         assert partner == tuple(-x for x in own)
     assert all(a < b for a, b in zip([zero] + weights[2::2], weights[2::2]))
     assert all(monos == sorted(monos) for monos, _ in blocks[::2])
-    # The offsets tile both arrays, with nothing left over.
-    assert Om._mono_start[-1] == len(Om._monos) and Om._entry_start[-1] == len(Om._entries)
+    # The blocks tile both arrays, with nothing left over.
+    assert sum(len(monos) for monos, _ in blocks) == len(Om._monos)
+    assert sum(len(data) for _, data in blocks) == len(Om._entries)
 
 
 @pytest.mark.parametrize("t", [*ade_types(8), SimpleType("A", 21)], ids=str)
@@ -481,9 +482,8 @@ def test_a_run_one_byte_off_is_eliminated_afresh(family, rank, got, expected, mo
     changed = list(blocks[b][1])
     changed[0] += 1
     assert tuple(changed) not in runs
-    es = Om._entry_start
-    Om._entries[es[b]] += 1
-    Om._entries[es[b - 1]] += 1
+    for a in (b, b - 1):
+        Om._entries[sum(len(data) for _, data in blocks[:a])] += 1
     calls = _counted_pivot_rows(monkeypatch)
     with pytest.raises(InvariantViolation, match=(
         f"^degree-2 ideal has dimension {got}, expected {expected}$"
@@ -574,7 +574,7 @@ def test_bracket_table_is_freed_before_the_ideal_stage():
     r = weakref.ref(L)
     Om = SplitCasimir(L)
     assert sorted(vars(Om)) == [
-        "_entries", "_entry_start", "_mono_start", "_monos", "dim", "nnz", "npos",
+        "_entries", "_mono_start", "_monos", "dim", "nnz", "npos",
     ]
     c = casimir_top_eigenvalue(Om)
     del L

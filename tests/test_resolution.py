@@ -5,7 +5,7 @@ import pytest
 from minorbit import resolution
 from minorbit.cli import verify
 from minorbit.resolution import betti_numbers, dynkin_tree
-from minorbit.rootsys import InvariantViolation, SimpleType, cartan_matrix
+from minorbit.rootsys import InvariantViolation, SimpleType, cartan_matrix, dynkin_edges
 
 ALL_TYPES = (
     [("A", r) for r in range(1, 9)]
@@ -15,26 +15,28 @@ ALL_TYPES = (
 
 
 def test_a3_is_a_path():
-    tr = dynkin_tree(SimpleType("A", 3))
-    assert tr.n == 3
-    assert set(tr.edges) == {(0, 1), (1, 2)}
+    t = SimpleType("A", 3)
+    assert dynkin_tree(t) == 3
+    assert set(dynkin_edges(t)) == {(0, 1), (1, 2)}
 
 
 def test_d4_is_a_star():
-    tr = dynkin_tree(SimpleType("D", 4))
+    t = SimpleType("D", 4)
+    assert dynkin_tree(t) == 4
     degree = [0] * 4
-    for i, j in tr.edges:
+    for i, j in dynkin_edges(t):
         degree[i] += 1
         degree[j] += 1
     assert sorted(degree) == [1, 1, 1, 3]
 
 
 def test_e6_has_one_branch_vertex():
-    tr = dynkin_tree(SimpleType("E", 6))
-    assert tr.n == 6
-    assert len(tr.edges) == 5
+    t = SimpleType("E", 6)
+    assert dynkin_tree(t) == 6
+    edges = dynkin_edges(t)
+    assert len(edges) == 5
     degree = [0] * 6
-    for i, j in tr.edges:
+    for i, j in edges:
         degree[i] += 1
         degree[j] += 1
     assert degree.count(3) == 1
@@ -43,13 +45,14 @@ def test_e6_has_one_branch_vertex():
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
 def test_tree_invariants(family, rank):
     t = SimpleType(family, rank)
-    tr = dynkin_tree(t)
-    assert len(tr.edges) == rank - 1
+    assert dynkin_tree(t) == rank
+    edges = dynkin_edges(t)
+    assert len(edges) == rank - 1
     c = cartan_matrix(t)
     expected_edges = {
         (i, j) for i in range(rank) for j in range(i + 1, rank) if c[i][j] == -1
     }
-    assert {tuple(sorted(e)) for e in tr.edges} == expected_edges
+    assert {tuple(sorted(e)) for e in edges} == expected_edges
 
 
 def test_betti_small_cases():

@@ -21,8 +21,7 @@ fault and must PASS, or PASS today for a known reason; each test says
 which and why.
 """
 
-from bisect import bisect_right
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 
@@ -31,7 +30,7 @@ from minorbit.chevalley import LieAlgebra, SplitCasimir, sym2_index
 from minorbit.cli import ade_types, verify
 from minorbit.rootsys import InvariantViolation, SimpleType
 
-from helpers import algebra_of, casimir_of
+from helpers import algebra_of, casimir_of, weight_blocks
 
 # Types small enough to run the whole pipeline once per mutant.
 SMALL = [SimpleType("A", 1), SimpleType("A", 2), SimpleType("A", 3), SimpleType("D", 4)]
@@ -275,9 +274,11 @@ def test_assembly_mutants_stop_at_the_ideal_stage(monkeypatch, t):
     # block, which the scalar check reads first, at the casimir stage.
     real = cli.SplitCasimir
     Om = casimir_of(t.family, t.rank)
-    at = Om._monos.index(sym2_index(Om.dim, Om.npos - 1, Om.npos - 1))
-    top = Om._entry_start[bisect_right(Om._mono_start, at) - 1]
-    for i in range(Om._entry_start[1], len(Om._entries)):
+    blocks = weight_blocks(Om)
+    start = list(accumulate((len(data) for _, data in blocks), initial=0))
+    at = sym2_index(Om.dim, Om.npos - 1, Om.npos - 1)
+    top = start[next(b for b, (monos, _) in enumerate(blocks) if at in monos)]
+    for i in range(start[1], len(Om._entries)):
         for d in (-1, 1):
 
             def build(L, i=i, d=d):
@@ -296,6 +297,6 @@ def test_betti_mutants_stop_at_the_resolution_stage(monkeypatch, t):
         for d in (-1, 1):
             monkeypatch.setattr(
                 cli, "betti_numbers",
-                lambda tree, k=k, d=d: [b + d * (i == k) for i, b in enumerate([1, 0, tree.n])],
+                lambda n, k=k, d=d: [b + d * (i == k) for i, b in enumerate([1, 0, n])],
             )
             assert outcome(t) == "resolution", (k, d)
