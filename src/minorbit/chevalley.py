@@ -68,25 +68,28 @@ __all__ = [
 
 
 class LieAlgebra:
-    """Bracket table and weight data over a Chevalley basis.
+    """A root system and the bracket table over its Chevalley basis.
 
     Basis positions are laid out as all E(alpha), then all F(alpha) in
     the positive-root order, then H(1)..H(rank).  brackets maps the int
     i * dim + j, i < j, to the terms of [x_i, x_j] and holds only the
     nonzero brackets, each once; bracket(i, j) reads it and negates
-    [x_j, x_i] when i > j, so antisymmetry holds by construction.
+    [x_j, x_i] when i > j, so antisymmetry holds by construction.  The
+    per-position tables are derived from rs here, in one place:
     signed_roots[x] is the root of position x in simple-root
-    coordinates: +alpha on E(alpha), -alpha on F(alpha) and zero on the
-    Cartan.  Immutable in practice: nothing mutates the tables.
+    coordinates, +alpha on E(alpha), -alpha on F(alpha) and zero on the
+    Cartan, and weights_fw[x] is its weight.  build_chevalley reads
+    them and fills brackets in place.
     """
 
-    def __init__(self, rs, brackets, weights_fw, signed_roots):
+    def __init__(self, rs: RootSystem, brackets: dict):
         self.rs = rs
         self.npos = len(rs.positive_roots)
-        self.dim = 2 * self.npos + rs.rank
+        self.dim = rs.dim_g
         self.brackets = brackets
-        self.weights_fw = weights_fw
-        self.signed_roots = signed_roots
+        negated = tuple(tuple(-x for x in u) for u in rs.positive_roots)
+        self.signed_roots = rs.positive_roots + negated + ((0,) * rs.rank,) * rs.rank
+        self.weights_fw = tuple(root_to_weight(rs, s) for s in self.signed_roots)
 
     def bracket(self, i: int, j: int) -> tuple:
         """[x_i, x_j] as a tuple of (position, integer coefficient), negated afresh when i > j."""
@@ -97,12 +100,13 @@ class LieAlgebra:
 
 
 def build_chevalley(rs: RootSystem) -> LieAlgebra:
-    """Assemble the bracket table and the weights over the Chevalley basis.
+    """The Lie algebra of rs: its derived tables, and the bracket table filled in.
 
     Root-vector position a carries the signed root s_a, +alpha for E(alpha)
     and -alpha for F(alpha), and x_a = sigma_a e_(s_a) with sigma_a = 1 on
-    E and -1 on F.  One loop over position pairs a < b, a a root vector,
-    fills the table: [x_a, H(i)] = -<wt(x_a), alpha_i^vee> x_a for b =
+    E and -1 on F.  L = LieAlgebra(rs, {}) derives the signed roots and
+    the weights; one loop over position pairs a < b, a a root vector,
+    fills L.brackets: [x_a, H(i)] = -<wt(x_a), alpha_i^vee> x_a for b =
     H(i), the coroot of s_a when b is the F partner of a, otherwise
     sigma_a sigma_b sigma_k eps(s_a, s_b) x_k when s_a + s_b is the root
     s_k, and nothing otherwise.  Each bracket is keyed once, by the int
@@ -113,11 +117,10 @@ def build_chevalley(rs: RootSystem) -> LieAlgebra:
     sum, and a root is determined by its weight, so it names the root
     s_a + s_b when there is one.  Equal term tuples are stored once.
     """
-    n = rs.rank
-    m = len(rs.positive_roots)
-    dim = 2 * m + n
+    L = LieAlgebra(rs, {})
+    n, m, dim = rs.rank, L.npos, L.dim
     c = rs.cartan_matrix
-    signed = list(rs.positive_roots) + [tuple(-x for x in u) for u in rs.positive_roots]
+    signed, weights, brackets = L.signed_roots, L.weights_fw, L.brackets
     sigma = [1] * m + [-1] * m
     # Bit i of masks[a] is s_a[i] mod 2 and of bmasks[a] is (B s_a)[i] mod 2,
     # so eps(s_a, s_b) = -1 exactly when masks[a] & bmasks[b] has odd parity.
@@ -126,18 +129,10 @@ def build_chevalley(rs: RootSystem) -> LieAlgebra:
         sum(((s[i] + sum(s[j] for j in range(i) if c[i][j])) & 1) << i for i in range(n))
         for s in signed
     ]
-
-    weights = [root_to_weight(rs, u) for u in rs.positive_roots]
-    weights += [tuple(-x for x in w) for w in weights]
-    weights += [(0,) * n] * n
     key = _weight_keys(weights)
     position = {k: a for a, k in enumerate(key[: 2 * m])}
-    brackets: dict = {}
     shared: dict = {}
-    for a in range(2 * m):
-        sa = signed[a]
-        ka = key[a]
-        wa = weights[a]
+    for a, (sa, ka, wa) in enumerate(zip(signed[: 2 * m], key, weights)):
         for b in range(a + 1, dim):
             if b >= 2 * m:
                 if not (x := wa[b - 2 * m]):
@@ -153,7 +148,7 @@ def build_chevalley(rs: RootSystem) -> LieAlgebra:
             else:
                 continue
             brackets[a * dim + b] = shared.setdefault(terms, terms)
-    return LieAlgebra(rs, brackets, tuple(weights), tuple(signed) + ((0,) * n,) * n)
+    return L
 
 
 def _weight_keys(weights: Sequence[Sequence[int]]) -> list[int]:
@@ -343,7 +338,7 @@ class SplitCasimir:
         own = array("i", order[len(order) - sum(half) :])
         del key, keys, order
         # sym2_index(nn, i, j) == offset[i] + j for i <= j.
-        offset = [i * (2 * nn - i - 1) // 2 for i in range(nn)]
+        offset = [sym2_index(nn, i, i) - i for i in range(nn)]
         # image[k] is the Chevalley image of monomial k.  block takes the table's
         # storage over once the images are read.
         block = image = array("i")

@@ -65,9 +65,6 @@ def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
     last pair to the first, checking that the two blocks of a pair are
     the same matrix, eliminating it once and freeing its entries as it
     goes.
-    The operator keeps no reference to the Lie algebra, and the ideal,
-    projection and quotient stages take only the root system, so the
-    bracket table is dropped after the casimir stage.
     The resolution stage takes n, the number of spheres, from
     dynkin_tree once the diagram is checked to be a tree, and checks the
     Betti numbers of n spheres against their Euler characteristic n + 1.
@@ -77,6 +74,8 @@ def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
     """
     if t.rank > MAX_RANK:
         raise ValueError(f"rank must be at most {MAX_RANK}, got {t.rank}")
+    if type(max_degree) is not int:
+        raise ValueError(f"max_degree must be an int, got {max_degree!r}")
     if max_degree < 2:
         raise ValueError(f"max_degree must be at least 2, got {max_degree}")
     if max_degree > 64:
@@ -100,7 +99,8 @@ def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
     with stage("casimir"):
         Omega = SplitCasimir(L)
         c = casimir_top_eigenvalue(Omega)
-    # Omega holds no reference to L, so this frees the bracket table.
+    # Omega holds no reference to L, and the stages below take only rs, so this
+    # frees the bracket table.
     del L
     with stage("ideal"):
         ideal = degree2_ideal(rs, Omega, c)
@@ -142,6 +142,8 @@ def verify(t: SimpleType, max_degree: int = 4) -> VerificationReport:
 
 def ade_types(max_rank: int) -> list[SimpleType]:
     """Every valid ADE type of rank at most max_rank, A then D then E."""
+    if type(max_rank) is not int:
+        raise ValueError(f"max_rank must be an int, got {max_rank!r}")
     if max_rank < 1:
         raise ValueError(f"max_rank must be at least 1, got {max_rank}")
     if max_rank > MAX_RANK:

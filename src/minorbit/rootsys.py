@@ -35,11 +35,13 @@ class InvariantViolation(RuntimeError):
 
 
 class SimpleType(namedtuple("SimpleType", "family rank")):
-    """A simply laced simple type: family A, D or E plus a rank."""
+    """A simply laced simple type: family A, D or E plus a rank, an int and not a bool."""
 
     __slots__ = ()
 
     def __new__(cls, family: str, rank: int) -> SimpleType:
+        if type(rank) is not int:
+            raise ValueError(f"rank must be an int, got {rank!r}")
         if family == "A":
             if rank < 1:
                 raise ValueError(f"family A requires rank >= 1, got {rank}")

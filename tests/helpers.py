@@ -3,12 +3,17 @@
 Builders are cached per type so large algebras are constructed once per
 session.  The oracles here are deliberately written against different
 models than the package: dense fraction-free elimination for ranks, and
-Euclidean-coordinate constructions of the classical root systems.
+Euclidean-coordinate constructions of the classical root systems.  A
+reference matrix is a Matrix, its row count and a tuple of column
+dicts.  A corrupted construction is a LieAlgebra(L.rs, brackets) built
+from an edited copy of the bracket table, or a copy of L whose weights
+or signed roots with_tables replaces.
 """
 
 from __future__ import annotations
 
-from array import array
+from collections import namedtuple
+from copy import copy
 from fractions import Fraction
 from functools import lru_cache
 from itertools import pairwise
@@ -80,70 +85,23 @@ def chevalley_images(L: LieAlgebra) -> list[int]:
 
 # -- reference matrix operations --------------------------------------------
 
-class SparseMatrix:
-    """An nrows x ncols integer matrix, packed in compressed-sparse-column form.
-
-    The reference matrix the helpers below build.  Three ``array("q")``
-    fields hold it: the entries of column j are the pairs
-    zip(_rows[a:b], _vals[a:b]) with a, b = _ptr[j], _ptr[j + 1].  A
-    matrix is immutable once built, and from_columns() is its only
-    constructor.  column() hands out a fresh dict, so writing into one
-    never writes the matrix.
-
-    Every row index and entry must be an int that fits in 64 bits, and
-    that is enforced where it comes in: packing a ``Fraction``, integral
-    or not, or a float raises ``TypeError``, and an int beyond 64 bits
-    raises ``OverflowError``.
-    """
-
-    __slots__ = ("nrows", "_ptr", "_rows", "_vals")
-
-    @classmethod
-    def from_columns(cls, nrows: int, cols: Iterable[Mapping[int, int]]) -> SparseMatrix:
-        """The matrix whose columns are cols, each packed as it arrives.
-
-        cols may be any iterable, a generator included, and is consumed
-        once.  Each column must be a sparse vector over range(nrows) with
-        no zero entries; that is not checked here.
-        """
-        if nrows < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        ptr, rows, vals = array("q", [0]), array("q"), array("q")
-        for col in cols:
-            rows.extend(col)
-            vals.extend(col.values())
-            ptr.append(len(rows))
-        m = cls.__new__(cls)
-        m.nrows, m._ptr, m._rows, m._vals = nrows, ptr, rows, vals
-        return m
-
-    @property
-    def ncols(self) -> int:
-        return len(self._ptr) - 1
-
-    @property
-    def nnz(self) -> int:
-        return len(self._vals)
-
-    def column(self, j: int) -> dict:
-        """Column j as a fresh dict that the caller owns."""
-        if not 0 <= j < self.ncols:
-            raise IndexError(f"column {j} out of range for {self.ncols} columns")
-        a, b = self._ptr[j], self._ptr[j + 1]
-        return dict(zip(self._rows[a:b], self._vals[a:b]))
+# The reference matrix the helpers below build: nrows rows, and cols, a
+# tuple whose entry j is column j as a sparse vector over range(nrows)
+# with no zero entries.  The helpers only read the columns they are given.
+Matrix = namedtuple("Matrix", "nrows cols")
 
 
 def columns(m) -> tuple[dict, ...]:
-    """Every column of m, empty ones included, as fresh dicts.
+    """Every column of m, empty ones included, as dicts.
 
-    m is a SparseMatrix, or a SplitCasimir, read as column(p, q) over
-    sym2_pairs.  Two matrices with the same number of rows are equal
-    exactly when their columns() are: dict equality ignores the order
-    of the rows packed inside a column.
+    m is a Matrix, whose own columns these are, or a SplitCasimir, read
+    as fresh dicts by column(p, q) over sym2_pairs.  Two matrices with
+    the same number of rows are equal exactly when their columns() are:
+    dict equality ignores the order of the rows inside a column.
     """
     if isinstance(m, SplitCasimir):
         return tuple(m.column(p, q) for p, q in sym2_pairs(m.dim))
-    return tuple(map(m.column, range(m.ncols)))
+    return m.cols
 
 
 def dense(n: int, v: Mapping[int, int]) -> list[int]:
@@ -168,25 +126,25 @@ def sparse_image(nrows: int, cols: Iterable[Mapping[int, int]]) -> EchelonBasis:
 
 
 def to_rows(m) -> list[list]:
-    rows = [[0] * m.ncols for _ in range(m.nrows)]
+    rows = [[0] * len(m.cols) for _ in range(m.nrows)]
     for c, col in enumerate(columns(m)):
         for r, v in col.items():
             rows[r][c] = v
     return rows
 
 
-def from_entries(nrows: int, ncols: int, entries: dict) -> SparseMatrix:
+def from_entries(nrows: int, ncols: int, entries: dict) -> Matrix:
     """The matrix with the given {(row, column): value} entries, zero values dropped."""
     cols: list[dict] = [{} for _ in range(ncols)]
     for (r, c), v in entries.items():
         if v:
             cols[c][r] = v
-    return SparseMatrix.from_columns(nrows, cols)
+    return Matrix(nrows, tuple(cols))
 
 
-def transpose(m: SparseMatrix) -> SparseMatrix:
+def transpose(m: Matrix) -> Matrix:
     return from_entries(
-        m.ncols, m.nrows, {(c, r): v for c, col in enumerate(columns(m)) for r, v in col.items()}
+        len(m.cols), m.nrows, {(c, r): v for c, col in enumerate(columns(m)) for r, v in col.items()}
     )
 
 
@@ -204,8 +162,8 @@ def add_scaled(target: dict, src: Mapping, scale) -> None:
             target.pop(i, None)
 
 
-def mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    if a.ncols != b.nrows:
+def mul(a: Matrix, b: Matrix) -> Matrix:
+    if len(a.cols) != b.nrows:
         raise ValueError("shape mismatch in matrix product")
     a_cols = columns(a)
     out = []
@@ -214,7 +172,7 @@ def mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
         for k, x in col.items():
             add_scaled(acc, a_cols[k], x)
         out.append(acc)
-    return SparseMatrix.from_columns(a.nrows, out)
+    return Matrix(a.nrows, tuple(out))
 
 
 def invariant_form(L: LieAlgebra) -> Callable[[int, int], int]:
@@ -236,12 +194,12 @@ def invariant_form(L: LieAlgebra) -> Callable[[int, int], int]:
     return lambda i, j: form.get((i, j), 0)
 
 
-def adjoint_matrix(L: LieAlgebra, x: int) -> SparseMatrix:
+def adjoint_matrix(L: LieAlgebra, x: int) -> Matrix:
     """Matrix of ad(x) = [x, -] over the Chevalley basis."""
-    return SparseMatrix.from_columns(L.dim, [dict(L.bracket(x, j)) for j in range(L.dim)])
+    return Matrix(L.dim, tuple(dict(L.bracket(x, j)) for j in range(L.dim)))
 
 
-def shifted_casimir(family: str, rank: int, c: int = 2) -> SparseMatrix:
+def shifted_casimir(family: str, rank: int, c: int = 2) -> Matrix:
     """The matrix of Omega - c on Sym^2 g, built column by column; c = 0 gives Omega itself."""
     Om = casimir_of(family, rank)
     cols = columns(Om)
@@ -251,7 +209,7 @@ def shifted_casimir(family: str, rank: int, c: int = 2) -> SparseMatrix:
             col[d] = v
         else:
             col.pop(d, None)
-    return SparseMatrix.from_columns(sym2_dim(Om.dim), cols)
+    return Matrix(sym2_dim(Om.dim), cols)
 
 
 def all_pairs_column(L: LieAlgebra, p: int, q: int) -> dict:
@@ -330,6 +288,18 @@ def cartan_pair_generators(L: LieAlgebra, Omega: SplitCasimir, c) -> list[dict]:
     return out
 
 
+def with_tables(L: LieAlgebra, **tables) -> LieAlgebra:
+    """A copy of L, sharing its bracket table, with weights_fw or signed_roots replaced.
+
+    LieAlgebra derives both tables from its root system, so this is how
+    a mutant gives a basis position a weight or a signed root that its
+    root does not have.
+    """
+    bad = copy(L)
+    vars(bad).update(tables)
+    return bad
+
+
 def _first_ee_key(L: LieAlgebra) -> int:
     """The table key of the first stored E-E bracket [x_a, x_b], a < b."""
     return next(k for k in L.brackets if k // L.dim < k % L.dim < L.npos)
@@ -346,7 +316,7 @@ def misdirect_first_ee_bracket(L: LieAlgebra) -> LieAlgebra:
     brackets = dict(L.brackets)
     key = _first_ee_key(L)
     brackets[key] = tuple((h1, s) for _, s in brackets[key])
-    return LieAlgebra(L.rs, brackets, L.weights_fw, L.signed_roots)
+    return LieAlgebra(L.rs, brackets)
 
 
 def scale_first_ee_constant(L: LieAlgebra, factor: int) -> LieAlgebra:
@@ -354,7 +324,7 @@ def scale_first_ee_constant(L: LieAlgebra, factor: int) -> LieAlgebra:
     brackets = dict(L.brackets)
     key = _first_ee_key(L)
     brackets[key] = tuple((k, factor * s) for k, s in brackets[key])
-    return LieAlgebra(L.rs, brackets, L.weights_fw, L.signed_roots)
+    return LieAlgebra(L.rs, brackets)
 
 
 def negate_first_ee_constant_and_its_mirror(L: LieAlgebra) -> LieAlgebra:
@@ -369,7 +339,7 @@ def negate_first_ee_constant_and_its_mirror(L: LieAlgebra) -> LieAlgebra:
     a, b = divmod(key, L.dim)
     for k in (key, (a + L.npos) * L.dim + b + L.npos):
         brackets[k] = tuple((j, -s) for j, s in brackets[k])
-    return LieAlgebra(L.rs, brackets, L.weights_fw, L.signed_roots)
+    return LieAlgebra(L.rs, brackets)
 
 
 def shift_theta_pairing(L: LieAlgebra, by: int) -> LieAlgebra:
@@ -383,7 +353,7 @@ def shift_theta_pairing(L: LieAlgebra, by: int) -> LieAlgebra:
     i = L.weights_fw[t].index(1)
     signed = list(L.signed_roots)
     signed[t] = tuple(x + by * (k == i) for k, x in enumerate(signed[t]))
-    return LieAlgebra(L.rs, L.brackets, L.weights_fw, tuple(signed))
+    return with_tables(L, signed_roots=tuple(signed))
 
 
 # -- rational echelon reference ----------------------------------------------

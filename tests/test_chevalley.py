@@ -19,7 +19,7 @@ from minorbit.cli import MAX_RANK
 from minorbit.rootsys import InvariantViolation, root_to_weight
 
 from helpers import (
-    SparseMatrix,
+    Matrix,
     adjoint_matrix,
     algebra_of,
     all_pairs_column,
@@ -34,6 +34,7 @@ from helpers import (
     shifted_casimir,
     sym2_unrank,
     transpose,
+    with_tables,
 )
 
 SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("D", 4)]
@@ -250,7 +251,7 @@ def test_adjoint_matrix_a1():
     ad_h = adjoint_matrix(L, h)
     assert (ad_h.nrows, columns(ad_h)) == (3, ({0: 2}, {1: -2}, {}))
     ad_e = adjoint_matrix(L, 0)
-    assert ad_e.column(1) == {h: 1}
+    assert ad_e.cols[1] == {h: 1}
 
 
 @pytest.mark.parametrize("family,rank", SMALL_TYPES)
@@ -367,7 +368,7 @@ def _sym2_ad(L, x):
             k = sym2_index(nn, p, j)
             acc[k] = acc.get(k, 0) + c
         cols.append({k: v for k, v in acc.items() if v})
-    return SparseMatrix.from_columns(sym2_dim(nn), cols)
+    return Matrix(sym2_dim(nn), tuple(cols))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("D", 4)])
@@ -467,7 +468,7 @@ def test_zero_on_the_highest_weight_square_fires_the_scalar_check():
     # pairing (theta, theta) drops to 0, no bracket product reaches
     # E(theta)^2, and its column holds no entry at all.
     L = algebra_of("A", 1)
-    bad = LieAlgebra(L.rs, L.brackets, L.weights_fw, ((0,),) + L.signed_roots[1:])
+    bad = with_tables(L, signed_roots=((0,),) + L.signed_roots[1:])
     with pytest.raises(InvariantViolation, match=(
         r"^Casimir scalar 0 on the highest-weight square differs from \(theta, theta\) = 2$"
     )):

@@ -61,9 +61,17 @@ def test_verify_e7_full_path():
     assert r.hikita_match is True
 
 
-def test_verify_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        verify(SimpleType("A", 2), max_degree=1)
+@pytest.mark.parametrize("call,arg,msg", [
+    ("verify", 1, "max_degree must be at least 2, got 1"),
+    ("verify", 4.0, "max_degree must be an int, got 4.0"),
+    ("verify", True, "max_degree must be an int, got True"),
+    ("ade_types", 2.5, "max_rank must be an int, got 2.5"),
+    ("ade_types", True, "max_rank must be an int, got True"),
+])
+def test_verify_rejects_bad_arguments(call, arg, msg):
+    run = {"verify": lambda x: verify(SimpleType("A", 2), x), "ade_types": ade_types}[call]
+    with pytest.raises(ValueError, match=f"^{msg}$"):
+        run(arg)
 
 
 def test_json_report_round_trips(capsys):

@@ -1,4 +1,4 @@
-"""Integer rank, image bases and incremental span building, and the reference SparseMatrix."""
+"""Integer rank, image bases and incremental span building, checked against reference matrices."""
 
 import random
 from fractions import Fraction
@@ -11,7 +11,6 @@ from minorbit.chevalley import casimir_top_eigenvalue, sym2_index
 from minorbit.linalgx import EchelonBasis, append_and_rank, image_basis, pivot_rows
 
 from helpers import (
-    SparseMatrix,
     casimir_of,
     columns,
     dense,
@@ -38,59 +37,6 @@ def random_sparse(rng, max_side=200):
     for _ in range(nnz):
         entries[rng.randrange(nrows), rng.randrange(ncols)] = rng.choice(values)
     return from_entries(nrows, ncols, entries)
-
-
-def test_matrix_basic_invariants():
-    m = SparseMatrix.from_columns(3, [{}, {}, {1: -3}])
-    assert (m.nrows, m.ncols, m.nnz) == (3, 3, 1)
-    assert m.column(2) == {1: -3} and m.column(0) == {}
-    for j in (3, -1):
-        with pytest.raises(IndexError):
-            m.column(j)
-    with pytest.raises(ValueError):
-        SparseMatrix.from_columns(-1, [])
-    # There is no entry access and no coordinate-map constructor.
-    with pytest.raises(TypeError):
-        m[1, 2]
-    with pytest.raises(TypeError):
-        SparseMatrix(3, 3)
-    empty = SparseMatrix.from_columns(4, [])
-    assert (empty.ncols, empty.nnz) == (0, 0)
-
-
-def test_sparse_matrix_stores_its_columns():
-    cols = [{0: 4, 2: -1}, {1: 5}]
-    m = SparseMatrix.from_columns(3, iter(cols))
-    assert (m.nrows, m.ncols, m.nnz) == (3, 2, 3)
-    assert [m.column(j) for j in range(2)] == cols
-    # The columns are packed, not held: a later write to the input does not show.
-    cols[0][1] = 7
-    assert m.column(0) == {0: 4, 2: -1}
-
-
-def test_writing_a_returned_column_leaves_the_matrix_intact():
-    cols = [{0: 4, 2: -1}, {}, {1: 5}]
-    m = SparseMatrix.from_columns(3, cols)
-    m.column(0)[1] = 7
-    m.column(1)[0] = 1
-    got = m.column(2)
-    got.clear()
-    assert [m.column(j) for j in range(3)] == cols
-
-
-@pytest.mark.parametrize("bad,error", [
-    (Fraction(1, 3), TypeError),
-    (Fraction(2), TypeError),
-    (1.0, TypeError),
-    (2**63, OverflowError),
-    (-(2**63) - 1, OverflowError),
-])
-def test_from_columns_rejects_non_int64_entries(bad, error):
-    with pytest.raises(error):
-        SparseMatrix.from_columns(3, [{0: 1}, {1: bad}])
-    with pytest.raises(error):
-        SparseMatrix.from_columns(3, [{bad: 1}])
-    assert SparseMatrix.from_columns(3, [{2: 2**63 - 1, 0: -(2**63)}]).nnz == 2
 
 
 @pytest.mark.parametrize("bad", [-1, 5])

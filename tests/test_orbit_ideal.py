@@ -49,6 +49,7 @@ from helpers import (
     sym2_unrank,
     to_rows,
     weight_blocks,
+    with_tables,
 )
 
 
@@ -509,7 +510,7 @@ def test_dual_off_the_opposite_weight_fires_the_bracket_check():
     L = algebra_of("A", 2)
     weights = list(L.weights_fw)
     weights[L.npos] = weights[0]
-    bad = LieAlgebra(L.rs, L.brackets, tuple(weights), L.signed_roots)
+    bad = with_tables(L, weights_fw=tuple(weights))
     with pytest.raises(InvariantViolation, match=(
         f"^the bracket \\[x_0, x_{L.npos}\\] has a term on x_7, "
         "whose weight is not the sum of theirs$"
@@ -528,7 +529,7 @@ def test_weight_off_the_chevalley_image_fires_the_opposite_weight_check():
     with pytest.raises(InvariantViolation, match=(
         "^x_0 and its Chevalley image x_1 do not have opposite weights$"
     )):
-        SplitCasimir(LieAlgebra(L.rs, brackets, weights, L.signed_roots))
+        SplitCasimir(with_tables(LieAlgebra(L.rs, brackets), weights_fw=weights))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("D", 4), ("E", 6)])
@@ -656,7 +657,7 @@ def test_every_stored_bracket_is_guarded(family, rank, factor):
             brackets[key] = tuple((k, factor * c) for k, c in terms)
         else:
             del brackets[key]
-        if not _stops_before_the_verdict(LieAlgebra(L.rs, brackets, L.weights_fw, L.signed_roots)):
+        if not _stops_before_the_verdict(LieAlgebra(L.rs, brackets)):
             survivors.append(divmod(key, L.dim))
     assert survivors == []
 

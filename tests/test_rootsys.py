@@ -42,6 +42,9 @@ DIM_G = {
     ("E", 5, "family E"),
     ("E", 9, "family E"),
     ("B", 2, "unknown family"),
+    ("A", True, "rank must be an int, got True"),
+    ("A", 2.0, "rank must be an int, got 2.0"),
+    ("E", 6.0, "rank must be an int, got 6.0"),
 ])
 def test_invalid_types_rejected(family, rank, msg):
     with pytest.raises(ValueError, match=msg):

@@ -21,7 +21,9 @@ fault and must PASS, or PASS today for a known reason; each test says
 which and why.
 """
 
+import re
 from itertools import accumulate, combinations
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +32,7 @@ from minorbit.chevalley import LieAlgebra, SplitCasimir, sym2_index
 from minorbit.cli import ade_types, verify
 from minorbit.rootsys import InvariantViolation, SimpleType
 
-from helpers import algebra_of, casimir_of, weight_blocks
+from helpers import algebra_of, casimir_of, weight_blocks, with_tables
 
 # Types small enough to run the whole pipeline once per mutant.
 SMALL = [SimpleType("A", 1), SimpleType("A", 2), SimpleType("A", 3), SimpleType("D", 4)]
@@ -231,7 +233,7 @@ def test_weight_mutants_stop_at_the_casimir_stage(monkeypatch, t):
             for d in (-1, 1):
                 weights = list(L.weights_fw)
                 weights[x] = w[:i] + (w[i] + d,) + w[i + 1:]
-                _with_algebra(monkeypatch, LieAlgebra(L.rs, L.brackets, tuple(weights), L.signed_roots))
+                _with_algebra(monkeypatch, with_tables(L, weights_fw=tuple(weights)))
                 assert outcome(t) == "casimir", (x, i, d)
 
 
@@ -254,7 +256,7 @@ def test_signed_root_mutants_stop_at_the_casimir_or_the_ideal_stage(monkeypatch,
             for d in (-2, -1, 1):
                 roots = list(L.signed_roots)
                 roots[x] = s[:i] + (s[i] + d,) + s[i + 1:]
-                bad = LieAlgebra(L.rs, L.brackets, L.weights_fw, tuple(roots))
+                bad = with_tables(L, signed_roots=tuple(roots))
                 _with_algebra(monkeypatch, bad)
                 stage = outcome(t)
                 if stage == "PASS":
@@ -300,3 +302,14 @@ def test_betti_mutants_stop_at_the_resolution_stage(monkeypatch, t):
                 lambda n, k=k, d=d: [b + d * (i == k) for i, b in enumerate([1, 0, n])],
             )
             assert outcome(t) == "resolution", (k, d)
+
+
+def test_every_test_the_readme_cites_exists():
+    # README names the control of each check as test_<module>.py::<function>;
+    # a test renamed or deleted would leave its citation pointing at nothing.
+    root = Path(__file__).resolve().parent.parent
+    cited = re.findall(r"(test_\w+\.py)::(\w+)", (root / "README.md").read_text())
+    assert cited
+    for module, name in cited:
+        source = (root / "tests" / module).read_text()
+        assert re.search(rf"^def {name}\(", source, re.M), f"{module}::{name}"
