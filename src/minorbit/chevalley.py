@@ -50,7 +50,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
-from itertools import accumulate, combinations_with_replacement, groupby, pairwise
+from itertools import accumulate, combinations_with_replacement, groupby, islice, pairwise
 from operator import mul
 
 from .rootsys import InvariantViolation, RootSystem, root_to_weight
@@ -63,7 +63,6 @@ __all__ = [
     "sym2_dim",
     "sym2_index",
     "sym2_pairs",
-    "sym2_unrank",
 ]
 
 
@@ -174,20 +173,6 @@ def sym2_index(n: int, p: int, q: int) -> int:
     return p * (2 * n - p - 1) // 2 + q
 
 
-def sym2_unrank(n: int, k: int) -> tuple[int, int]:
-    """The pair (p, q), p <= q, of the monomial of flat index k: the inverse of sym2_index.
-
-    An index outside [0, sym2_dim(n)) raises ValueError.
-    """
-    if not 0 <= k < sym2_dim(n):
-        raise ValueError(f"flat index {k} out of range for Sym^2 of dimension {n}")
-    p = 0
-    while k >= n - p:
-        k -= n - p
-        p += 1
-    return p, p + k
-
-
 def sym2_pairs(n: int) -> Iterator[tuple[int, int]]:
     """Every pair p <= q, lazily, in sym2_index order."""
     return combinations_with_replacement(range(n), 2)
@@ -223,11 +208,18 @@ class SplitCasimir:
         self.matrix(L)
 
     def column(self, p: int, q: int) -> dict:
-        """Image of the monomial x_p x_q, looked up in the blocks, as a fresh sparse vector."""
+        """Image of the monomial x_p x_q, looked up in the blocks, as a fresh sparse vector.
+
+        A position outside [0, dim) raises IndexError: sym2_index would
+        read it as some other monomial.
+        """
         if not self._monos:
             raise RuntimeError(
                 "column() needs the weight blocks, and this operator has released them"
             )
+        for x in (p, q):
+            if not 0 <= x < self.dim:
+                raise IndexError(f"position {x} is outside [0, {self.dim})")
         i = self._monos.index(sym2_index(self.dim, p, q))
         ms = self._mono_start
         b = bisect_right(ms, i) - 1
@@ -299,15 +291,16 @@ class SplitCasimir:
         The entries of every type up to rank 8 lie in [-60, 12], E8's
         range, and those of types A and D stay in [-8, 4] at every rank
         measured, up to A24 and D16.
-        Before any product, one pass checks that every term of every
-        stored bracket, each of which ad reads, has the key of the sum
-        of its two factors' weights, and a second that the Chevalley
-        image of every position has the opposite key: F(a) that of E(a),
-        and H(i), its own image, key 0.  The inverted bracket index and
-        the image table both read omega, so this check covers both.  On a
-        root vector the image is the dual, so a product [x, x_p]
-        [dual(x), x_q] has the weight of x_p x_q, and every product lands
-        in its column's block, which makes the rank of the operator
+        Before any product, the pass over the stored keys that fills ad
+        checks that every term of every stored bracket has the key of the
+        sum of its two factors' weights.  Right after it, before the
+        inverted index, a second check reads omega: the Chevalley image of
+        every position must have the opposite key, F(a) that of E(a), and
+        H(i), its own image, key 0.  The inverted bracket index and the
+        image table of the layout both read omega, so this check covers
+        both.  On a root vector the image is the dual, so a product [x,
+        x_p] [dual(x), x_q] has the weight of x_p x_q, and every product
+        lands in its column's block, which makes the rank of the operator
         exactly the sum of the block ranks.  The images of the monomials
         of key k are then exactly those of key -k, so the blocks pair up.
         A failed check is a construction bug, reported fatally.
@@ -315,28 +308,15 @@ class SplitCasimir:
         self.dim = nn = L.dim
         self.npos = m = L.npos
         key = _weight_keys(L.weights_fw)
-        for ab, terms in L.brackets.items():
-            a, b = divmod(ab, nn)
-            for k, _ in terms:
-                if key[k] != key[a] + key[b]:
-                    raise InvariantViolation(
-                        f"the bracket [x_{a}, x_{b}] has a term on x_{k}, "
-                        "whose weight is not the sum of theirs"
-                    )
         # omega[x] is the position of the Chevalley image of basis vector x: F(a)
         # for E(a), E(a) for F(a), H(i) for H(i).  On a root vector it is the dual.
         omega = list(range(m, 2 * m)) + list(range(m)) + list(range(2 * m, nn))
-        for x, y in enumerate(omega):
-            if key[y] != -key[x]:
-                raise InvariantViolation(
-                    f"x_{x} and its Chevalley image x_{y} do not have opposite weights"
-                )
         keys = [key[p] + key[q] for p, q in sym2_pairs(nn)]
         order = sorted(range(len(keys)), key=keys.__getitem__)
         half = [len(list(g)) for _, g in groupby(order, keys.__getitem__)]
         half = half[len(half) // 2 :]
         own = array("i", order[len(order) - sum(half) :])
-        del key, keys, order
+        del keys, order
         # sym2_index(nn, i, j) == offset[i] + j for i <= j.
         offset = [sym2_index(nn, i, i) - i for i in range(nn)]
         # image[k] is the Chevalley image of monomial k.  block takes the table's
@@ -363,12 +343,24 @@ class SplitCasimir:
                 local[k] = i
 
         ad = [{} for _ in range(nn)]
-        for ab in L.brackets:
+        for ab, terms in L.brackets.items():
             a, b = divmod(ab, nn)
+            for k, _ in terms:
+                if key[k] != key[a] + key[b]:
+                    raise InvariantViolation(
+                        f"the bracket [x_{a}, x_{b}] has a term on x_{k}, "
+                        "whose weight is not the sum of theirs"
+                    )
             if a < 2 * m:
                 ad[b][a] = L.bracket(a, b)
             if b < 2 * m:
                 ad[a][b] = L.bracket(b, a)
+        for x, y in enumerate(omega):
+            if key[y] != -key[x]:
+                raise InvariantViolation(
+                    f"x_{x} and its Chevalley image x_{y} do not have opposite weights"
+                )
+        del key
         invq, invj, invc = ([array("i") for _ in range(2 * m)] for _ in range(3))
         for q, row in enumerate(ad):
             for x, u in row.items():
@@ -432,8 +424,8 @@ def _blocks_by_pair(
         own, partner = entries[mid:], entries[lo:mid]
         if own != partner:
             j = next(i for i, (x, y) in enumerate(zip(own, partner)) if x != y) // s
-            p, q = sym2_unrank(nn, monos[mono_start[b] + j])
-            r, t = sym2_unrank(nn, monos[mono_start[b - 1] + j])
+            p, q = next(islice(sym2_pairs(nn), monos[mono_start[b] + j], None))
+            r, t = next(islice(sym2_pairs(nn), monos[mono_start[b - 1] + j], None))
             raise InvariantViolation(
                 f"column x_{p} x_{q} differs from column x_{r} x_{t}, its Chevalley image"
             )

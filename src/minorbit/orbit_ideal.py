@@ -174,7 +174,10 @@ def hilbert_from_quadrics(
     """Hilbert function of Sym[h] modulo the ideal generated by the quadrics.
 
     Each quadric is an integer vector over Sym^2 h in the order of
-    monomial_exponents(n, 2), which is the sym2_index(n, i, j) order.
+    monomial_exponents(n, 2): the k-th entry is the k-th pair i <= j of
+    combinations_with_replacement(range(n), 2), which is the
+    sym2_index(n, i, j) order.  projected_span and restrict_to_diagonal
+    index their quadrics in this same order.
 
     In each degree d the ideal piece is spanned by the quadrics times
     all degree d-2 monomials; its rank is accumulated incrementally and

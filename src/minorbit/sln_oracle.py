@@ -11,9 +11,9 @@ construction and must match the abstract type A_(n-1) answer.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 
-from .orbit_ideal import hilbert_from_quadrics, monomial_exponents
+from .orbit_ideal import hilbert_from_quadrics
 
 __all__ = ["matrix_quadrics", "restrict_to_diagonal", "oracle_quotient_dims"]
 
@@ -42,11 +42,13 @@ def restrict_to_diagonal(quadrics: Iterable[dict], n: int) -> list[dict]:
 
     Traceless coordinates are the first n-1 diagonal entries, with
     a_(n-1)(n-1) replaced by minus their sum, so the result is a list of
-    quadrics in n-1 variables (possibly zero), each an index vector over
-    monomial_exponents(n-1, 2) with no zero entries.
+    quadrics in n-1 variables (possibly zero), each an index vector with
+    no zero entries.  Index k is the k-th variable pair (v1, v2), v1 <=
+    v2, of combinations_with_replacement(range(n-1), 2), the order
+    hilbert_from_quadrics reads.
     """
     nv = n - 1
-    pos = {e: k for k, e in enumerate(monomial_exponents(nv, 2))}
+    pos = {e: k for k, e in enumerate(combinations_with_replacement(range(nv), 2))}
     forms = [[(i, 1)] for i in range(nv)] + [[(j, -1) for j in range(nv)]]
     out = []
     for quadric in quadrics:
@@ -56,7 +58,7 @@ def restrict_to_diagonal(quadrics: Iterable[dict], n: int) -> list[dict]:
                 continue
             for v1, c1 in forms[i1]:
                 for v2, c2 in forms[i2]:
-                    k = pos[tuple((v == v1) + (v == v2) for v in range(nv))]
+                    k = pos[(v1, v2) if v1 <= v2 else (v2, v1)]
                     vec[k] = vec.get(k, 0) + c * c1 * c2
         out.append({k: x for k, x in vec.items() if x})
     return out

@@ -16,7 +16,7 @@ from collections import namedtuple
 from copy import copy
 from fractions import Fraction
 from functools import lru_cache
-from itertools import pairwise
+from itertools import combinations_with_replacement, pairwise
 from math import gcd
 from typing import Callable, Iterable, Mapping
 
@@ -27,7 +27,6 @@ from minorbit.chevalley import (
     sym2_dim,
     sym2_index,
     sym2_pairs,
-    sym2_unrank,
 )
 from minorbit.linalgx import EchelonBasis, append_and_rank
 from minorbit.rootsys import RootSystem, SimpleType, build_root_system
@@ -248,15 +247,17 @@ def evaluate(poly: dict, values: dict) -> Fraction:
 def cartan_restriction(L: LieAlgebra, vec: dict) -> dict:
     """The H(i) H(j) terms of a Sym^2 g vector, as a vector indexed by sym2_index(rank, i, j).
 
-    Each monomial is unranked and tested on its own, so this does not
-    rest on the Cartan monomials coming last, as the index shift in
+    Each monomial is read back as its pair p <= q, the k-th of
+    combinations_with_replacement, and tested on its own, so this does
+    not rest on the Cartan monomials coming last, as the index shift in
     projected_span does.
     """
     n = L.rs.rank
     base = 2 * L.npos
+    pairs = list(combinations_with_replacement(range(L.dim), 2))
     out = {}
     for k, x in vec.items():
-        p, q = sym2_unrank(L.dim, k)
+        p, q = pairs[k]
         if p >= base and q >= base:
             out[sym2_index(n, p - base, q - base)] = x
     return out

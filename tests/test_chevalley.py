@@ -32,7 +32,6 @@ from helpers import (
     scale_first_ee_constant,
     shift_theta_pairing,
     shifted_casimir,
-    sym2_unrank,
     transpose,
     with_tables,
 )
@@ -282,7 +281,6 @@ def test_sym2_indexing_roundtrip():
     for flat, (p, q) in enumerate(pairs):
         assert sym2_index(n, p, q) == flat
         assert sym2_index(n, q, p) == flat
-        assert sym2_unrank(n, flat) == (p, q)
 
 
 @pytest.mark.parametrize("family,rank,reads", [("A", 3, 90), ("D", 4, 288), ("E", 6, 1764)])
@@ -300,14 +298,6 @@ def test_casimir_reads_each_bracket_once_per_root_vector_end(family, rank, reads
     assert len(calls) == reads
 
 
-@pytest.mark.parametrize("n,k", [(3, -1), (3, 6), (3, 7), (1, 1), (0, 0)])
-def test_sym2_unrank_rejects_an_index_outside_the_square(n, k):
-    # sym2_dim(3) is 6: flat indices run 0..5.  Past the end the walk
-    # over the rows would never stop, and below 0 it would return (0, -1).
-    with pytest.raises(ValueError, match=f"^flat index {k} out of range for Sym\\^2 of dimension {n}$"):
-        sym2_unrank(n, k)
-
-
 def test_casimir_a1_columns():
     L = algebra_of("A", 1)
     Om = casimir_of("A", 1)
@@ -316,6 +306,17 @@ def test_casimir_a1_columns():
     assert Om.column(e, e) == {sym2_index(3, e, e): 2}
     col_ef = Om.column(e, f)
     assert col_ef == {sym2_index(3, e, f): -2, sym2_index(3, h, h): -1}
+
+
+@pytest.mark.parametrize("p,q,bad", [(0, 8, 8), (-1, 0, -1)])
+def test_column_rejects_a_position_outside_the_basis(p, q, bad):
+    # A2 has dim 8, and sym2_index(8, 0, 8) == sym2_index(8, 1, 1): an
+    # unchecked column(0, 8) reads the column of x_1 x_1, and
+    # column(-1, 0) fails inside array.index with no word of the cause.
+    Om = casimir_of("A", 2)
+    assert Om.dim == 8 and sym2_index(8, 0, 8) == sym2_index(8, 1, 1)
+    with pytest.raises(IndexError, match=f"^position {bad} is outside \\[0, 8\\)$"):
+        Om.column(p, q)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4), ("E", 6)])

@@ -46,7 +46,6 @@ from helpers import (
     scale_first_ee_constant,
     shifted_casimir,
     sparse_image,
-    sym2_unrank,
     to_rows,
     weight_blocks,
     with_tables,
@@ -325,8 +324,9 @@ def test_weight_blocks_partition_the_monomials_by_weight_tuple(t):
     # the blocks of key k must ascend, from above the zero weight.
     L = algebra_of(t.family, t.rank)
     wt = L.weights_fw
+    pairs = list(combinations_with_replacement(range(L.dim), 2))
     by_tuple: dict = {}
-    for k, (p, q) in enumerate(sym2_pairs(L.dim)):
+    for k, (p, q) in enumerate(pairs):
         by_tuple.setdefault(tuple(map(add, wt[p], wt[q])), []).append(k)
     Om = casimir_of(t.family, t.rank)
     blocks = weight_blocks(Om)
@@ -335,7 +335,7 @@ def test_weight_blocks_partition_the_monomials_by_weight_tuple(t):
         assert len(data) == len(monos) ** 2
     weights = []
     for monos, _ in blocks:
-        p, q = sym2_unrank(L.dim, monos[0])
+        p, q = pairs[monos[0]]
         weights.append(tuple(map(add, wt[p], wt[q]))[::-1])
     zero = (0,) * t.rank
     assert weights[0] == zero and len(blocks) % 2 == 1
